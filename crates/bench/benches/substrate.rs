@@ -112,18 +112,15 @@ fn bench_nn(c: &mut Criterion) {
 
 fn bench_probing_epoch(c: &mut Criterion) {
     use pipa_core::probe::{probe, ProbeConfig};
-    use pipa_ia::{build_clear_box, AdvisorKind, SpeedPreset, TrajectoryMode};
+    use pipa_ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
     let cost = pipa_cost::SimBackend::new(Benchmark::TpcH.database(1.0, None));
     let gen = WorkloadGenerator::new(
         Benchmark::TpcH.schema(),
         Benchmark::TpcH.default_templates(),
     );
     let w = gen.normal(&mut ChaCha8Rng::seed_from_u64(7)).unwrap();
-    let mut advisor = build_clear_box(
-        AdvisorKind::DbaBandit(TrajectoryMode::Best),
-        SpeedPreset::Test,
-        7,
-    );
+    let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+        .build_with(BuildCtx::new(SpeedPreset::Test, 7));
     advisor.train(&cost, &w).expect("train");
     c.bench_function("pipa/probe_2_epochs", |b| {
         b.iter_batched(

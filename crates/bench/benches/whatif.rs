@@ -35,9 +35,7 @@
 
 use criterion::Criterion;
 use pipa_cost::CostBackend;
-use pipa_ia::{
-    build_advisor, AdvisorKind, AutoAdminGreedy, IndexAdvisor, SpeedPreset, TrajectoryMode,
-};
+use pipa_ia::{AdvisorKind, AutoAdminGreedy, BuildCtx, IndexAdvisor, SpeedPreset, TrajectoryMode};
 use pipa_sim::{Aggregate, ColumnId, Database, Index, IndexConfig, Predicate, QueryBuilder, Workload};
 use pipa_workload::{Benchmark, WorkloadGenerator};
 use rand::{Rng, SeedableRng};
@@ -236,11 +234,8 @@ fn main() {
             b.iter(|| {
                 cost.database().clear_whatif_matrix();
                 cost.database().clear_whatif_cache();
-                let mut adv = build_advisor(
-                    AdvisorKind::Dqn(TrajectoryMode::Best),
-                    SpeedPreset::Test,
-                    7,
-                );
+                let mut adv = AdvisorKind::Dqn(TrajectoryMode::Best)
+                    .build_with(BuildCtx::new(SpeedPreset::Test, 7));
                 adv.train(&cost, &single).expect("train");
                 black_box(adv.budget())
             })

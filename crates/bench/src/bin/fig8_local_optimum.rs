@@ -13,6 +13,7 @@
 
 use pipa_bench::cli::ExpArgs;
 use pipa_core::experiment::{build_db, make_injector, normal_workload, InjectorKind};
+use pipa_core::harness::{strike, update, Update};
 use pipa_core::par_map_traced;
 use pipa_core::report::ExperimentArtifact;
 use pipa_core::CellSeed;
@@ -80,32 +81,43 @@ fn main() {
                 .field("injector", injector_kind.label())
         },
         |_, (panel, kind, injector_kind)| {
-        let engine = pipa_cost::CostEngine::new(&db);
-        let mut advisor = kind.build_with(BuildCtx::new(cfg.preset, args.seed));
-        advisor.train(&db, &normal).expect("train");
-        let clean = advisor.recommend(&db, &normal).expect("recommend");
-        let clean_benefit = engine.workload_benefit(&normal, &clean).expect("benefit");
-        let mut injector = make_injector(injector_kind, &cfg, CellSeed::raw(args.seed));
-        let inj = injector
-            .build(advisor.as_mut(), &db, cfg.injection_size, args.seed)
+            let engine = pipa_cost::CostEngine::new(&db);
+            let mut advisor = kind.build_with(BuildCtx::new(cfg.preset, args.seed));
+            update(advisor.as_mut(), &db, &normal, Update::Train).expect("train");
+            let clean = advisor.recommend(&db, &normal).expect("recommend");
+            let clean_benefit = engine.workload_benefit(&normal, &clean).expect("benefit");
+            let mut injector = make_injector(injector_kind, &cfg, CellSeed::raw(args.seed));
+            let struck = strike(
+                advisor.as_mut(),
+                &db,
+                Some(injector.as_mut()),
+                cfg.injection_size,
+                args.seed,
+                &normal,
+                None,
+            )
             .expect("injection build");
-        advisor.retrain(&db, &normal.union(&inj)).expect("retrain");
-        let poisoned = advisor.recommend(&db, &normal).expect("recommend");
-        let poisoned_benefit = engine.workload_benefit(&normal, &poisoned).expect("benefit");
-        let retrained_benefit = (panel == "d").then(|| {
-            advisor.retrain(&db, &normal).expect("retrain");
-            let recovered = advisor.recommend(&db, &normal).expect("recommend");
-            engine.workload_benefit(&normal, &recovered).expect("benefit")
-        });
-        Curve {
-            panel: panel.to_string(),
-            advisor: kind.label(),
-            injector: injector_kind.label().to_string(),
-            trace: advisor.reward_trace().to_vec(),
-            clean_benefit,
-            poisoned_benefit,
-            retrained_benefit,
-        }
+            update(advisor.as_mut(), &db, &struck.observed, Update::Retrain).expect("retrain");
+            let poisoned = advisor.recommend(&db, &normal).expect("recommend");
+            let poisoned_benefit = engine
+                .workload_benefit(&normal, &poisoned)
+                .expect("benefit");
+            let retrained_benefit = (panel == "d").then(|| {
+                update(advisor.as_mut(), &db, &normal, Update::Retrain).expect("retrain");
+                let recovered = advisor.recommend(&db, &normal).expect("recommend");
+                engine
+                    .workload_benefit(&normal, &recovered)
+                    .expect("benefit")
+            });
+            Curve {
+                panel: panel.to_string(),
+                advisor: kind.label(),
+                injector: injector_kind.label().to_string(),
+                trace: advisor.reward_trace().to_vec(),
+                clean_benefit,
+                poisoned_benefit,
+                retrained_benefit,
+            }
         },
     );
     args.finish_trace(&out, &db);

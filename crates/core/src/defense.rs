@@ -127,36 +127,14 @@ impl ProvenanceFilter {
     }
 }
 
-/// Convenience: run one stress test with a defense in place and report
-/// the residual AD (used by the defense ablation bench).
-pub fn stress_with_canary(
-    advisor: &mut dyn ClearBoxAdvisor,
-    injector: &mut dyn crate::injectors::Injector,
-    cost: &dyn CostBackend,
-    normal: &Workload,
-    injection_size: usize,
-    tolerance: f64,
-    seed: u64,
-) -> CostResult<(f64, bool)> {
-    advisor.train(cost, normal)?;
-    let clean_cfg = advisor.recommend(cost, normal)?;
-    let baseline = cost.executed_workload_cost(normal, &clean_cfg)?;
-    let injection = injector.build(advisor, cost, injection_size, seed)?;
-    let training = normal.union(&injection);
-    let guard = CanaryGuard::new(tolerance);
-    let outcome = guard.retrain_guarded(advisor, cost, &training, normal)?;
-    let final_cost = cost.executed_workload_cost(normal, &outcome.final_config)?;
-    Ok((
-        crate::metrics::absolute_degradation(final_cost, baseline),
-        outcome.rolled_back,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::{build_db, make_injector, normal_workload, CellConfig, InjectorKind};
-    use pipa_ia::{build_clear_box, AdvisorKind, SpeedPreset, TrajectoryMode};
+    use crate::harness::StressTest;
+    use crate::runner::CellSeed;
+    use crate::stream::DefensePolicy;
+    use pipa_ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
     use pipa_workload::Benchmark;
 
     fn cfg() -> CellConfig {
@@ -172,24 +150,22 @@ mod tests {
         let cfg = cfg();
         let cost = build_db(&cfg);
         let normal = normal_workload(&cfg, 51);
-        let mut advisor = build_clear_box(
-            AdvisorKind::DbaBandit(TrajectoryMode::Best),
-            SpeedPreset::Test,
-            51,
-        );
-        let mut injector = make_injector(InjectorKind::Pipa, &cfg, crate::runner::CellSeed::raw(51));
-        let (ad, _) = stress_with_canary(
-            advisor.as_mut(),
-            injector.as_mut(),
-            &cost,
-            &normal,
-            cfg.injection_size,
-            0.02,
-            51,
-        )
-        .unwrap();
+        let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+            .build_with(BuildCtx::new(SpeedPreset::Test, 51));
+        let seed = CellSeed::raw(51);
+        let mut injector = make_injector(InjectorKind::Pipa, &cfg, seed);
+        let outcome = StressTest::new(&cost, &normal)
+            .injection_size(cfg.injection_size)
+            .seed(seed)
+            .defense(DefensePolicy::Canary { tolerance: 0.02 })
+            .run(advisor.as_mut(), injector.as_mut())
+            .unwrap();
         // The guard caps the deployed regression at roughly the tolerance.
-        assert!(ad <= 0.05, "guarded AD {ad} exceeds the tolerance band");
+        assert!(
+            outcome.ad <= 0.05,
+            "guarded AD {} exceeds the tolerance band",
+            outcome.ad
+        );
     }
 
     #[test]
@@ -197,13 +173,10 @@ mod tests {
         let cfg = cfg();
         let cost = build_db(&cfg);
         let normal = normal_workload(&cfg, 53);
-        let mut advisor = build_clear_box(
-            AdvisorKind::DbaBandit(TrajectoryMode::Best),
-            SpeedPreset::Test,
-            53,
-        );
+        let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+            .build_with(BuildCtx::new(SpeedPreset::Test, 53));
         advisor.train(&cost, &normal).unwrap();
-        let mut injector = make_injector(InjectorKind::Pipa, &cfg, crate::runner::CellSeed::raw(53));
+        let mut injector = make_injector(InjectorKind::Pipa, &cfg, CellSeed::raw(53));
         let injection = injector.build(advisor.as_mut(), &cost, 10, 53).unwrap();
         let training = normal.union(&injection);
         let filter = ProvenanceFilter::default();
@@ -228,13 +201,10 @@ mod tests {
         let cfg = cfg();
         let cost = build_db(&cfg);
         let normal = normal_workload(&cfg, 57);
-        let mut advisor = build_clear_box(
-            AdvisorKind::DbaBandit(TrajectoryMode::Best),
-            SpeedPreset::Test,
-            57,
-        );
+        let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+            .build_with(BuildCtx::new(SpeedPreset::Test, 57));
         advisor.train(&cost, &normal).unwrap();
-        let mut injector = make_injector(InjectorKind::Tp, &cfg, crate::runner::CellSeed::raw(57));
+        let mut injector = make_injector(InjectorKind::Tp, &cfg, CellSeed::raw(57));
         let injection = injector.build(advisor.as_mut(), &cost, 10, 57).unwrap();
         let filter = ProvenanceFilter::default();
         let num_columns = cost.database().schema().num_columns();

@@ -6,15 +6,90 @@
 //! layers below, a final `stress_outcome` event), so a surprising AD
 //! value can be diagnosed from the `--trace` stream instead of a
 //! debugger.
+//!
+//! Every pipeline that poisons a victim moves it with the same two
+//! steps, [`update`] and [`strike`]; they emit no phase markers.
 
+use crate::defense::{CanaryGuard, GuardedOutcome, ProvenanceFilter};
 use crate::injectors::Injector;
 use crate::metrics::{absolute_degradation, is_toxic};
 use crate::runner::CellSeed;
+use crate::stream::DefensePolicy;
 use pipa_cost::{CostBackend, CostEngine, CostResult};
 use pipa_ia::ClearBoxAdvisor;
 use pipa_obs::{CellCtx, Event, TraceOutputs};
 use pipa_sim::{IndexConfig, Workload};
 use serde::Serialize;
+
+/// How [`update`] moves the victim onto a training set.
+pub enum Update<'a> {
+    /// Train from scratch.
+    Train,
+    /// Retrain and deploy unconditionally.
+    Retrain,
+    /// Retrain behind the guard, checked on the canary workload.
+    Guarded(CanaryGuard, &'a Workload),
+}
+
+/// The update step: the backend observes `training` once (learned cost
+/// backends refit on it), then the victim takes it as `how` says. Returns
+/// the canary's decision when one guarded the update.
+pub fn update(
+    victim: &mut dyn ClearBoxAdvisor,
+    cost: &dyn CostBackend,
+    training: &Workload,
+    how: Update<'_>,
+) -> CostResult<Option<GuardedOutcome>> {
+    cost.observe_training(training)?;
+    match how {
+        Update::Train => victim.train(cost, training).map(|()| None),
+        Update::Retrain => victim.retrain(cost, training).map(|()| None),
+        Update::Guarded(guard, canary) => guard
+            .retrain_guarded(victim, cost, training, canary)
+            .map(Some),
+    }
+}
+
+/// What one [`strike`] put in front of the victim.
+#[derive(Debug)]
+pub struct Strike {
+    /// `|Ŵ|` as built, before screening.
+    pub injected: usize,
+    /// The clean workload, then `Ŵ`, minus what the screen dropped.
+    pub observed: Workload,
+    /// Queries the provenance screen dropped.
+    pub screened_out: usize,
+}
+
+/// The strike step: `injector`, if any, builds `Ŵ` (`size` queries)
+/// against the victim's current parameters, `Ŵ` joins after `clean`,
+/// and `screen` filters the union against its reference workload.
+pub fn strike(
+    victim: &mut dyn ClearBoxAdvisor,
+    cost: &dyn CostBackend,
+    injector: Option<&mut (dyn Injector + '_)>,
+    size: usize,
+    seed: u64,
+    clean: &Workload,
+    screen: Option<(ProvenanceFilter, &Workload)>,
+) -> CostResult<Strike> {
+    let injection = match injector {
+        Some(injector) => injector.build(victim, cost, size, seed)?,
+        None => Workload::new(),
+    };
+    let observed = clean.union(&injection);
+    let (observed, screened_out) = match screen {
+        Some((filter, reference)) => {
+            filter.screen(reference, &observed, cost.catalog().schema.num_columns())
+        }
+        None => (observed, 0),
+    };
+    Ok(Strike {
+        injected: injection.len(),
+        observed,
+        screened_out,
+    })
+}
 
 /// One stress-test outcome.
 ///
@@ -43,6 +118,22 @@ pub struct StressOutcome {
     pub injection_size: usize,
     /// Run seed.
     pub seed: u64,
+}
+
+/// Everything one [`StressTest`] run produced: the outcome, both
+/// configurations, and the defense's tally.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StressRun {
+    /// The reported outcome.
+    pub outcome: StressOutcome,
+    /// The clean advisor's configuration.
+    pub clean_config: IndexConfig,
+    /// The configuration in force after the poisoned update.
+    pub poisoned_config: IndexConfig,
+    /// Whether the canary rolled the update back.
+    pub rolled_back: bool,
+    /// Queries the provenance screen dropped.
+    pub screened_out: usize,
 }
 
 /// One full stress test, configured fluently:
@@ -74,13 +165,14 @@ pub struct StressOutcome {
 /// so the same advisor instance can be reused across runs.
 ///
 /// Defaults mirror the paper's main experiment: injection size 18,
-/// actual-cost measurement, seed 0.
+/// actual-cost measurement, seed 0, no defense.
 pub struct StressTest<'a> {
     cost: &'a dyn CostBackend,
     normal: &'a Workload,
     injection_size: usize,
     use_actual_cost: bool,
     seed: CellSeed,
+    defense: DefensePolicy,
     outputs: Option<&'a TraceOutputs>,
 }
 
@@ -93,6 +185,7 @@ impl<'a> StressTest<'a> {
             injection_size: 18,
             use_actual_cost: true,
             seed: CellSeed::raw(0),
+            defense: DefensePolicy::None,
             outputs: None,
         }
     }
@@ -117,6 +210,14 @@ impl<'a> StressTest<'a> {
         self
     }
 
+    /// The defense guarding the poisoned update (default none). `W` is
+    /// the canary and the provenance reference, as the stream's history
+    /// at window 1.
+    pub fn defense(mut self, defense: DefensePolicy) -> Self {
+        self.defense = defense;
+        self
+    }
+
     /// Attach observability outputs for a *standalone* run: the test
     /// records into a fresh cell scope and flushes it here on
     /// completion. Inside a traced grid ([`crate::experiment::run_grid_traced`])
@@ -135,17 +236,26 @@ impl<'a> StressTest<'a> {
         advisor: &mut dyn ClearBoxAdvisor,
         injector: &mut dyn Injector,
     ) -> CostResult<StressOutcome> {
+        self.run_detailed(advisor, injector).map(|run| run.outcome)
+    }
+
+    /// [`StressTest::run`], also returning both configurations and the
+    /// defense's tally.
+    pub fn run_detailed(
+        &self,
+        advisor: &mut dyn ClearBoxAdvisor,
+        injector: &mut dyn Injector,
+    ) -> CostResult<StressRun> {
         match self.outputs {
             Some(out) if out.active() && !pipa_obs::is_recording() => {
                 let ctx = CellCtx::new(self.seed.get())
                     .field("advisor", advisor.name())
                     .field("injector", injector.name());
-                let (outcome, trace) = pipa_obs::record_cell(true, ctx, || {
-                    self.execute(advisor, injector)
-                });
+                let (run, trace) =
+                    pipa_obs::record_cell(true, ctx, || self.execute(advisor, injector));
                 out.write_cell(&trace);
                 out.flush();
-                outcome
+                run
             }
             _ => self.execute(advisor, injector),
         }
@@ -155,34 +265,40 @@ impl<'a> StressTest<'a> {
         &self,
         advisor: &mut dyn ClearBoxAdvisor,
         injector: &mut dyn Injector,
-    ) -> CostResult<StressOutcome> {
+    ) -> CostResult<StressRun> {
         // Green flow: train on W, establish the performance baseline.
-        // The backend observes the training workload first: learned cost
-        // backends (pipa-cost's LearnedIndexBackend) refit their
-        // structures on what the system trains on, so they see exactly
-        // what the advisor sees.
         pipa_obs::phase("train");
-        self.cost.observe_training(self.normal)?;
-        advisor.train(self.cost, self.normal)?;
+        update(advisor, self.cost, self.normal, Update::Train)?;
 
         pipa_obs::phase("baseline");
-        let clean_cfg = advisor.recommend(self.cost, self.normal)?;
-        let baseline_cost = self.workload_cost(&clean_cfg)?;
+        let clean_config = advisor.recommend(self.cost, self.normal)?;
+        let baseline_cost = self.workload_cost(&clean_config)?;
 
         // Red flow: build Ŵ. The probing/injecting stages re-declare
         // their own phases ("probe", "inject") as they run; injectors
         // that neither probe nor filter (TP, FSM) stay in this one.
         pipa_obs::phase("inject");
-        let injection = injector.build(advisor, self.cost, self.injection_size, self.seed.get())?;
+        let screen = self.defense.provenance().map(|f| (f, self.normal));
+        let struck = strike(
+            advisor,
+            self.cost,
+            Some(injector),
+            self.injection_size,
+            self.seed.get(),
+            self.normal,
+            screen,
+        )?;
 
         pipa_obs::phase("retrain");
-        let training = self.normal.union(&injection);
-        self.cost.observe_training(&training)?;
-        advisor.retrain(self.cost, &training)?;
+        let how = self.defense.retrain(self.normal);
+        let guarded = update(advisor, self.cost, &struck.observed, how)?;
 
         pipa_obs::phase("measure");
-        let poisoned_cfg = advisor.recommend(self.cost, self.normal)?;
-        let poisoned_cost = self.workload_cost(&poisoned_cfg)?;
+        let (poisoned_config, rolled_back) = match guarded {
+            Some(g) => (g.final_config, g.rolled_back),
+            None => (advisor.recommend(self.cost, self.normal)?, false),
+        };
+        let poisoned_cost = self.workload_cost(&poisoned_config)?;
 
         let outcome = StressOutcome {
             advisor: advisor.name(),
@@ -191,9 +307,9 @@ impl<'a> StressTest<'a> {
             poisoned_cost,
             ad: absolute_degradation(poisoned_cost, baseline_cost),
             toxic: is_toxic(poisoned_cost, baseline_cost),
-            baseline_indexes: index_names(self.cost, &clean_cfg),
-            poisoned_indexes: index_names(self.cost, &poisoned_cfg),
-            injection_size: injection.len(),
+            baseline_indexes: index_names(self.cost, &clean_config),
+            poisoned_indexes: index_names(self.cost, &poisoned_config),
+            injection_size: struck.injected,
             seed: self.seed.get(),
         };
         if pipa_obs::is_recording() {
@@ -206,7 +322,13 @@ impl<'a> StressTest<'a> {
                     .field("injection_size", outcome.injection_size),
             );
         }
-        Ok(outcome)
+        Ok(StressRun {
+            outcome,
+            clean_config,
+            poisoned_config,
+            rolled_back,
+            screened_out: struck.screened_out,
+        })
     }
 
     fn workload_cost(&self, cfg: &IndexConfig) -> CostResult<f64> {
@@ -214,7 +336,7 @@ impl<'a> StressTest<'a> {
     }
 }
 
-fn index_names(cost: &dyn CostBackend, cfg: &IndexConfig) -> Vec<String> {
+pub(crate) fn index_names(cost: &dyn CostBackend, cfg: &IndexConfig) -> Vec<String> {
     let schema = cost.catalog().schema;
     cfg.indexes().iter().map(|i| i.name(schema)).collect()
 }
@@ -244,14 +366,16 @@ mod tests {
     #[test]
     fn stress_test_produces_consistent_outcome() {
         let (cost, w) = setup();
-        let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best).build_with(BuildCtx::new(SpeedPreset::Test, 1));
+        let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+            .build_with(BuildCtx::new(SpeedPreset::Test, 1));
         let mut inj = TpInjector::new(Benchmark::TpcH.default_templates());
-        let out = StressTest::new(&cost, &w)
+        let run = StressTest::new(&cost, &w)
             .injection_size(6)
             .actual_cost(false)
             .seed(CellSeed::raw(1))
-            .run(ia.as_mut(), &mut inj)
+            .run_detailed(ia.as_mut(), &mut inj)
             .unwrap();
+        let out = &run.outcome;
         assert!(out.baseline_cost > 0.0);
         assert!(out.poisoned_cost > 0.0);
         let expect_ad = (out.poisoned_cost - out.baseline_cost) / out.baseline_cost;
@@ -261,6 +385,51 @@ mod tests {
         assert_eq!(out.injector, "TP");
         assert_eq!(out.seed, 1);
         assert!(!out.baseline_indexes.is_empty());
+        assert_eq!(out.baseline_indexes, index_names(&cost, &run.clean_config));
+        assert_eq!(
+            out.poisoned_indexes,
+            index_names(&cost, &run.poisoned_config)
+        );
+        assert!(!run.rolled_back);
+        assert_eq!(run.screened_out, 0);
+    }
+
+    #[test]
+    fn defended_runs_report_the_defense_tally() {
+        let (cost, w) = setup();
+        let run = |defense| {
+            let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+                .build_with(BuildCtx::new(SpeedPreset::Test, 5));
+            let mut inj = TargetedInjector::pipa(Box::new(StGenerator::new(5)));
+            inj.probe_cfg = ProbeConfig {
+                epochs: 2,
+                queries_per_epoch: 6,
+                ..Default::default()
+            };
+            StressTest::new(&cost, &w)
+                .injection_size(10)
+                .actual_cost(false)
+                .seed(CellSeed::raw(5))
+                .defense(defense)
+                .run_detailed(ia.as_mut(), &mut inj)
+                .unwrap()
+        };
+        // A negative tolerance rejects every update.
+        let canary = run(DefensePolicy::Canary { tolerance: -1.0 });
+        assert!(canary.rolled_back);
+        assert_eq!(canary.screened_out, 0);
+        // PIPA's injection filters on mid-ranked columns W never touches,
+        // which is the screen's fingerprint.
+        let screened = run(DefensePolicy::Provenance {
+            max_novel_fraction: 0.5,
+            history: 1,
+        });
+        assert!(!screened.rolled_back);
+        assert!(
+            screened.screened_out > 0,
+            "nothing of {} injected queries screened",
+            screened.outcome.injection_size
+        );
     }
 
     #[test]
@@ -268,7 +437,8 @@ mod tests {
         // The core claim in miniature: a PIPA injection degrades a
         // learned advisor.
         let (cost, w) = setup();
-        let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best).build_with(BuildCtx::new(SpeedPreset::Test, 2));
+        let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+            .build_with(BuildCtx::new(SpeedPreset::Test, 2));
         let mut inj = TargetedInjector::pipa(Box::new(StGenerator::new(2)));
         inj.probe_cfg = ProbeConfig {
             epochs: 4,
@@ -291,7 +461,8 @@ mod tests {
     #[test]
     fn reusing_the_advisor_across_runs_is_safe() {
         let (cost, w) = setup();
-        let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best).build_with(BuildCtx::new(SpeedPreset::Test, 3));
+        let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+            .build_with(BuildCtx::new(SpeedPreset::Test, 3));
         let mut inj = TpInjector::new(Benchmark::TpcH.default_templates());
         let test = StressTest::new(&cost, &w)
             .injection_size(4)
@@ -308,7 +479,8 @@ mod tests {
         let (cost, w) = setup();
         let trace = MemorySink::new();
         let out = TraceOutputs::with_sinks(Some(Box::new(trace.clone())), None);
-        let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best).build_with(BuildCtx::new(SpeedPreset::Test, 4));
+        let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+            .build_with(BuildCtx::new(SpeedPreset::Test, 4));
         let mut inj = TpInjector::new(Benchmark::TpcH.default_templates());
         let outcome = StressTest::new(&cost, &w)
             .injection_size(4)

@@ -71,7 +71,7 @@ pub use defense::{CanaryGuard, ProvenanceFilter};
 pub use experiment::{
     run_grid, run_grid_traced, CellConfig, GenBackend, GridCell, GridSpec, InjectorKind,
 };
-pub use harness::{StressOutcome, StressTest};
+pub use harness::{StressOutcome, StressRun, StressTest};
 pub use inject::{inject, InjectConfig, InjectResult};
 pub use injectors::{Injector, TargetedInjector, TpInjector};
 pub use metrics::{absolute_degradation, is_toxic, relative_degradation, Stats};

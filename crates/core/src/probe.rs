@@ -403,11 +403,8 @@ mod tests {
     fn probing_respects_learned_advisors_too() {
         // Smoke test against a learned advisor (opaque-box path).
         let (cost, w) = setup();
-        let mut advisor = pipa_ia::build_advisor(
-            pipa_ia::AdvisorKind::DbaBandit(pipa_ia::TrajectoryMode::Best),
-            SpeedPreset::Test,
-            1,
-        );
+        let mut advisor = pipa_ia::AdvisorKind::DbaBandit(pipa_ia::TrajectoryMode::Best)
+            .build_with(pipa_ia::BuildCtx::new(SpeedPreset::Test, 1));
         advisor.train(&cost, &w).unwrap();
         let mut generator = StGenerator::new(4);
         let cfg = ProbeConfig {

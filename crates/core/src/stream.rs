@@ -33,7 +33,7 @@
 
 use crate::defense::{CanaryGuard, ProvenanceFilter};
 use crate::experiment::{make_injector, CellConfig, InjectorKind};
-use crate::harness::StressOutcome;
+use crate::harness::{index_names, strike, update, StressOutcome, Update};
 use crate::metrics::{absolute_degradation, is_toxic};
 use crate::runner::{derive_seed, par_map_traced, CellSeed};
 use pipa_cost::{CostBackend, CostEngine, CostResult};
@@ -144,6 +144,27 @@ impl DefensePolicy {
             DefensePolicy::None => "none",
             DefensePolicy::Canary { .. } => "canary",
             DefensePolicy::Provenance { .. } => "provenance",
+        }
+    }
+
+    /// The retrain the policy asks for: behind a guard checked on
+    /// `canary` under [`DefensePolicy::Canary`], unconditional otherwise.
+    pub(crate) fn retrain(self, canary: &Workload) -> Update<'_> {
+        match self {
+            DefensePolicy::Canary { tolerance } => {
+                Update::Guarded(CanaryGuard::new(tolerance), canary)
+            }
+            _ => Update::Retrain,
+        }
+    }
+
+    /// The screen the policy runs, if it is a provenance policy.
+    pub(crate) fn provenance(self) -> Option<ProvenanceFilter> {
+        match self {
+            DefensePolicy::Provenance {
+                max_novel_fraction, ..
+            } => Some(ProvenanceFilter { max_novel_fraction }),
+            _ => None,
         }
     }
 }
@@ -273,11 +294,6 @@ impl StreamOutcome {
     }
 }
 
-fn index_names(cost: &dyn CostBackend, cfg: &IndexConfig) -> Vec<String> {
-    let schema = cost.catalog().schema;
-    cfg.indexes().iter().map(|i| i.name(schema)).collect()
-}
-
 /// Union a non-empty window sequence in arrival order (clean before
 /// injection within a window is already baked into each part).
 fn union_all(parts: &[Workload]) -> Workload {
@@ -299,13 +315,14 @@ fn union_all(parts: &[Workload]) -> Workload {
 /// [`derive_seed`]`(seed, w)`.
 ///
 /// The advisor is anything convertible to an [`AdvisorSpec`] and is
-/// resolved through the target registry. The backend's
+/// resolved through the target registry. The victim moves through the
+/// harness's [`update`] and [`strike`] steps, so the backend's
 /// [`CostBackend::observe_training`] hook fires on the bootstrap window
-/// and on every *victim* training batch: the clean twin is an
-/// advisor-only counterfactual sharing the backend's state, so for
-/// learned cost backends the twin's costs reflect the same (possibly
-/// poisoned) index structure and per-window AD isolates the advisor's
-/// decisions.
+/// and on every *victim* training batch. The clean twin calls `train`
+/// and `retrain` directly: it is an advisor-only counterfactual sharing
+/// the backend's state, so for learned cost backends the twin's costs
+/// reflect the same (possibly poisoned) index structure and per-window
+/// AD isolates the advisor's decisions.
 pub fn run_stream(
     cost: &dyn CostBackend,
     cfg: &CellConfig,
@@ -335,8 +352,7 @@ pub fn run_stream(
         .expect("benchmark templates instantiate");
     let ctx = BuildCtx::new(cfg.preset, seed.get());
     let mut advisor = advisor_spec.build_with(ctx)?;
-    cost.observe_training(&w0)?;
-    advisor.train(cost, &w0)?;
+    update(advisor.as_mut(), cost, &w0, Update::Train)?;
     let mut deployed = advisor.recommend(cost, &w0)?;
     let baseline_cost = measure(&w0, &deployed)?;
     let baseline_indexes = index_names(cost, &deployed);
@@ -345,9 +361,8 @@ pub fn run_stream(
     twin.train(cost, &w0)?;
     let mut twin_deployed = twin.recommend(cost, &w0)?;
 
-    // Defense state, seeded from the trusted bootstrap.
-    let canary = w0.clone();
-    let num_columns = cost.catalog().schema.num_columns();
+    // Defense state, seeded from the trusted bootstrap: w0 is the
+    // canary and the provenance history's first window.
     let mut history: VecDeque<Workload> = VecDeque::new();
     if let DefensePolicy::Provenance { .. } = spec.defense {
         history.push_back(w0.clone());
@@ -385,7 +400,7 @@ pub fn run_stream(
         // Attacker's turn. A fresh injector per strike means probing
         // strategies re-probe the advisor's *current* parameters.
         let due = spec.cadence.due(w, spec.windows);
-        let strike = match spec.attacker {
+        let budget = match spec.attacker {
             AttackerStrategy::None => 0,
             AttackerStrategy::Spread(_) => spec.budget,
             AttackerStrategy::Burst(_) => {
@@ -397,42 +412,40 @@ pub fn run_stream(
                 }
             }
         };
-        let injection = match (spec.attacker.injector_kind(), strike) {
-            (Some(kind), n) if n > 0 => {
-                let mut injector = make_injector(kind, cfg, CellSeed::raw(attack_seed));
-                let built = injector.build(advisor.as_mut(), cost, n, attack_seed)?;
-                if first_attack_seed.is_none() && !built.is_empty() {
-                    first_attack_seed = Some(attack_seed);
-                }
-                built
-            }
-            _ => Workload::new(),
-        };
-        let injected = injection.len();
-        total_injected += injected;
+        let mut injector = spec
+            .attacker
+            .injector_kind()
+            .filter(|_| budget > 0)
+            .map(|kind| make_injector(kind, cfg, CellSeed::raw(attack_seed)));
 
         // Observed traffic: clean then injection (the same union order
         // the static pipeline uses for its training set), screened
-        // online when the provenance defense is active.
-        let mut observed = wl.union(&injection);
-        let mut screened_out = 0usize;
-        if let DefensePolicy::Provenance {
-            max_novel_fraction,
-            history: depth,
-        } = spec.defense
-        {
-            let filter = ProvenanceFilter { max_novel_fraction };
-            let reference = union_all(history.make_contiguous());
-            let (kept, dropped) = filter.screen(&reference, &observed, num_columns);
-            observed = kept;
-            screened_out = dropped;
-            total_screened += dropped;
-            history.push_back(observed.clone());
+        // online against the accepted history when the provenance
+        // defense is active.
+        let reference = union_all(history.make_contiguous());
+        let screen = spec.defense.provenance().map(|f| (f, &reference));
+        let struck = strike(
+            advisor.as_mut(),
+            cost,
+            injector.as_deref_mut(),
+            budget,
+            attack_seed,
+            &wl,
+            screen,
+        )?;
+        let (injected, screened_out) = (struck.injected, struck.screened_out);
+        if first_attack_seed.is_none() && injected > 0 {
+            first_attack_seed = Some(attack_seed);
+        }
+        total_injected += injected;
+        total_screened += screened_out;
+        if let DefensePolicy::Provenance { history: depth, .. } = spec.defense {
+            history.push_back(struck.observed.clone());
             while history.len() > depth.max(1) {
                 history.pop_front();
             }
         }
-        victim_pending.push(observed);
+        victim_pending.push(struck.observed);
         twin_pending.push(wl.clone());
 
         // Retrain at cadence points; the twin follows the same cadence
@@ -443,22 +456,15 @@ pub fn run_stream(
             let training = union_all(&victim_pending);
             let batch_poisoned = injected_since(&windows, injected) > 0;
             victim_pending.clear();
-            cost.observe_training(&training)?;
-            match spec.defense {
-                DefensePolicy::Canary { tolerance } => {
-                    let guard = CanaryGuard::new(tolerance);
-                    let outcome =
-                        guard.retrain_guarded(advisor.as_mut(), cost, &training, &canary)?;
-                    rolled_back = outcome.rolled_back;
+            match update(advisor.as_mut(), cost, &training, spec.defense.retrain(&w0))? {
+                Some(guarded) => {
+                    rolled_back = guarded.rolled_back;
                     if rolled_back {
                         rollbacks += 1;
                     }
-                    deployed = outcome.final_config;
+                    deployed = guarded.final_config;
                 }
-                _ => {
-                    advisor.retrain(cost, &training)?;
-                    deployed = advisor.recommend(cost, &wl)?;
-                }
+                None => deployed = advisor.recommend(cost, &wl)?,
             }
             if batch_poisoned {
                 poisoned_retrains += 1;

@@ -33,6 +33,7 @@
 //! over unchanged.
 
 use crate::experiment::{make_injector, normal_workload, CellConfig, InjectorKind};
+use crate::harness::{strike, update, Update};
 use crate::runner::CellSeed;
 use pipa_cost::{CostBackend, CostResult};
 use pipa_ia::{AdvisorSpec, BuildCtx};
@@ -133,10 +134,18 @@ pub fn poisoning_economics(
         .into()
         .build_with(BuildCtx::new(cfg.preset, seed.get()))?;
     let mut injector = make_injector(injector_kind, cfg, seed);
-    advisor.train(cost, &normal)?;
+    update(advisor.as_mut(), cost, &normal, Update::Train)?;
     let clean_cfg = advisor.recommend(cost, &normal)?;
-    let injection = injector.build(advisor.as_mut(), cost, cfg.injection_size, seed.get())?;
-    advisor.retrain(cost, &normal.union(&injection))?;
+    let struck = strike(
+        advisor.as_mut(),
+        cost,
+        Some(injector.as_mut()),
+        cfg.injection_size,
+        seed.get(),
+        &normal,
+        None,
+    )?;
+    update(advisor.as_mut(), cost, &struck.observed, Update::Retrain)?;
     let poisoned_cfg = advisor.recommend(cost, &normal)?;
 
     // Per-template costs under both configurations, through the seam.

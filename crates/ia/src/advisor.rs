@@ -80,8 +80,8 @@ pub trait ClearBoxAdvisor: IndexAdvisor {
 
 /// Blanket coercion: a boxed clear-box advisor is itself an opaque-box
 /// advisor, so `Box<dyn ClearBoxAdvisor>` erases to
-/// `Box<dyn IndexAdvisor>` with one `Box::new` (see
-/// [`crate::factory::opaque`]) instead of a hand-forwarding adapter.
+/// `Box<dyn IndexAdvisor>` with one `Box::new` instead of a
+/// hand-forwarding adapter.
 impl IndexAdvisor for Box<dyn ClearBoxAdvisor> {
     fn name(&self) -> String {
         (**self).name()

@@ -8,11 +8,11 @@
 //! Since the registry migration, *the* constructor is
 //! [`crate::registry::AdvisorSpec::build`]: every kind id (built-in or
 //! user-registered) resolves through the
-//! [`crate::registry::TargetRegistry`]. The [`AdvisorKind`] methods and
-//! the free functions here are thin aliases over that seam, kept so the
-//! paper-experiment call sites stay enum-typed.
+//! [`crate::registry::TargetRegistry`]. [`AdvisorKind::build_with`] is a
+//! thin alias over that seam, kept so the paper-experiment call sites
+//! stay enum-typed.
 
-use crate::advisor::{AdvisorKind, ClearBoxAdvisor, IndexAdvisor, TrajectoryMode};
+use crate::advisor::{AdvisorKind, ClearBoxAdvisor};
 use crate::bandit::BanditConfig;
 use crate::dqn::DqnConfig;
 use crate::drlindex::DrlIndexConfig;
@@ -87,35 +87,22 @@ impl SpeedPreset {
 /// [`AdvisorSpec::build_with`].
 ///
 /// Replaces the positional `(preset, seed)` pair — which silently
-/// transposed when both arguments were integers-in-spirit — with named,
-/// defaultable fields, mirroring the `StressTest` builder migration.
-/// The context is `Copy`, so one value can seed a whole tenant fleet.
+/// transposed when both arguments were integers-in-spirit — with named
+/// fields, mirroring the `StressTest` builder migration. The trajectory
+/// mode is the spec's ([`AdvisorSpec::mode`]). The context is `Copy`, so
+/// one value can seed a whole tenant fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuildCtx {
     /// Training/trial compute preset.
     pub preset: SpeedPreset,
     /// RNG seed for the advisor's own stochastic machinery.
     pub seed: u64,
-    /// Override the kind's trajectory-selection mode (`-b`/`-m`).
-    /// `None` keeps the mode baked into the kind/spec; `Some(m)`
-    /// rewrites it (kinds without a mode, like SWIRL, ignore this).
-    pub mode_override: Option<TrajectoryMode>,
 }
 
 impl BuildCtx {
-    /// Context with the given preset and seed, no mode override.
+    /// Context with the given preset and seed.
     pub fn new(preset: SpeedPreset, seed: u64) -> Self {
-        BuildCtx {
-            preset,
-            seed,
-            mode_override: None,
-        }
-    }
-
-    /// Builder-style trajectory-mode override.
-    pub fn mode(mut self, mode: TrajectoryMode) -> Self {
-        self.mode_override = Some(mode);
-        self
+        BuildCtx { preset, seed }
     }
 }
 
@@ -132,38 +119,15 @@ impl AdvisorKind {
     }
 }
 
-/// Erase the clear-box surface: `Box<dyn ClearBoxAdvisor>` does not
-/// unsize to `Box<dyn IndexAdvisor>`, but the blanket
-/// [`IndexAdvisor for Box<dyn ClearBoxAdvisor>`](IndexAdvisor) impl
-/// makes the boxed box itself an advisor, so the coercion is one
-/// allocation and zero hand-forwarded methods (the `OpaqueOnly` adapter
-/// this replaces forwarded every trait method by hand).
-pub fn opaque(advisor: Box<dyn ClearBoxAdvisor>) -> Box<dyn IndexAdvisor> {
-    Box::new(advisor)
-}
-
-/// Build an advisor by kind (opaque-box surface only).
-pub fn build_advisor(kind: AdvisorKind, preset: SpeedPreset, seed: u64) -> Box<dyn IndexAdvisor> {
-    opaque(kind.build_with(BuildCtx::new(preset, seed)))
-}
-
-/// Build an advisor with clear-box introspection (for the P-C baseline).
-pub fn build_clear_box(
-    kind: AdvisorKind,
-    preset: SpeedPreset,
-    seed: u64,
-) -> Box<dyn ClearBoxAdvisor> {
-    kind.build_with(BuildCtx::new(preset, seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advisor::{IndexAdvisor, TrajectoryMode};
 
     #[test]
     fn every_kind_constructs() {
         for kind in AdvisorKind::all() {
-            let ia = build_advisor(kind, SpeedPreset::Test, 1);
+            let ia = kind.build_with(BuildCtx::new(SpeedPreset::Test, 1));
             assert_eq!(ia.name(), kind.label());
             assert_eq!(ia.budget(), 4);
         }
@@ -185,29 +149,38 @@ mod tests {
 
     #[test]
     fn opaque_coercion_preserves_the_surface() {
+        // `Box<dyn ClearBoxAdvisor>` does not unsize to `Box<dyn
+        // IndexAdvisor>`, but the blanket impl makes the box itself an
+        // opaque-box advisor with the same surface.
         let clear = AdvisorKind::Swirl.build_with(BuildCtx::new(SpeedPreset::Test, 1));
         let name = clear.name();
         let budget = clear.budget();
-        let ia = opaque(clear);
+        let ia: Box<dyn IndexAdvisor> = Box::new(clear);
         assert_eq!(ia.name(), name);
         assert_eq!(ia.budget(), budget);
         assert!(!ia.is_trial_based());
     }
 
     #[test]
-    fn mode_override_rewrites_the_trajectory_mode() {
-        let ctx = BuildCtx::new(SpeedPreset::Test, 1).mode(TrajectoryMode::MeanLast(10));
-        let ia = AdvisorKind::DbaBandit(TrajectoryMode::Best).build_with(ctx);
+    fn spec_mode_rewrites_the_trajectory_mode() {
+        let ctx = BuildCtx::new(SpeedPreset::Test, 1);
+        let ia = AdvisorSpec::from(AdvisorKind::DbaBandit(TrajectoryMode::Best))
+            .mode(TrajectoryMode::MeanLast(10))
+            .build_with(ctx)
+            .unwrap();
         assert_eq!(ia.name(), "DBAbandit-m");
-        // SWIRL has no trajectory mode; the override is ignored.
-        let swirl = AdvisorKind::Swirl.build_with(ctx);
+        // SWIRL has no trajectory mode; the setting is ignored.
+        let swirl = AdvisorSpec::from(AdvisorKind::Swirl)
+            .mode(TrajectoryMode::MeanLast(10))
+            .build_with(ctx)
+            .unwrap();
         assert_eq!(swirl.name(), "SWIRL");
     }
 
     #[test]
     fn trial_basedness_matches_paper() {
         for kind in AdvisorKind::all() {
-            let ia = build_advisor(kind, SpeedPreset::Test, 1);
+            let ia = kind.build_with(BuildCtx::new(SpeedPreset::Test, 1));
             let expect = kind != AdvisorKind::Swirl;
             assert_eq!(ia.is_trial_based(), expect, "{}", ia.name());
         }

@@ -111,6 +111,8 @@ impl<A: ClearBoxAdvisor> ClearBoxAdvisor for Instrumented<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advisor::{AdvisorKind, TrajectoryMode};
+    use crate::factory::{BuildCtx, SpeedPreset};
     use crate::heuristic::AutoAdminGreedy;
     use pipa_cost::SimBackend;
     use pipa_obs::{record_cell, CellCtx};
@@ -173,11 +175,8 @@ mod tests {
     fn learned_advisor_reward_trace_reaches_the_trace_channel() {
         let (cost, w) = setup();
         let ((), trace) = record_cell(true, CellCtx::new(2), || {
-            let mut ia = crate::factory::build_clear_box(
-                crate::advisor::AdvisorKind::DbaBandit(crate::advisor::TrajectoryMode::Best),
-                crate::factory::SpeedPreset::Test,
-                7,
-            );
+            let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+                .build_with(BuildCtx::new(SpeedPreset::Test, 7));
             ia.train(&cost, &w).unwrap();
         });
         let reward_lines: Vec<&String> = trace

@@ -22,8 +22,8 @@
 //! ([`registry::AdvisorSpec`] → [`registry::TargetRegistry`]): built-in
 //! kinds are pre-registered, and new target classes slot in with one
 //! [`registry::register_target`] call — no enum edits anywhere.
-//! [`factory::build_advisor`] and [`AdvisorKind`] remain as thin alias
-//! layers over that seam for the paper's seven advisor variants.
+//! [`AdvisorKind::build_with`] remains as a thin alias over that seam
+//! for the paper's seven advisor variants.
 
 #![warn(missing_docs)]
 
@@ -45,7 +45,7 @@ pub use bandit::{BanditAdvisor, BanditConfig};
 pub use dqn::{DqnAdvisor, DqnConfig};
 pub use drlindex::{DrlIndexAdvisor, DrlIndexConfig};
 pub use env::IndexEnv;
-pub use factory::{build_advisor, build_clear_box, opaque, BuildCtx, SpeedPreset};
+pub use factory::{BuildCtx, SpeedPreset};
 pub use heuristic::{AutoAdminGreedy, DropHeuristic};
 pub use incontext::{InContextAdvisor, InContextConfig};
 pub use instrument::Instrumented;

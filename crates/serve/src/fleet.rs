@@ -22,7 +22,7 @@ use crate::report::{Degraded, FleetReport, FleetRun, FleetTiming, SessionReport,
 use crate::scheduler::{panic_message, run_tenants};
 use crate::spec::{BackendSpec, FleetSpec, SessionRequest, TenantSpec};
 use pipa_core::experiment::{make_injector, normal_workload, CellConfig};
-use pipa_core::harness::StressTest;
+use pipa_core::harness::{update, StressTest, Update};
 use pipa_core::runner::{par_map, CellSeed};
 use pipa_cost::{
     CostBackend, CostResult, LearnedIndexBackend, LearnedIndexConfig, RecordingBackend,
@@ -222,11 +222,9 @@ fn exec_session(
             })
         }
         SessionRequest::Recommend => {
-            // Learned cost backends refit on what the tenant trains on
-            // (no-op for the stateless backends), mirroring the stress
-            // harness's train stage.
-            cost.observe_training(workload).map_err(|e| e.to_string())?;
-            advisor.train(cost, workload).map_err(|e| e.to_string())?;
+            // The harness's update step: learned cost backends refit on
+            // what the tenant trains on (no-op for the stateless ones).
+            update(advisor, cost, workload, Update::Train).map_err(|e| e.to_string())?;
             let recommended = advisor
                 .recommend(cost, workload)
                 .map_err(|e| e.to_string())?;

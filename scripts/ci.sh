@@ -30,6 +30,17 @@ if grep -rnE 'estimated_(query|workload)_cost|scalar_(query|workload)_cost|what_
     exit 1
 fi
 
+echo "== victim-pipeline lint =="
+# The harness's update step is the one place a victim's training set
+# reaches the backend: every pipeline calls it instead of sequencing
+# observe → train/retrain by hand, so a learned backend refits on
+# exactly what the victim trains on.
+if grep -rnF 'observe_training(' crates/core/src crates/serve/src crates/bench/src \
+        | grep -v '^crates/core/src/harness.rs:'; then
+    echo "pipeline lint: observe_training calls outside the harness update step found above" >&2
+    exit 1
+fi
+
 echo "== target-registry coverage lint =="
 # Every built-in kind id registered in crates/ia/src/registry.rs must be
 # exercised by the every-kind construction test fixture in the same
@@ -45,55 +56,6 @@ for id in $BUILTIN_IDS; do
         exit 1
     fi
 done
-
-echo "== target-registry acceptance suite =="
-# A toy advisor registered from an integration test must run the full
-# stress pipeline and serve a fleet tenant with zero edits to core/
-# serve/bench match sites (the open-seam guarantee).
-cargo test -q -p pipa --test target_registry
-
-echo "== cost-backend differential suite =="
-# Bit-equality of every cost answered through the CostBackend trait
-# against the direct Database paths, plus record/replay tape equality
-# across --jobs 1 and --jobs N.
-cargo test -q -p pipa --test cost_backend_differential
-
-echo "== replay smoke test =="
-# Record a stress-test grid, then re-run it from the tape alone: the
-# replayed outcomes must be bit-identical (the differential suite pins
-# this; re-run the replay tests by name so CI output names a failure).
-cargo test -q -p pipa --test cost_backend_differential replay
-
-echo "== what-if differential suite =="
-# Bit-equality of the benefit matrix / delta / batch paths against the
-# scalar full recompute (also part of the test gate above; re-run
-# explicitly so a failure is named in CI output).
-cargo test -q -p pipa --test whatif_differential
-
-echo "== NN kernel differential suite =="
-# Bit-equality (f32::to_bits) of the blocked / blocked+parallel matmul
-# kernels against the naive reference loops, plus train-step parameter
-# equality across kernel modes and tape reuse.
-cargo test -q -p pipa --test nn_kernel_differential
-
-echo "== streaming arms-race suites =="
-# The stream ↔ static differential (a no-drift, end-only stream is
-# bit-identical to the static pipeline) and the defense property suite
-# (canary never deploys beyond tolerance, rollback reinstates the exact
-# pre-update configuration, provenance passes clean workloads
-# bit-unchanged). Both run in the test gate above; re-run by name so a
-# failure is named in CI output.
-cargo test -q -p pipa --test stream_differential
-cargo test -q -p pipa --test defense_properties
-
-echo "== scale property suite =="
-# Skewed-traffic hardening: ANY cache capacity (incl. 0 and 1) is
-# f64-bit-identical to unbounded, traffic pools/samples are pure in
-# their seed, and window sampling is byte-identical across --jobs.
-cargo test -q -p pipa --test scale_properties
-
-echo "== results artifact schema =="
-cargo test -q -p pipa --test results_schema
 
 echo "== NN bench smoke =="
 # Tiny-dimension pass through the nn bench harness (asserts the decode

@@ -4,7 +4,7 @@
 
 use pipa::core::preference::{oracle_preference, segment, SegmentConfig};
 use pipa::core::probe::{probe, ProbeConfig};
-use pipa::ia::{build_clear_box, AdvisorKind, IndexAdvisor, SpeedPreset, TrajectoryMode};
+use pipa::ia::{AdvisorKind, BuildCtx, IndexAdvisor, SpeedPreset, TrajectoryMode};
 use pipa::qgen::StGenerator;
 use pipa::cost::SimBackend;
 use pipa::sim::Workload;
@@ -25,11 +25,8 @@ fn setup() -> (SimBackend, Workload) {
 #[test]
 fn probing_recovers_the_victims_top_preference() {
     let (db, w) = setup();
-    let mut advisor = build_clear_box(
-        AdvisorKind::DbaBandit(TrajectoryMode::Best),
-        SpeedPreset::Test,
-        31,
-    );
+    let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+        .build_with(BuildCtx::new(SpeedPreset::Test, 31));
     advisor.train(&db, &w).expect("train");
     // What the victim actually recommends for its training workload.
     let actual = advisor.recommend(&db, &w).expect("recommend");
@@ -65,11 +62,8 @@ fn probed_ranking_correlates_with_the_oracle() {
     // Spearman-style sanity: the probed top-5 of a what-if-driven victim
     // should rank high in the oracle preference too.
     let (db, w) = setup();
-    let mut advisor = build_clear_box(
-        AdvisorKind::DbaBandit(TrajectoryMode::Best),
-        SpeedPreset::Test,
-        37,
-    );
+    let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+        .build_with(BuildCtx::new(SpeedPreset::Test, 37));
     advisor.train(&db, &w).expect("train");
     let mut generator = StGenerator::new(37);
     let cfg = ProbeConfig {
@@ -99,11 +93,8 @@ fn probed_ranking_correlates_with_the_oracle() {
 fn more_probing_epochs_never_lose_information() {
     let (db, w) = setup();
     let run_probe = |epochs: usize| {
-        let mut advisor = build_clear_box(
-            AdvisorKind::DbaBandit(TrajectoryMode::Best),
-            SpeedPreset::Test,
-            41,
-        );
+        let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+            .build_with(BuildCtx::new(SpeedPreset::Test, 41));
         advisor.train(&db, &w).expect("train");
         let mut generator = StGenerator::new(41);
         let cfg = ProbeConfig {
@@ -126,11 +117,8 @@ fn more_probing_epochs_never_lose_information() {
 #[test]
 fn zero_probing_epochs_yield_prior_only_ranking() {
     let (db, w) = setup();
-    let mut advisor = build_clear_box(
-        AdvisorKind::DbaBandit(TrajectoryMode::Best),
-        SpeedPreset::Test,
-        43,
-    );
+    let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
+        .build_with(BuildCtx::new(SpeedPreset::Test, 43));
     advisor.train(&db, &w).expect("train");
     let mut generator = StGenerator::new(43);
     let cfg = ProbeConfig {
