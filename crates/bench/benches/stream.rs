@@ -94,6 +94,9 @@ struct BenchArtifact {
     /// What the canary guard costs end to end (defended / undefended
     /// median wall time).
     canary_overhead: Option<f64>,
+    /// Cores the host offered (`available_parallelism`): the timings
+    /// above compare only between hosts with the same count.
+    cores_available: usize,
     /// Attacked cells with no defense: mean steady-state AD / toxicity.
     no_defense_steady_ad: f64,
     no_defense_steady_toxicity: f64,
@@ -335,6 +338,9 @@ fn main() {
         },
         whatif_qps,
         canary_overhead: pipa_bench::cli::ratio(median_canary, median_none),
+        cores_available: std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
         no_defense_steady_ad: none.steady_ad,
         no_defense_steady_toxicity: none.steady_toxicity,
         best_defense: best.defense.clone(),

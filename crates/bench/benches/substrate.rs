@@ -4,7 +4,7 @@
 //! what-if calls; a 2× regression here doubles every experiment).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use pipa_ia::features::single_column_benefit;
+use pipa_ia::IndexEnv;
 use pipa_qgen::{parse_words, QueryFsm};
 use pipa_sim::{Index, IndexConfig};
 use pipa_workload::{generator::WorkloadGenerator, Benchmark};
@@ -39,8 +39,10 @@ fn bench_cost_model(c: &mut Criterion) {
             )
         })
     });
+    // The advisors' route: one preview from the empty session per column.
+    let env = IndexEnv::new(&cost, &w, Vec::new(), 0).expect("env");
     c.bench_function("cost/single_column_benefit", |b| {
-        b.iter(|| black_box(single_column_benefit(&cost, &w, ship).expect("benefit")))
+        b.iter(|| black_box(env.single_column_benefit(black_box(ship)).expect("benefit")))
     });
 }
 

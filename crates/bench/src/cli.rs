@@ -19,6 +19,10 @@
 //! * `--metrics-out PATH` — write wall-clock timing metrics as JSONL
 //!   (*not* deterministic — timings vary run to run);
 //! * `--test` — tiny advisor preset for smoke tests/CI.
+//!
+//! Anything else — an unknown flag, a missing or malformed value — is
+//! rejected: the binary prints the error and a usage line and exits with
+//! status 2 before running anything.
 
 use pipa_core::experiment::{CellConfig, GenBackend};
 use pipa_core::runner::CellSeed;
@@ -51,8 +55,40 @@ pub struct ExpArgs {
     pub trace: Option<String>,
     /// Wall-clock metrics JSONL path (`--metrics-out`).
     pub metrics_out: Option<String>,
-    /// Remaining positional / unknown args (experiment-specific).
-    pub rest: Vec<String>,
+}
+
+/// The flags every experiment binary accepts.
+const USAGE: &str = "usage: <experiment> [--runs N] [--seed N] [--scale F] \
+[--benchmark tpch|tpcds] [--quick | --paper | --test] [--iabart] [--actual] [--jobs N] \
+[--out DIR] [--trace PATH] [--metrics-out PATH]";
+
+/// Why a command line was rejected.
+#[derive(Debug, PartialEq, Eq)]
+enum ArgError {
+    /// A flag no experiment binary knows.
+    UnknownFlag(String),
+    /// A flag that takes a value came last.
+    MissingValue(&'static str),
+    /// A flag's value did not parse.
+    BadValue {
+        flag: &'static str,
+        value: String,
+        reason: String,
+    },
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::UnknownFlag(flag) => write!(f, "unknown flag {flag:?}"),
+            ArgError::MissingValue(flag) => write!(f, "{flag} needs a value"),
+            ArgError::BadValue {
+                flag,
+                value,
+                reason,
+            } => write!(f, "{flag} {value:?}: {reason}"),
+        }
+    }
 }
 
 impl Default for ExpArgs {
@@ -69,30 +105,48 @@ impl Default for ExpArgs {
             out_dir: "results".to_string(),
             trace: None,
             metrics_out: None,
-            rest: Vec::new(),
         }
     }
 }
 
 impl ExpArgs {
-    /// Parse from `std::env::args` with a default run count.
+    /// Parse from `std::env::args` with a default run count. A rejected
+    /// command line prints the error and a usage line to stderr and
+    /// exits with status 2.
     pub fn parse(default_runs: usize) -> Self {
+        Self::try_parse(default_runs, std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parse `args` (without the program name) with a default run count.
+    fn try_parse(
+        default_runs: usize,
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Self, ArgError> {
         let mut a = ExpArgs {
             runs: default_runs,
             ..Default::default()
         };
-        let mut it = std::env::args().skip(1);
+        let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--runs" => a.runs = next_parse(&mut it, "--runs"),
-                "--seed" => a.seed = next_parse(&mut it, "--seed"),
-                "--scale" => a.scale = next_parse(&mut it, "--scale"),
+                "--runs" => a.runs = next_parse(&mut it, "--runs")?,
+                "--seed" => a.seed = next_parse(&mut it, "--seed")?,
+                "--scale" => a.scale = next_parse(&mut it, "--scale")?,
                 "--benchmark" => {
-                    let b: String = next_parse(&mut it, "--benchmark");
+                    let b: String = next_parse(&mut it, "--benchmark")?;
                     a.benchmark = match b.as_str() {
                         "tpch" => Benchmark::TpcH,
                         "tpcds" => Benchmark::TpcDs,
-                        other => panic!("unknown benchmark {other} (tpch|tpcds)"),
+                        _ => {
+                            return Err(ArgError::BadValue {
+                                flag: "--benchmark",
+                                value: b,
+                                reason: "expected tpch or tpcds".to_string(),
+                            })
+                        }
                     };
                 }
                 "--quick" => a.preset = SpeedPreset::Quick,
@@ -103,14 +157,14 @@ impl ExpArgs {
                 "--test" => a.preset = SpeedPreset::Test,
                 "--iabart" => a.use_iabart = true,
                 "--actual" => a.actual = true,
-                "--jobs" => a.jobs = next_parse(&mut it, "--jobs"),
-                "--out" => a.out_dir = next_parse(&mut it, "--out"),
-                "--trace" => a.trace = Some(next_parse(&mut it, "--trace")),
-                "--metrics-out" => a.metrics_out = Some(next_parse(&mut it, "--metrics-out")),
-                other => a.rest.push(other.to_string()),
+                "--jobs" => a.jobs = next_parse(&mut it, "--jobs")?,
+                "--out" => a.out_dir = next_parse(&mut it, "--out")?,
+                "--trace" => a.trace = Some(next_parse(&mut it, "--trace")?),
+                "--metrics-out" => a.metrics_out = Some(next_parse(&mut it, "--metrics-out")?),
+                _ => return Err(ArgError::UnknownFlag(arg)),
             }
         }
-        a
+        Ok(a)
     }
 
     /// Cell configuration derived from the flags. Training the IABART
@@ -185,14 +239,19 @@ impl ExpArgs {
     }
 }
 
-fn next_parse<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T
+fn next_parse<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &'static str,
+) -> Result<T, ArgError>
 where
-    T::Err: std::fmt::Debug,
+    T::Err: std::fmt::Display,
 {
-    it.next()
-        .unwrap_or_else(|| panic!("{flag} needs a value"))
-        .parse()
-        .unwrap_or_else(|e| panic!("{flag}: {e:?}"))
+    let value = it.next().ok_or(ArgError::MissingValue(flag))?;
+    value.parse().map_err(|e: T::Err| ArgError::BadValue {
+        flag,
+        reason: e.to_string(),
+        value,
+    })
 }
 
 /// The shared harness for the custom-`main` benches (`harness = false`):
@@ -294,5 +353,86 @@ pub fn ratio(a: Option<f64>, b: Option<f64>) -> Option<f64> {
     match (a, b) {
         (Some(x), Some(y)) if y > 0.0 => Some(x / y),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<ExpArgs, ArgError> {
+        ExpArgs::try_parse(3, args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn known_flags_parse() {
+        let a = parse(&[
+            "--runs",
+            "2",
+            "--seed",
+            "7",
+            "--benchmark",
+            "tpcds",
+            "--test",
+            "--jobs",
+            "2",
+            "--out",
+            "o",
+            "--trace",
+            "t.jsonl",
+        ])
+        .unwrap();
+        assert_eq!((a.runs, a.seed, a.jobs), (2, 7, 2));
+        assert_eq!(a.benchmark, Benchmark::TpcDs);
+        assert_eq!(a.preset, SpeedPreset::Test);
+        assert_eq!(a.out_dir, "o");
+        assert_eq!(a.trace.as_deref(), Some("t.jsonl"));
+        assert_eq!(
+            parse(&[]).unwrap().runs,
+            3,
+            "the binary's default run count"
+        );
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected() {
+        assert_eq!(
+            parse(&["--runs", "1", "--job", "2"]).unwrap_err(),
+            ArgError::UnknownFlag("--job".to_string())
+        );
+        assert_eq!(
+            parse(&["extra"]).unwrap_err(),
+            ArgError::UnknownFlag("extra".to_string())
+        );
+    }
+
+    #[test]
+    fn missing_value_is_rejected() {
+        assert_eq!(
+            parse(&["--seed"]).unwrap_err(),
+            ArgError::MissingValue("--seed")
+        );
+    }
+
+    #[test]
+    fn non_numeric_runs_is_rejected() {
+        let e = parse(&["--runs", "two"]).unwrap_err();
+        assert!(
+            matches!(&e, ArgError::BadValue { flag: "--runs", value, .. } if value == "two"),
+            "{e:?}"
+        );
+    }
+
+    #[test]
+    fn unknown_benchmark_is_rejected() {
+        let e = parse(&["--benchmark", "tpcc"]).unwrap_err();
+        assert!(
+            matches!(&e, ArgError::BadValue { flag: "--benchmark", value, .. } if value == "tpcc"),
+            "{e:?}"
+        );
+        assert_eq!(
+            e.to_string(),
+            "--benchmark \"tpcc\": expected tpch or tpcds"
+        );
     }
 }

@@ -153,15 +153,20 @@ pub fn preference_with_prior(
 
 /// True (oracle) preference from what-if benefits — used by tests and by
 /// the probing-accuracy analysis (Figure 12b's "error rate" compares
-/// estimated segments against a reference).
+/// estimated segments against a reference). Prices `w`'s empty
+/// configuration once and previews each column's index from it.
 pub fn oracle_preference(
     cost: &dyn CostBackend,
     w: &pipa_sim::Workload,
 ) -> CostResult<IndexingPreference> {
-    let mut k_values = Vec::new();
-    for c in cost.catalog().schema.indexable_columns() {
-        k_values.push(pipa_ia::features::single_column_benefit(cost, w, c)?);
-    }
+    let env = pipa_ia::IndexEnv::new(cost, w, Vec::new(), 0)?;
+    let k_values = cost
+        .catalog()
+        .schema
+        .indexable_columns()
+        .into_iter()
+        .map(|c| env.single_column_benefit(c))
+        .collect::<CostResult<_>>()?;
     Ok(IndexingPreference::from_k_values(k_values))
 }
 

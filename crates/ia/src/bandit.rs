@@ -15,7 +15,6 @@
 
 use crate::advisor::{ClearBoxAdvisor, IndexAdvisor, TrajectoryMode};
 use crate::env::{IndexEnv, REWARD_SCALE};
-use crate::features::single_column_benefit;
 use pipa_cost::{CostBackend, CostResult};
 use pipa_sim::{ColumnId, Index, IndexConfig, Workload};
 use rand::seq::SliceRandom;
@@ -72,6 +71,47 @@ impl BanditConfig {
 
 const FEAT_DIM: usize = 5;
 
+/// What one `train`/`retrain`/`recommend` call prices, computed once for
+/// the call: the workload and the backend stay fixed within it, so one
+/// environment, the filter frequencies and each column's single-index
+/// benefit serve every round. It never outlives the call — a learning
+/// backend refits between calls.
+struct CallCtx<'a> {
+    /// The call's environment; `candidates` tracks the arm set.
+    env: IndexEnv<'a>,
+    freq: Vec<f64>,
+    freq_total: f64,
+    /// Single-index benefit per column id, previewed on first use.
+    benefit: Vec<Option<f64>>,
+}
+
+impl CallCtx<'_> {
+    fn benefit(&mut self, col: ColumnId) -> CostResult<f64> {
+        if let Some(b) = self.benefit[col.0 as usize] {
+            return Ok(b);
+        }
+        let b = self.env.single_column_benefit(col)?;
+        self.benefit[col.0 as usize] = Some(b);
+        Ok(b)
+    }
+
+    /// Context features of an arm.
+    fn arm_features(&mut self, col: ColumnId) -> CostResult<[f64; FEAT_DIM]> {
+        let cat = self.env.cost().catalog();
+        let st = cat.column(col);
+        let rows = cat.table_stats[cat.schema.table_of(col).0 as usize].rows;
+        Ok([
+            self.freq[col.0 as usize] / self.freq_total,
+            // The benefit estimate dominates on purpose: C²UCB's context
+            // in [26] is exactly the what-if benefit of the arm.
+            4.0 * self.benefit(col)?,
+            (st.ndv as f64).ln() / 40.0,
+            (rows as f64).ln() / 40.0,
+            0.25,
+        ])
+    }
+}
+
 /// The DBABandit advisor.
 pub struct BanditAdvisor {
     cfg: BanditConfig,
@@ -117,54 +157,47 @@ impl BanditAdvisor {
         }
     }
 
-    /// Context features of an arm for a workload.
-    fn arm_features(
-        cost: &dyn CostBackend,
-        w: &Workload,
-        col: ColumnId,
-    ) -> CostResult<[f64; FEAT_DIM]> {
-        let cat = cost.catalog();
-        let l = cat.schema.num_columns();
-        let freq = w.filter_column_frequencies(l);
-        let total: f64 = freq.iter().sum::<f64>().max(1.0);
-        let st = cat.column(col);
-        let rows = cat.table_stats[cat.schema.table_of(col).0 as usize].rows;
-        Ok([
-            freq[col.0 as usize] / total,
-            // The benefit estimate dominates on purpose: C²UCB's context
-            // in [26] is exactly the what-if benefit of the arm.
-            4.0 * single_column_benefit(cost, w, col)?,
-            (st.ndv as f64).ln() / 40.0,
-            (rows as f64).ln() / 40.0,
-            0.25,
-        ])
-    }
-
     fn theta(&self) -> Vec<f64> {
         solve_ridge(&self.a_mat, &self.b_vec)
     }
 
-    fn regenerate_arms(&mut self, cost: &dyn CostBackend, w: &Workload) -> CostResult<()> {
+    /// The pricing context for one call on `w`, over the current arms.
+    fn call_ctx<'a>(&self, cost: &'a dyn CostBackend, w: &'a Workload) -> CostResult<CallCtx<'a>> {
+        let l = cost.catalog().schema.num_columns();
+        let freq = w.filter_column_frequencies(l);
+        let freq_total = freq.iter().sum::<f64>().max(1.0);
+        Ok(CallCtx {
+            env: IndexEnv::new(cost, w, self.arms.clone(), self.cfg.budget)?,
+            freq,
+            freq_total,
+            benefit: vec![None; l],
+        })
+    }
+
+    fn regenerate_arms(&mut self, ctx: &mut CallCtx<'_>) -> CostResult<()> {
         // Arm set: the workload's filter columns ordered by their what-if
         // benefit on that workload (DBA bandits derives candidates from
         // workload potentials), topped up with random columns for
         // exploration — the random tail is what lets the bandit escape
         // after the arm-update trigger fires.
-        let mut scored: Vec<(f64, ColumnId)> = w
+        let mut scored: Vec<(f64, ColumnId)> = ctx
+            .env
+            .workload()
             .candidate_columns()
             .into_iter()
-            .map(|c| single_column_benefit(cost, w, c).map(|b| (b, c)))
+            .map(|c| ctx.benefit(c).map(|b| (b, c)))
             .collect::<CostResult<_>>()?;
         scored.sort_by(|a, b| b.0.total_cmp(&a.0));
         let keep = self.cfg.num_arms.saturating_sub(4).max(self.cfg.budget);
         let mut arms: Vec<ColumnId> = scored.into_iter().take(keep).map(|(_, c)| c).collect();
-        let all = cost.catalog().schema.indexable_columns();
+        let all = ctx.env.cost().catalog().schema.indexable_columns();
         while arms.len() < self.cfg.num_arms.min(all.len()) {
             let c = *all.choose(&mut self.rng).expect("nonempty");
             if !arms.contains(&c) {
                 arms.push(c);
             }
         }
+        ctx.env.candidates.clone_from(&arms);
         self.arms = arms;
         Ok(())
     }
@@ -186,12 +219,12 @@ impl BanditAdvisor {
     /// One bandit round: select a super-arm by UCB, observe per-arm
     /// rewards, update per-arm statistics and the ridge prior. Returns
     /// (round return, config, all rewards ≈ 0?).
-    fn round(&mut self, cost: &dyn CostBackend, w: &Workload) -> CostResult<(f64, IndexConfig, bool)> {
+    fn round(&mut self, ctx: &mut CallCtx<'_>) -> CostResult<(f64, IndexConfig, bool)> {
         let theta = self.theta();
         let feats: Vec<[f64; FEAT_DIM]> = self
             .arms
             .iter()
-            .map(|&c| Self::arm_features(cost, w, c))
+            .map(|&c| ctx.arm_features(c))
             .collect::<CostResult<_>>()?;
         let mut scored: Vec<(f64, usize)> = feats
             .iter()
@@ -207,8 +240,9 @@ impl BanditAdvisor {
 
         // Observe rewards: build the config incrementally, attributing the
         // marginal benefit to each arm (paper Eq. 7 attribution).
-        let env = IndexEnv::new(cost, w, self.arms.clone(), self.cfg.budget)?;
-        let mut ep = env.reset()?;
+        let env = &ctx.env;
+        debug_assert_eq!(env.candidates, self.arms, "env tracks the arm set");
+        let mut ep = env.reset();
         let mut all_small = true;
         for &i in &chosen {
             let r = env.step(&mut ep, i)? / REWARD_SCALE;
@@ -232,12 +266,12 @@ impl BanditAdvisor {
         Ok((env.episode_return(&ep), ep.config, all_small))
     }
 
-    fn run(&mut self, cost: &dyn CostBackend, w: &Workload, rounds: usize) -> CostResult<()> {
+    fn run(&mut self, ctx: &mut CallCtx<'_>, rounds: usize) -> CostResult<()> {
         self.reward_trace.clear();
         self.theta_snaps.clear();
         self.best_round = (f64::NEG_INFINITY, IndexConfig::empty());
         for _ in 0..rounds {
-            let (ret, cfg, all_small) = self.round(cost, w)?;
+            let (ret, cfg, all_small) = self.round(ctx)?;
             self.reward_trace.push(ret);
             self.theta_snaps.push(self.theta());
             if ret > self.best_round.0 {
@@ -245,7 +279,7 @@ impl BanditAdvisor {
             }
             if all_small {
                 // Arm-update operation: every selected arm looked useless.
-                self.regenerate_arms(cost, w)?;
+                self.regenerate_arms(ctx)?;
             }
         }
         Ok(())
@@ -273,8 +307,9 @@ impl IndexAdvisor for BanditAdvisor {
         self.b_vec = vec![0.0; FEAT_DIM];
         self.arm_stats.clear();
         self.total_pulls = 0;
-        self.regenerate_arms(cost, workload)?;
-        self.run(cost, workload, self.cfg.train_rounds)
+        let mut ctx = self.call_ctx(cost, workload)?;
+        self.regenerate_arms(&mut ctx)?;
+        self.run(&mut ctx, self.cfg.train_rounds)
     }
 
     fn retrain(&mut self, cost: &dyn CostBackend, workload: &Workload) -> CostResult<()> {
@@ -283,8 +318,9 @@ impl IndexAdvisor for BanditAdvisor {
         }
         // Keep ridge statistics; refresh the arm set from the new
         // training workload (arms the bandit never saw can now enter).
-        self.regenerate_arms(cost, workload)?;
-        self.run(cost, workload, self.cfg.train_rounds)
+        let mut ctx = self.call_ctx(cost, workload)?;
+        self.regenerate_arms(&mut ctx)?;
+        self.run(&mut ctx, self.cfg.train_rounds)
     }
 
     fn recommend(
@@ -292,8 +328,9 @@ impl IndexAdvisor for BanditAdvisor {
         cost: &dyn CostBackend,
         workload: &Workload,
     ) -> CostResult<IndexConfig> {
+        let mut ctx = self.call_ctx(cost, workload)?;
         if self.arms.is_empty() {
-            self.regenerate_arms(cost, workload)?;
+            self.regenerate_arms(&mut ctx)?;
         }
         // Trials: run rounds on a cloned state so inference is ephemeral.
         let saved = (
@@ -303,7 +340,7 @@ impl IndexAdvisor for BanditAdvisor {
             self.arm_stats.clone(),
             self.total_pulls,
         );
-        self.run(cost, workload, self.cfg.trial_rounds)?;
+        self.run(&mut ctx, self.cfg.trial_rounds)?;
         let result = match self.mode {
             TrajectoryMode::Best => self.best_round.1.clone(),
             TrajectoryMode::MeanLast(k) => {
@@ -323,7 +360,7 @@ impl IndexAdvisor for BanditAdvisor {
                     .arms
                     .iter()
                     .map(|&c| {
-                        let x = Self::arm_features(cost, workload, c)?;
+                        let x = ctx.arm_features(c)?;
                         let (sum, n) = self.arm_stats.get(&c).copied().unwrap_or((0.0, 0));
                         let mean = if n > 0 {
                             sum / f64::from(n)
@@ -533,10 +570,11 @@ mod tests {
             schema.column_id("c_comment").unwrap(),
         ];
         let before = ia.arms.clone();
-        let (_, _, all_small) = ia.round(&cost, &w).unwrap();
+        let mut ctx = ia.call_ctx(&cost, &w).unwrap();
+        let (_, _, all_small) = ia.round(&mut ctx).unwrap();
         assert!(all_small, "useless arms must report near-zero rewards");
         if all_small {
-            ia.regenerate_arms(&cost, &w).unwrap();
+            ia.regenerate_arms(&mut ctx).unwrap();
         }
         assert_ne!(ia.arms, before, "arm set regenerated");
     }

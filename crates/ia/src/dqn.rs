@@ -210,7 +210,7 @@ impl DqnAdvisor {
             } else {
                 self.cfg.eps_end
             };
-            let mut ep = env.reset()?;
+            let mut ep = env.reset();
             while !env.done(&ep) {
                 let state = self.state_vec(cost, &wfeat, &ep.config);
                 let valid = env.valid_actions(&ep);

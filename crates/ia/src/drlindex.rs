@@ -199,7 +199,7 @@ impl DrlIndexAdvisor {
             } else {
                 fixed_eps
             };
-            let mut ep = env.reset()?;
+            let mut ep = env.reset();
             let mut prev_cost = env.base_cost();
             while !env.done(&ep) {
                 let state = self.state_vec(cost, &matrix, &ep.config);

@@ -9,7 +9,9 @@
 //! Costs flow through the [`CostBackend`] seam: each step advances an
 //! opaque [`CostSession`], which the simulator backend maps onto its
 //! benefit-matrix incremental evaluator (bit-identical to re-costing the
-//! whole workload).
+//! whole workload). The environment prices the empty configuration once:
+//! it begins one session at construction, every episode starts from a
+//! clone of it, and single-column benefits are previews from it.
 //!
 //! Rewards are scaled by [`REWARD_SCALE`] so learning curves land in the
 //! 0–20 range the paper's Figure 8 plots.
@@ -29,6 +31,8 @@ pub struct IndexEnv<'a> {
     /// Index-count budget.
     pub budget: usize,
     base_cost: f64,
+    /// Session at the empty configuration; episodes start from clones.
+    empty: CostSession,
 }
 
 /// State of an in-progress episode.
@@ -55,12 +59,14 @@ impl<'a> IndexEnv<'a> {
         budget: usize,
     ) -> CostResult<Self> {
         let base_cost = cost.workload_cost(workload, &IndexConfig::empty())?;
+        let empty = cost.session_begin(workload)?;
         Ok(IndexEnv {
             cost,
             workload,
             candidates,
             budget,
             base_cost,
+            empty,
         })
     }
 
@@ -84,14 +90,30 @@ impl<'a> IndexEnv<'a> {
         self.candidates.len()
     }
 
+    /// Relative workload cost reduction from one single-column index on
+    /// `col`, previewed from the empty session: bit-equal to
+    /// `CostEngine::workload_benefit(w, {col})` at one preview instead of
+    /// two workload costs.
+    pub fn single_column_benefit(&self, col: ColumnId) -> CostResult<f64> {
+        if self.base_cost <= 0.0 {
+            return Ok(0.0);
+        }
+        let idx = Index::single(col);
+        let cfg = IndexConfig::from_indexes([idx.clone()]);
+        let cost = self
+            .cost
+            .session_preview_add(self.workload, &self.empty, &cfg, &idx)?;
+        Ok(1.0 - cost / self.base_cost)
+    }
+
     /// Start an episode from the empty configuration.
-    pub fn reset(&self) -> CostResult<Episode> {
-        Ok(Episode {
+    pub fn reset(&self) -> Episode {
+        Episode {
             config: IndexConfig::empty(),
             taken: Vec::new(),
             current_cost: self.base_cost,
-            session: self.cost.session_begin(self.workload)?,
-        })
+            session: self.empty.clone(),
+        }
     }
 
     /// Whether the episode is finished (budget used or no actions left).
@@ -141,7 +163,7 @@ impl<'a> IndexEnv<'a> {
         &self,
         mut score: impl FnMut(&Episode, usize) -> f64,
     ) -> CostResult<Episode> {
-        let mut ep = self.reset()?;
+        let mut ep = self.reset();
         while !self.done(&ep) {
             let Some(best) = self
                 .valid_actions(&ep)
@@ -159,20 +181,53 @@ impl<'a> IndexEnv<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipa_cost::SimBackend;
+    use pipa_cost::{CostEngine, SimBackend};
     use pipa_sim::Workload;
     use pipa_workload::Benchmark;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn setup() -> (SimBackend, Workload) {
-        let db = Benchmark::TpcH.database(1.0, None);
-        let g = pipa_workload::generator::WorkloadGenerator::new(
-            Benchmark::TpcH.schema(),
-            Benchmark::TpcH.default_templates(),
-        );
+    fn setup_on(b: Benchmark) -> (SimBackend, Workload) {
+        let db = b.database(1.0, None);
+        let g = pipa_workload::generator::WorkloadGenerator::new(b.schema(), b.default_templates());
         let w = g.normal(&mut ChaCha8Rng::seed_from_u64(1)).unwrap();
         (SimBackend::new(db), w)
+    }
+
+    fn setup() -> (SimBackend, Workload) {
+        setup_on(Benchmark::TpcH)
+    }
+
+    #[test]
+    fn single_column_benefit_matches_workload_benefit_bit_for_bit() {
+        for b in [Benchmark::TpcH, Benchmark::TpcDs] {
+            let (cost, w) = setup_on(b);
+            let env = IndexEnv::new(&cost, &w, Vec::new(), 0).unwrap();
+            let engine = CostEngine::new(&cost);
+            for c in cost.database().schema().indexable_columns() {
+                let cfg = IndexConfig::from_indexes([Index::single(c)]);
+                assert_eq!(
+                    env.single_column_benefit(c).unwrap().to_bits(),
+                    engine.workload_benefit(&w, &cfg).unwrap().to_bits(),
+                    "{} column {c:?}",
+                    b.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn single_column_benefit_highlights_useful_columns() {
+        let (cost, w) = setup();
+        let env = IndexEnv::new(&cost, &w, Vec::new(), 0).unwrap();
+        // l_shipdate is filtered by several templates with tight ranges —
+        // its index benefit must be positive.
+        let schema = cost.database().schema();
+        let ship = schema.column_id("l_shipdate").unwrap();
+        assert!(env.single_column_benefit(ship).unwrap() > 0.0);
+        // A never-filtered comment column has no benefit.
+        let comment = schema.column_id("l_comment").unwrap();
+        assert_eq!(env.single_column_benefit(comment).unwrap(), 0.0);
     }
 
     #[test]
@@ -180,7 +235,7 @@ mod tests {
         let (cost, w) = setup();
         let cands = cost.database().schema().indexable_columns();
         let env = IndexEnv::new(&cost, &w, cands, 4).unwrap();
-        let mut ep = env.reset().unwrap();
+        let mut ep = env.reset();
         let mut steps = 0;
         while !env.done(&ep) {
             let a = env.valid_actions(&ep)[0];
@@ -196,7 +251,7 @@ mod tests {
         let (cost, w) = setup();
         let cands = cost.database().schema().indexable_columns();
         let env = IndexEnv::new(&cost, &w, cands, 4).unwrap();
-        let mut ep = env.reset().unwrap();
+        let mut ep = env.reset();
         let mut total = 0.0;
         for a in [5, 10, 40, 50] {
             total += env.step(&mut ep, a).unwrap();
@@ -210,7 +265,7 @@ mod tests {
         let ship = cost.database().schema().column_id("l_shipdate").unwrap();
         let comment = cost.database().schema().column_id("l_comment").unwrap();
         let env = IndexEnv::new(&cost, &w, vec![ship, comment], 2).unwrap();
-        let mut ep = env.reset().unwrap();
+        let mut ep = env.reset();
         let r_good = env.step(&mut ep, 0).unwrap();
         let r_useless = env.step(&mut ep, 1).unwrap();
         assert!(r_good > 0.0, "l_shipdate reward {r_good}");
@@ -231,7 +286,7 @@ mod tests {
             })
             .unwrap();
         // Random: first four candidates.
-        let mut random = env.reset().unwrap();
+        let mut random = env.reset();
         for a in 0..4 {
             env.step(&mut random, a).unwrap();
         }
@@ -249,7 +304,7 @@ mod tests {
         let (cost, w) = setup();
         let cands = cost.database().schema().indexable_columns();
         let env = IndexEnv::new(&cost, &w, cands, 5).unwrap();
-        let mut ep = env.reset().unwrap();
+        let mut ep = env.reset();
         assert_eq!(
             ep.current_cost.to_bits(),
             cost.workload_cost(&w, &IndexConfig::empty()).unwrap().to_bits()
@@ -275,7 +330,7 @@ mod tests {
             .take(6)
             .collect();
         let env = IndexEnv::new(&cost, &w, cands, 3).unwrap();
-        let mut ep = env.reset().unwrap();
+        let mut ep = env.reset();
         assert_eq!(env.valid_actions(&ep).len(), 6);
         env.step(&mut ep, 2).unwrap();
         let v = env.valid_actions(&ep);

@@ -8,8 +8,8 @@
 //! All cost and statistics access goes through the [`CostBackend`] seam,
 //! so features are identical no matter which backend answers.
 
-use pipa_cost::{CostBackend, CostEngine, CostResult};
-use pipa_sim::{ColumnId, Index, IndexConfig, Workload};
+use pipa_cost::CostBackend;
+use pipa_sim::{ColumnId, IndexConfig, Workload};
 
 /// Normalized frequency of each column in sargable filter predicates
 /// (`(1, L)`, sums to 1 unless the workload filters nothing).
@@ -21,28 +21,6 @@ pub fn column_frequency_features(cost: &dyn CostBackend, w: &Workload) -> Vec<f3
         return vec![0.0; l];
     }
     freq.iter().map(|&f| (f / total) as f32).collect()
-}
-
-/// Per-column *workload benefit*: the relative cost reduction of a
-/// single-column index on that column, for the whole workload. This is
-/// what a perfect advisor would rank by; learned advisors approximate it.
-pub fn column_benefit_features(cost: &dyn CostBackend, w: &Workload) -> CostResult<Vec<f32>> {
-    cost.catalog()
-        .schema
-        .indexable_columns()
-        .into_iter()
-        .map(|c| single_column_benefit(cost, w, c).map(|b| b as f32))
-        .collect()
-}
-
-/// Relative workload cost reduction from one single-column index.
-pub fn single_column_benefit(
-    cost: &dyn CostBackend,
-    w: &Workload,
-    col: ColumnId,
-) -> CostResult<f64> {
-    let cfg = IndexConfig::from_indexes([Index::single(col)]);
-    CostEngine::new(cost).workload_benefit(w, &cfg)
 }
 
 /// 0/1 bitmap of which columns lead an index in the current config.
@@ -96,6 +74,7 @@ pub fn heuristic_candidates(cost: &dyn CostBackend, w: &Workload, min_ndv: u64) 
 mod tests {
     use super::*;
     use pipa_cost::SimBackend;
+    use pipa_sim::Index;
     use pipa_workload::Benchmark;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -118,20 +97,6 @@ mod tests {
         let sum: f32 = f.iter().sum();
         assert!((sum - 1.0).abs() < 1e-4);
         assert!(f.iter().all(|&v| v >= 0.0));
-    }
-
-    #[test]
-    fn benefit_features_highlight_useful_columns() {
-        let (cost, w) = setup();
-        let b = column_benefit_features(&cost, &w).unwrap();
-        // l_shipdate is filtered by several templates with tight ranges —
-        // its index benefit must be positive and among the best.
-        let schema = cost.database().schema();
-        let ship = schema.column_id("l_shipdate").unwrap();
-        assert!(b[ship.0 as usize] > 0.0);
-        // A never-filtered comment column has no benefit.
-        let comment = schema.column_id("l_comment").unwrap();
-        assert_eq!(b[comment.0 as usize], 0.0);
     }
 
     #[test]

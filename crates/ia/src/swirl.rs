@@ -219,7 +219,7 @@ impl SwirlAdvisor {
         let mut batch: Vec<(Vec<f32>, usize, f64, f64)> = Vec::new();
         let mut episodes_in_batch = 0usize;
         for _ in 0..episodes {
-            let mut ep = env.reset()?;
+            let mut ep = env.reset();
             let mut steps: Vec<(Vec<f32>, usize, f64, f64)> = Vec::new();
             while !env.done(&ep) {
                 let state = self.state_vec(cost, &wfeat, &ep.config);
@@ -340,7 +340,7 @@ impl SwirlAdvisor {
         let all: Vec<ColumnId> = cost.catalog().schema.indexable_columns();
         let env = IndexEnv::new(cost, workload, all.clone(), self.cfg.budget)?;
         let store = self.store.as_ref().expect("trained");
-        let mut ep = env.reset()?;
+        let mut ep = env.reset();
         let mut tape = Tape::new();
         while !env.done(&ep) {
             let state = self.state_vec(cost, &wfeat, &ep.config);

@@ -122,4 +122,15 @@ cargo run --release -q -p pipa-bench --bin fig1_motivation -- \
 cargo run --release -q -p pipa-bench --bin trace_lint -- \
     "$TRACE_DIR/trace.jsonl" "$TRACE_DIR/metrics.jsonl"
 
+echo "== e2ebench outcome digests =="
+# The end-to-end benchmark's own tests, then one traced run per workload
+# at the pinned seed. A run exits 1 when its outcome digest differs from
+# e2ebench/digests.txt or a unit fails its outcome checks, so every
+# speed-up is checked bit-identical end to end.
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+for w in paper-cell stream-defended fleet-mixed; do
+    cargo run --release --quiet --offline --manifest-path e2ebench/Cargo.toml -- \
+        --workload "$w" --seed 1 --trace 1 >/dev/null
+done
+
 echo "CI green."

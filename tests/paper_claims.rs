@@ -3,7 +3,7 @@
 //! exhibit, since the attack's design rests on them.
 
 use pipa::cost::{CostEngine, SimBackend};
-use pipa::ia::features::single_column_benefit;
+use pipa::ia::IndexEnv;
 use pipa::sim::{Aggregate, Index, IndexConfig, Predicate, QueryBuilder};
 use pipa::workload::Benchmark;
 use rand::Rng;
@@ -158,8 +158,10 @@ fn benefit_landscape_has_the_expected_head() {
         Benchmark::TpcH.default_templates(),
     );
     let w = g.normal(&mut ChaCha8Rng::seed_from_u64(71)).unwrap();
+    let env = IndexEnv::new(&cost, &w, Vec::new(), 0).unwrap();
     let b = |n: &str| {
-        single_column_benefit(&cost, &w, cost.database().schema().column_id(n).unwrap()).unwrap()
+        env.single_column_benefit(cost.database().schema().column_id(n).unwrap())
+            .unwrap()
     };
     assert!(b("l_shipdate") > 0.05, "l_shipdate {}", b("l_shipdate"));
     assert!(b("l_orderkey") > 0.02, "l_orderkey {}", b("l_orderkey"));

@@ -298,6 +298,7 @@ fn bench_stream_artifact_meets_the_arms_race_floors() {
         "cadences",
         "median_scenario_ns",
         "whatif_qps",
+        "cores_available",
         "no_defense_steady_ad",
         "no_defense_steady_toxicity",
         "best_defense",
