@@ -65,6 +65,27 @@ fn parallel_grid_is_bit_identical_to_serial() {
 }
 
 #[test]
+fn executed_costs_are_bit_identical_across_job_counts() {
+    // Materialized data makes every baseline and poisoned cost an
+    // executed one, built from the physical-index cache that all of a
+    // grid's threads share.
+    let (mut cfg, spec) = small_spec();
+    cfg.materialize = Some((7, 20_000));
+    let run = |jobs| {
+        let db = build_db(&cfg);
+        assert!(db.database().has_data());
+        let results = run_grid(&db, &cfg, &spec, jobs).unwrap();
+        let outcomes: Vec<&pipa_core::StressOutcome> = results.iter().map(|(_, o)| o).collect();
+        serde_json::to_string_pretty(&outcomes).expect("serializable")
+    };
+    assert_eq!(
+        run(1),
+        run(4),
+        "--jobs 1 and --jobs 4 must serialize identically"
+    );
+}
+
+#[test]
 fn grid_reruns_reproduce_and_caching_is_observable() {
     let (cfg, spec) = small_spec();
     let db = build_db(&cfg);

@@ -1,7 +1,7 @@
 //! [`CostEngine`]: composed helpers on top of any [`CostBackend`].
 
 use crate::backend::{CostBackend, CostSession};
-use crate::error::CostResult;
+use crate::error::{CostError, CostResult};
 use pipa_sim::cost::{Catalog, ConfigDelta};
 use pipa_sim::{ColumnId, ColumnStats, Index, IndexConfig, Query, Schema, TableStats, Workload};
 
@@ -172,17 +172,27 @@ impl<'a> CostEngine<'a> {
     }
 
     /// Workload cost measured the way the caller asked for: executed
-    /// (actual) when `use_actual`, estimated otherwise.
+    /// (actual) when `use_actual`, estimated otherwise. A NaN, infinite or
+    /// negative cost is a [`CostError::NonFinite`], so degradation ratios
+    /// built from measurements are always finite.
     pub fn measured_workload_cost(
         &self,
         w: &Workload,
         cfg: &IndexConfig,
         use_actual: bool,
     ) -> CostResult<f64> {
-        if use_actual {
-            self.backend.executed_workload_cost(w, cfg)
+        let value = if use_actual {
+            self.backend.executed_workload_cost(w, cfg)?
         } else {
-            self.backend.workload_cost(w, cfg)
+            self.backend.workload_cost(w, cfg)?
+        };
+        if value.is_finite() && value >= 0.0 {
+            Ok(value)
+        } else {
+            Err(CostError::NonFinite {
+                backend: self.backend.name(),
+                value,
+            })
         }
     }
 }

@@ -12,7 +12,7 @@ pub type CostResult<T> = Result<T, CostError>;
 /// incomplete storage); the trait surfaces them as values so advisors,
 /// injectors, and the harness can propagate instead of aborting a whole
 /// experiment grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CostError {
     /// The underlying simulator substrate failed.
     Sim(SimError),
@@ -64,6 +64,14 @@ pub enum CostError {
     },
     /// Reading or parsing a tape failed.
     Io(String),
+    /// A backend measured a cost that is NaN, infinite or negative. Raised
+    /// at the measurement seam so it never reaches a degradation ratio.
+    NonFinite {
+        /// Name of the backend that produced the cost.
+        backend: &'static str,
+        /// The offending cost.
+        value: f64,
+    },
     /// A target spec named a kind id with no constructor registered in
     /// the target registry (the advisor-side twin of this cost seam).
     /// Raised when a grid, stream, or tenant resolves an `AdvisorSpec`
@@ -143,6 +151,9 @@ impl fmt::Display for CostError {
                 )
             }
             CostError::Io(m) => write!(f, "tape i/o error: {m}"),
+            CostError::NonFinite { backend, value } => {
+                write!(f, "backend `{backend}` measured an invalid cost: {value}")
+            }
             CostError::UnknownTarget { kind, registered } => {
                 write!(
                     f,
@@ -218,5 +229,11 @@ mod tests {
                 .to_string()
                 .contains("sim")
         );
+        let nan = CostError::NonFinite {
+            backend: "sim",
+            value: f64::NAN,
+        };
+        assert!(nan.to_string().contains("`sim`"));
+        assert!(nan.to_string().contains("NaN"));
     }
 }

@@ -19,7 +19,7 @@ use crate::stats::{ColumnStats, TableStats};
 use crate::storage::{PhysicalIndex, Storage};
 use crate::workload::Workload;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A simulated database instance.
 pub struct Database {
@@ -28,8 +28,9 @@ pub struct Database {
     column_stats: Vec<ColumnStats>,
     model: AnalyticalCostModel,
     storage: Option<Storage>,
-    /// Physical indexes are config-independent; cache them per definition.
-    phys_cache: Mutex<HashMap<Index, PhysicalIndex>>,
+    /// Physical indexes are config-independent; cache them per definition
+    /// and share them with every execution.
+    phys_cache: Mutex<HashMap<Index, Arc<PhysicalIndex>>>,
     /// Memoized what-if costs; the model is pure so entries never go stale.
     whatif_cache: CostCache,
     /// Per-(query, index) benefit matrix for incremental what-if
@@ -512,7 +513,7 @@ impl Database {
         &self,
         cfg: &IndexConfig,
         storage: &Storage,
-    ) -> SimResult<HashMap<Index, PhysicalIndex>> {
+    ) -> SimResult<HashMap<Index, Arc<PhysicalIndex>>> {
         let mut cache = self
             .phys_cache
             .lock()
@@ -526,10 +527,11 @@ impl Database {
                     let data = storage
                         .table(t)
                         .ok_or_else(|| SimError::MissingData(self.schema.table(t).name.clone()))?;
-                    e.insert(PhysicalIndex::build(&self.schema, data, idx.clone()))
+                    let phys = PhysicalIndex::build(&self.schema, data, idx.clone());
+                    e.insert(Arc::new(phys))
                 }
             };
-            out.insert(idx.clone(), phys.clone());
+            out.insert(idx.clone(), Arc::clone(phys));
         }
         Ok(out)
     }

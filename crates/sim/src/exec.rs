@@ -13,11 +13,13 @@ use crate::cost::{Catalog, CostParams};
 use crate::datagen::NULL_POSITION;
 use crate::error::{SimError, SimResult};
 use crate::index::{Index, IndexConfig};
-use crate::predicate::Predicate;
+use crate::predicate::{PositionTest, Predicate};
 use crate::query::Query;
 use crate::schema::{ColumnId, TableId};
 use crate::storage::{PhysicalIndex, Storage};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// Raw execution counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -39,6 +41,56 @@ impl ExecStats {
         p.seq_page_cost * self.seq_pages as f64
             + p.random_page_cost * self.random_pages as f64
             + p.cpu_tuple_cost * self.tuples as f64
+    }
+}
+
+/// Distinct non-NULL join-key positions: the probe keys of an index
+/// nested loop and the keys of a semijoin reduction.
+type KeySet = HashSet<i64, BuildHasherDefault<KeyHasher>>;
+
+/// Multiplicative hasher for [`KeySet`] (the FxHash recipe: add,
+/// multiply, rotate on finish). The keys are domain positions from this
+/// crate's own data generator, never outside input, so SipHash's
+/// protection against crafted collisions buys nothing here.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn mix(&mut self, v: u64) {
+        self.0 = self.0.wrapping_add(v).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    fn write_i64(&mut self, v: i64) {
+        self.mix(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// Distinct heap pages touched by an access, one bit per page.
+struct PageBitmap(Vec<u64>);
+
+impl PageBitmap {
+    fn new(pages: u64) -> Self {
+        PageBitmap(vec![0; pages.div_ceil(64) as usize])
+    }
+
+    fn insert(&mut self, page: u32) {
+        self.0[(page / 64) as usize] |= 1 << (page % 64);
+    }
+
+    fn count(&self) -> u64 {
+        self.0.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 }
 
@@ -68,7 +120,7 @@ impl<'a> Executor<'a> {
         &self,
         q: &Query,
         cfg: &IndexConfig,
-        physical: &HashMap<Index, PhysicalIndex>,
+        physical: &HashMap<Index, Arc<PhysicalIndex>>,
     ) -> SimResult<ExecStats> {
         let mut st = ExecStats::default();
         if q.tables.is_empty() {
@@ -141,7 +193,7 @@ impl<'a> Executor<'a> {
         &self,
         q: &Query,
         cfg: &IndexConfig,
-        physical: &HashMap<Index, PhysicalIndex>,
+        physical: &HashMap<Index, Arc<PhysicalIndex>>,
     ) -> SimResult<f64> {
         let st = self.execute(q, cfg, physical)?;
         pipa_obs::count("exec_queries", 1);
@@ -162,15 +214,17 @@ impl<'a> Executor<'a> {
     }
 
     /// Values of `col` over the given rows (NULLs excluded).
-    fn column_values(&self, t: TableId, col: ColumnId, rows: &[u32]) -> SimResult<HashSet<i64>> {
+    fn column_values(&self, t: TableId, col: ColumnId, rows: &[u32]) -> SimResult<KeySet> {
         let data = self.table_data(t)?;
         let ord = Storage::ordinal(self.cat.schema, col);
         let col_data = data.column(ord);
-        Ok(rows
-            .iter()
-            .map(|&r| col_data[r as usize])
-            .filter(|&v| v != NULL_POSITION)
-            .collect())
+        let mut keys = KeySet::with_capacity_and_hasher(rows.len(), Default::default());
+        keys.extend(
+            rows.iter()
+                .map(|&r| col_data[r as usize])
+                .filter(|&v| v != NULL_POSITION),
+        );
+        Ok(keys)
     }
 
     /// Materialized data for `t`, or [`SimError::MissingData`].
@@ -216,8 +270,8 @@ impl<'a> Executor<'a> {
         q: &Query,
         t: TableId,
         cfg: &IndexConfig,
-        physical: &HashMap<Index, PhysicalIndex>,
-        probe: Option<(ColumnId, &HashSet<i64>)>,
+        physical: &HashMap<Index, Arc<PhysicalIndex>>,
+        probe: Option<(ColumnId, &KeySet)>,
         st: &mut ExecStats,
     ) -> SimResult<Vec<u32>> {
         let data = self.table_data(t)?;
@@ -230,7 +284,7 @@ impl<'a> Executor<'a> {
         enum Plan<'x> {
             Seq,
             IndexScan(&'x PhysicalIndex, &'x Predicate),
-            IndexProbe(&'x PhysicalIndex, &'x HashSet<i64>),
+            IndexProbe(&'x PhysicalIndex, &'x KeySet),
         }
         let seq_est =
             p.seq_page_cost * data.pages() as f64 + p.cpu_tuple_cost * f64::from(data.rows);
@@ -274,61 +328,65 @@ impl<'a> Executor<'a> {
             }
         }
 
-        let candidates: Vec<u32> = match plan {
+        // Residual filtering: apply every predicate (re-checking the index
+        // predicate is harmless) and the probe key membership. Each
+        // predicate's column and position test are resolved once here.
+        let ordinal = |c: ColumnId| Storage::ordinal(self.cat.schema, c);
+        let filters: Vec<(&[i64], PositionTest)> = preds
+            .iter()
+            .map(|pred| {
+                let test = pred.position_test(self.cat.column(pred.col));
+                (data.column(ordinal(pred.col)), test)
+            })
+            .collect();
+        let probe_keys = probe.map(|(join_col, keys)| (data.column(ordinal(join_col)), keys));
+        let keep = |r: u32| {
+            filters.iter().all(|(col, test)| {
+                let v = col[r as usize];
+                v != NULL_POSITION && test.matches(v)
+            }) && probe_keys.is_none_or(|(col, keys)| {
+                let v = col[r as usize];
+                v != NULL_POSITION && keys.contains(&v)
+            })
+        };
+
+        Ok(match plan {
             Plan::Seq => {
                 st.seq_pages += data.pages();
                 st.tuples += u64::from(data.rows);
-                (0..data.rows).collect()
+                (0..data.rows).filter(|&r| keep(r)).collect()
             }
             Plan::IndexScan(phys, pred) => {
                 let (lo, hi) = pred.position_bounds(self.cat.column(pred.col));
-                let (rows, entries) = phys.range_leading(lo, hi);
+                let rows = phys.range_leading(lo, hi);
+                let entries = rows.len() as u64;
                 st.random_pages += u64::from(phys.height);
                 st.seq_pages += phys.leaf_pages_for(entries);
                 st.tuples += entries;
                 // Heap fetches: distinct pages of the fetched rows.
-                let pages: HashSet<u32> = rows.iter().map(|&r| data.page_of(r)).collect();
-                st.random_pages += pages.len() as u64;
-                rows
+                let mut pages = PageBitmap::new(data.pages());
+                for &r in rows {
+                    pages.insert(data.page_of(r));
+                }
+                st.random_pages += pages.count();
+                rows.iter().copied().filter(|&r| keep(r)).collect()
             }
             Plan::IndexProbe(phys, keys) => {
-                let mut rows = Vec::new();
-                let mut pages: HashSet<u32> = HashSet::new();
+                let mut out = Vec::new();
+                let mut pages = PageBitmap::new(data.pages());
                 for &k in keys {
-                    let (hit, entries) = phys.lookup_leading(k);
+                    let hit = phys.lookup_leading(k);
                     st.random_pages += u64::from(phys.height);
-                    st.tuples += entries;
-                    for &r in &hit {
+                    st.tuples += hit.len() as u64;
+                    for &r in hit {
                         pages.insert(data.page_of(r));
                     }
-                    rows.extend(hit);
+                    out.extend(hit.iter().copied().filter(|&r| keep(r)));
                 }
-                st.random_pages += pages.len() as u64;
-                rows
+                st.random_pages += pages.count();
+                out
             }
-        };
-
-        // Residual filtering: apply every predicate (re-checking the index
-        // predicate is harmless) and the probe key membership.
-        let mut out = Vec::with_capacity(candidates.len());
-        'rows: for r in candidates {
-            for pred in &preds {
-                let ord = Storage::ordinal(self.cat.schema, pred.col);
-                let v = data.column(ord)[r as usize];
-                if v == NULL_POSITION || !pred.matches_position(v, self.cat.column(pred.col)) {
-                    continue 'rows;
-                }
-            }
-            if let Some((join_col, keys)) = probe {
-                let ord = Storage::ordinal(self.cat.schema, join_col);
-                let v = data.column(ord)[r as usize];
-                if v == NULL_POSITION || !keys.contains(&v) {
-                    continue 'rows;
-                }
-            }
-            out.push(r);
-        }
-        Ok(out)
+        })
     }
 }
 
@@ -337,12 +395,13 @@ pub fn build_physical(
     cat: Catalog<'_>,
     storage: &Storage,
     cfg: &IndexConfig,
-) -> HashMap<Index, PhysicalIndex> {
+) -> HashMap<Index, Arc<PhysicalIndex>> {
     cfg.indexes()
         .iter()
         .filter_map(|i| {
             let data = storage.table(i.table(cat.schema))?;
-            Some((i.clone(), PhysicalIndex::build(cat.schema, data, i.clone())))
+            let phys = PhysicalIndex::build(cat.schema, data, i.clone());
+            Some((i.clone(), Arc::new(phys)))
         })
         .collect()
 }

@@ -130,16 +130,46 @@ impl Predicate {
         }
     }
 
+    /// The exact row-level check with its operands resolved to domain
+    /// positions, for applying to many rows (executor use).
+    pub fn position_test(&self, stats: &ColumnStats) -> PositionTest {
+        match &self.op {
+            PredOp::Eq(f) => {
+                let p = stats.position_at(*f);
+                PositionTest::Range(p, p)
+            }
+            PredOp::Le(f) => PositionTest::Range(i64::MIN, stats.position_at(*f)),
+            PredOp::Ge(f) => PositionTest::Range(stats.position_at(*f), i64::MAX),
+            PredOp::Between(lo, hi) => {
+                PositionTest::Range(stats.position_at(*lo), stats.position_at(*hi))
+            }
+            PredOp::In(fs) => PositionTest::In(fs.iter().map(|f| stats.position_at(*f)).collect()),
+        }
+    }
+
     /// Exact row-level check against a domain position (executor use).
     pub fn matches_position(&self, pos: i64, stats: &ColumnStats) -> bool {
-        match &self.op {
-            PredOp::Eq(f) => pos == stats.position_at(*f),
-            PredOp::Le(f) => pos <= stats.position_at(*f),
-            PredOp::Ge(f) => pos >= stats.position_at(*f),
-            PredOp::Between(lo, hi) => {
-                pos >= stats.position_at(*lo) && pos <= stats.position_at(*hi)
-            }
-            PredOp::In(fs) => fs.iter().any(|f| pos == stats.position_at(*f)),
+        self.position_test(stats).matches(pos)
+    }
+}
+
+/// A predicate's row-level check resolved against its column's
+/// statistics (see [`Predicate::position_test`]): matching a position is
+/// integer comparison only. NULLs are the caller's to exclude.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PositionTest {
+    /// `lo <= pos <= hi`; one-sided ranges use `i64::MIN` / `i64::MAX`.
+    Range(i64, i64),
+    /// `pos` is one of the listed positions.
+    In(Vec<i64>),
+}
+
+impl PositionTest {
+    /// Whether a domain position passes.
+    pub fn matches(&self, pos: i64) -> bool {
+        match self {
+            PositionTest::Range(lo, hi) => *lo <= pos && pos <= *hi,
+            PositionTest::In(ps) => ps.contains(&pos),
         }
     }
 }

@@ -8,7 +8,6 @@
 use crate::cost::PAGE_SIZE;
 use crate::index::Index;
 use crate::schema::{ColumnId, Schema, TableId};
-use std::collections::BTreeMap;
 
 /// Materialized data for one table (column-major positions).
 #[derive(Debug, Clone)]
@@ -42,13 +41,18 @@ impl TableData {
     }
 }
 
-/// A physical B+-tree index: composite key positions → row ids.
+/// A physical B+-tree index, laid out flat: one entry per row, ordered
+/// by the full composite key with ties in heap order, as two aligned
+/// vectors (12 bytes per entry).
 #[derive(Debug, Clone)]
 pub struct PhysicalIndex {
     /// Logical definition.
     pub def: Index,
-    /// Sorted map from composite key to matching rows.
-    pub map: BTreeMap<Vec<i64>, Vec<u32>>,
+    /// Leading-key position of each entry, ascending. NULLs
+    /// ([`crate::datagen::NULL_POSITION`], `i64::MIN`) sort first.
+    leading: Vec<i64>,
+    /// Row id of each entry, aligned with `leading`.
+    rows: Vec<u32>,
     /// Entries per simulated leaf page.
     pub entries_per_leaf: u32,
     /// Tree height (levels above leaves), for descent accounting.
@@ -70,14 +74,21 @@ impl PhysicalIndex {
                     .expect("index column belongs to table")
             })
             .collect();
-        let mut map: BTreeMap<Vec<i64>, Vec<u32>> = BTreeMap::new();
-        for row in 0..data.rows {
-            let key: Vec<i64> = ordinals
-                .iter()
-                .map(|&o| data.columns[o][row as usize])
-                .collect();
-            map.entry(key).or_default().push(row);
+        let lead = &data.columns[ordinals[0]];
+        // (key, row) pairs are distinct, so the unstable sort still leaves
+        // equal keys in heap order.
+        let mut entries: Vec<(i64, u32)> = (0..data.rows).map(|r| (lead[r as usize], r)).collect();
+        entries.sort_unstable();
+        let rest = &ordinals[1..];
+        if !rest.is_empty() {
+            // Order each run of equal leading keys by the remaining key
+            // columns; the stable sort keeps full-key ties in heap order.
+            for run in entries.chunk_by_mut(|a, b| a.0 == b.0) {
+                let key = |r: u32| rest.iter().map(move |&o| data.columns[o][r as usize]);
+                run.sort_by(|a, b| key(a.1).cmp(key(b.1)));
+            }
         }
+        let (leading, rows) = entries.into_iter().unzip();
         let key_width: u32 = def
             .columns
             .iter()
@@ -96,32 +107,26 @@ impl PhysicalIndex {
         }
         PhysicalIndex {
             def,
-            map,
+            leading,
+            rows,
             entries_per_leaf,
             height,
         }
     }
 
     /// Row ids whose leading key falls in `[lo, hi]` (both inclusive,
-    /// `None` = unbounded), along with the number of index entries touched.
-    pub fn range_leading(&self, lo: Option<i64>, hi: Option<i64>) -> (Vec<u32>, u64) {
-        let mut rows = Vec::new();
-        let mut entries = 0u64;
-        let lo_key = lo.map(|v| vec![v]).unwrap_or_default();
-        for (key, ids) in self.map.range(lo_key..) {
-            if let Some(hi) = hi {
-                if key[0] > hi {
-                    break;
-                }
-            }
-            entries += ids.len() as u64;
-            rows.extend_from_slice(ids);
-        }
-        (rows, entries)
+    /// `None` = unbounded), in index order. The slice length is the
+    /// number of index entries touched.
+    pub fn range_leading(&self, lo: Option<i64>, hi: Option<i64>) -> &[u32] {
+        let start = lo.map_or(0, |lo| self.leading.partition_point(|&k| k < lo));
+        let end = hi.map_or(self.leading.len(), |hi| {
+            self.leading.partition_point(|&k| k <= hi)
+        });
+        &self.rows[start..end.max(start)]
     }
 
     /// Rows with exact leading key `v`.
-    pub fn lookup_leading(&self, v: i64) -> (Vec<u32>, u64) {
+    pub fn lookup_leading(&self, v: i64) -> &[u32] {
         self.range_leading(Some(v), Some(v))
     }
 
@@ -202,9 +207,9 @@ mod tests {
     fn index_build_and_lookup() {
         let (s, d) = toy();
         let idx = PhysicalIndex::build(&s, &d, Index::single(ColumnId(0)));
-        let (rows, entries) = idx.lookup_leading(1);
-        assert_eq!(entries, 2);
-        let mut rows = rows;
+        let rows = idx.lookup_leading(1);
+        assert_eq!(rows.len(), 2);
+        let mut rows = rows.to_vec();
         rows.sort_unstable();
         assert_eq!(rows, vec![1, 3]);
     }
@@ -213,26 +218,42 @@ mod tests {
     fn index_range_scan() {
         let (s, d) = toy();
         let idx = PhysicalIndex::build(&s, &d, Index::single(ColumnId(0)));
-        let (rows, entries) = idx.range_leading(Some(4), Some(9));
-        assert_eq!(entries, 4); // 4,5,6,9
-        assert_eq!(rows.len(), 4);
-        let (all, n) = idx.range_leading(None, None);
+        let rows = idx.range_leading(Some(4), Some(9));
+        assert_eq!(rows.len(), 4); // 4,5,6,9
+        let all = idx.range_leading(None, None);
         assert_eq!(all.len(), 8);
-        assert_eq!(n, 8);
+        // An inverted range touches nothing.
+        assert!(idx.range_leading(Some(9), Some(4)).is_empty());
     }
 
     #[test]
     fn composite_index_keys() {
-        let (s, d) = toy();
+        let (s, mut d) = toy();
+        // `b` falls as the row id rises, so the two rows with a=1 (rows 1
+        // and 3) are in reverse heap order under the composite key.
+        d.columns[1] = vec![7, 6, 5, 4, 3, 2, 1, 0];
         let idx = PhysicalIndex::build(
             &s,
             &d,
             Index::multi(&s, vec![ColumnId(0), ColumnId(1)]).unwrap(),
         );
-        // Both rows with a=1 exist but have distinct b → distinct keys.
-        assert_eq!(idx.map.len(), 8);
-        let (rows, _) = idx.lookup_leading(1);
-        assert_eq!(rows.len(), 2);
+        assert_eq!(idx.rows, vec![3, 1, 6, 0, 2, 4, 7, 5]);
+        assert_eq!(idx.lookup_leading(1), &[3, 1]);
+        // On the leading column alone, equal keys stay in heap order.
+        let single = PhysicalIndex::build(&s, &d, Index::single(ColumnId(0)));
+        assert_eq!(single.rows, vec![1, 3, 6, 0, 2, 4, 7, 5]);
+    }
+
+    #[test]
+    fn null_keys_sort_first() {
+        let (s, mut d) = toy();
+        d.columns[0][5] = crate::datagen::NULL_POSITION;
+        let idx = PhysicalIndex::build(&s, &d, Index::single(ColumnId(0)));
+        assert_eq!(idx.rows[0], 5);
+        // An unbounded lower bound covers the NULL entry; a bounded one
+        // does not.
+        assert_eq!(idx.range_leading(None, Some(2)), &[5, 1, 3, 6]);
+        assert_eq!(idx.range_leading(Some(1), Some(2)), &[1, 3, 6]);
     }
 
     #[test]
