@@ -15,7 +15,7 @@
 
 use pipa_bench::cli::ExpArgs;
 use pipa_core::experiment::{build_db, normal_workload, InjectorKind};
-use pipa_core::harness::StressTest;
+use pipa_core::harness::{update, StressTest, Update};
 use pipa_core::metrics::Stats;
 use pipa_core::par_map_traced;
 use pipa_core::preference::{segment, SegmentConfig};
@@ -134,7 +134,7 @@ fn main() {
             let seed = args.cell_seed(run);
             let normal = normal_workload(&cfg, seed.get());
             let mut advisor = victim.build_with(BuildCtx::new(cfg.preset, seed.get()));
-            advisor.train(&db, &normal).expect("train");
+            update(advisor.as_mut(), &db, &normal, Update::Train).expect("train");
             let reference = {
                 let mut gen = cfg.backend.generator(seed.get());
                 let pcfg = ProbeConfig {

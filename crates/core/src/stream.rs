@@ -346,10 +346,7 @@ pub fn run_stream(
     // the same build seed, so the two are bit-identical until the first
     // injection reaches the victim.
     pipa_obs::phase("bootstrap");
-    let w0 = spec
-        .drift
-        .window_workload(&gen, 0, wseed)
-        .expect("benchmark templates instantiate");
+    let w0 = spec.drift.window_workload(&gen, 0, wseed)?;
     let ctx = BuildCtx::new(cfg.preset, seed.get());
     let mut advisor = advisor_spec.build_with(ctx)?;
     update(advisor.as_mut(), cost, &w0, Update::Train)?;
@@ -383,10 +380,7 @@ pub fn run_stream(
 
     pipa_obs::phase("stream");
     for w in 1..=spec.windows {
-        let wl = spec
-            .drift
-            .window_workload(&gen, w as u64, wseed)
-            .expect("benchmark templates instantiate");
+        let wl = spec.drift.window_workload(&gen, w as u64, wseed)?;
         let attack_seed = derive_seed(seed.get(), w as u64);
 
         // The configuration serving this window's traffic was deployed

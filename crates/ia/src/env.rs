@@ -85,11 +85,6 @@ impl<'a> IndexEnv<'a> {
         self.base_cost
     }
 
-    /// Number of actions.
-    pub fn num_actions(&self) -> usize {
-        self.candidates.len()
-    }
-
     /// Relative workload cost reduction from one single-column index on
     /// `col`, previewed from the empty session: bit-equal to
     /// `CostEngine::workload_benefit(w, {col})` at one preview instead of

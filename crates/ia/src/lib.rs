@@ -18,6 +18,12 @@
 //! the retraining-free [`incontext::InContextAdvisor`] (nearest-exemplar
 //! matching over an IABART-encoded corpus).
 //!
+//! DQN and DRLindex run one crate-private Q-learner (`qlearn`: the
+//! replay buffer, ε-greedy trajectories, the batched-target learn step,
+//! `-b`/`-m` snapshot selection and recommend's trials). Each hands it
+//! only the four things it does differently: its workload features, its
+//! step reward, its ε per phase and its target net.
+//!
 //! Construction goes through the open **target registry**
 //! ([`registry::AdvisorSpec`] → [`registry::TargetRegistry`]): built-in
 //! kinds are pre-registered, and new target classes slot in with one
@@ -37,6 +43,7 @@ pub mod features;
 pub mod heuristic;
 pub mod incontext;
 pub mod instrument;
+mod qlearn;
 pub mod registry;
 pub mod swirl;
 
