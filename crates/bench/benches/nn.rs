@@ -1,10 +1,10 @@
-//! NN kernel throughput: blocked/parallel matmul, pooled tapes, and the
+//! NN kernel throughput: blocked matmul, pooled tapes, and the
 //! batched training / KV-cached decoding paths versus the naive loops
 //! they replaced.
 //!
 //! Cells:
 //!
-//! * `nn/matmul_{naive,blocked,parallel}` — a square dense product
+//! * `nn/matmul_{naive,blocked}` — a square dense product
 //!   through each [`KernelMode`] (explicit-mode entry points, so the
 //!   global mode is untouched);
 //! * `nn/matmul_t_{naive,blocked}` — the `A·Bᵀ` variant that dominates
@@ -44,7 +44,6 @@ use std::hint::black_box;
 struct Medians {
     matmul_naive: Option<f64>,
     matmul_blocked: Option<f64>,
-    matmul_parallel: Option<f64>,
     matmul_t_naive: Option<f64>,
     matmul_t_blocked: Option<f64>,
     mlp_train_naive: Option<f64>,
@@ -77,7 +76,6 @@ struct BenchArtifact {
     decode_tokens: usize,
     median_ns: Medians,
     matmul_blocked_speedup: Option<f64>,
-    matmul_parallel_speedup: Option<f64>,
     matmul_t_speedup: Option<f64>,
     mlp_train_speedup: Option<f64>,
     decode_speedup: Option<f64>,
@@ -112,7 +110,6 @@ fn main() {
     for (name, mode) in [
         ("nn/matmul_naive", KernelMode::Naive),
         ("nn/matmul_blocked", KernelMode::Blocked),
-        ("nn/matmul_parallel", KernelMode::BlockedParallel),
     ] {
         c.bench_function(name, |bch| {
             bch.iter(|| black_box(matmul_with_mode(&a, &b, mode)))
@@ -171,7 +168,7 @@ fn main() {
         })
     });
 
-    set_kernel_mode(KernelMode::BlockedParallel);
+    set_kernel_mode(KernelMode::Blocked);
     let mut store_f = base_store.clone();
     let mut target_store = base_store.clone();
     target_store.restore(&snap);
@@ -277,7 +274,6 @@ fn main() {
     let medians = Medians {
         matmul_naive: med("nn/matmul_naive"),
         matmul_blocked: med("nn/matmul_blocked"),
-        matmul_parallel: med("nn/matmul_parallel"),
         matmul_t_naive: med("nn/matmul_t_naive"),
         matmul_t_blocked: med("nn/matmul_t_blocked"),
         mlp_train_naive: med("nn/mlp_train_naive"),
@@ -286,14 +282,12 @@ fn main() {
         decode_fast: med("nn/decode_fast"),
     };
     let matmul_blocked_speedup = ratio(medians.matmul_naive, medians.matmul_blocked);
-    let matmul_parallel_speedup = ratio(medians.matmul_naive, medians.matmul_parallel);
     let matmul_t_speedup = ratio(medians.matmul_t_naive, medians.matmul_t_blocked);
     let mlp_train_speedup = ratio(medians.mlp_train_naive, medians.mlp_train_fast);
     let decode_speedup = ratio(medians.decode_naive, medians.decode_fast);
 
     for (label, s) in [
         ("matmul blocked  ", matmul_blocked_speedup),
-        ("matmul parallel ", matmul_parallel_speedup),
         ("matmul_t blocked", matmul_t_speedup),
         ("MLP train step  ", mlp_train_speedup),
         ("decode step     ", decode_speedup),
@@ -312,7 +306,7 @@ fn main() {
         .unwrap_or(1);
     let artifact = BenchArtifact {
         id: "BENCH_nn".to_string(),
-        description: "blocked/parallel NN kernels, pooled tapes, batched DQN targets, and \
+        description: "blocked NN kernels, pooled tapes, batched DQN targets, and \
                       KV-cached transformer decoding vs the naive seed paths (all fast paths \
                       bit-identical to naive; see tests/nn_kernel_differential.rs)"
             .to_string(),
@@ -326,7 +320,6 @@ fn main() {
         decode_tokens,
         median_ns: medians,
         matmul_blocked_speedup,
-        matmul_parallel_speedup,
         matmul_t_speedup,
         mlp_train_speedup,
         decode_speedup,

@@ -100,6 +100,23 @@ struct TableModel {
     refits: u32,
 }
 
+/// The maximum |predicted − true| CDF error over `(prediction, target)`
+/// pairs, clamped to `[0, 1]`.
+fn max_error(pairs: impl Iterator<Item = (f32, f32)>) -> f64 {
+    pairs
+        .map(|(p, y)| f64::from((p - y).abs()))
+        .fold(0.0f64, f64::max)
+        .clamp(0.0, 1.0)
+}
+
+impl TableModel {
+    /// The CDF fraction the model predicts for a key fraction.
+    fn predict(&self, key: f64) -> f64 {
+        let p = self.mlp.infer(&self.store, &Tensor::row(vec![key as f32]));
+        f64::from(p.data[0])
+    }
+}
+
 /// The learned-index cost backend. See the module docs for the model.
 pub struct LearnedIndexBackend {
     schema: Schema,
@@ -152,8 +169,49 @@ impl LearnedIndexBackend {
     /// Fit one table's CDF model from scratch over `keys`. Seeded by
     /// `(config seed, table)`, so the fit is a pure function of the key
     /// multiset — refits after identical observations are bit-identical.
+    ///
+    /// Each epoch is one batched forward and backward over all n keys on
+    /// one tape. `mse_selected` averages over the n rows, so its loss is
+    /// scaled by n to make each row's gradient `2(p − y)`, exactly the
+    /// gradient of a one-key loss (`2·n/n = 2`). Row r of a batched
+    /// product runs the same chain as a one-row product, and the weight
+    /// and bias gradients sum the per-key terms in key order from `+0.0`,
+    /// so the fit is bit-identical to one tape per key per epoch.
     fn fit(cfg: &LearnedIndexConfig, table: u64, keys: Vec<f64>) -> TableModel {
-        let mut sorted = keys.clone();
+        let (mut store, mlp, xs, ys) = Self::fit_setup(cfg, table, &keys);
+        let n = ys.len();
+        let x = Tensor::from_vec(n, 1, xs);
+        let rows: Vec<(usize, usize, f32)> =
+            ys.iter().enumerate().map(|(r, &y)| (r, 0, y)).collect();
+        let mut opt = Adam::new(cfg.lr);
+        let mut tape = Tape::new();
+        for _ in 0..cfg.fit_epochs {
+            store.zero_grads();
+            let out = mlp.forward_reuse(&mut tape, &store, x.clone());
+            let mse = tape.mse_selected(out, &rows);
+            let l = tape.scale(mse, n as f32);
+            tape.backward(l, &mut store);
+            opt.step(&mut store);
+        }
+        let predicted = mlp.infer(&store, &x);
+        let err = max_error(predicted.data.iter().zip(&ys).map(|(&p, &y)| (p, y)));
+        TableModel {
+            keys,
+            store,
+            mlp,
+            err,
+            refits: 0,
+        }
+    }
+
+    /// A table's freshly initialized model and its fit targets: the
+    /// sorted keys and their true CDF, rank / (n − 1).
+    fn fit_setup(
+        cfg: &LearnedIndexConfig,
+        table: u64,
+        keys: &[f64],
+    ) -> (ParamStore, Mlp, Vec<f32>, Vec<f32>) {
+        let mut sorted = keys.to_vec();
         sorted.sort_by(f64::total_cmp);
         let n = sorted.len();
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ (0x1ea4 + table));
@@ -165,39 +223,9 @@ impl LearnedIndexBackend {
             Activation::Tanh,
             &mut rng,
         );
-        // True CDF of the sample: rank / (n − 1).
-        let targets: Vec<(f32, f32)> = sorted
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k as f32, i as f32 / (n - 1).max(1) as f32))
-            .collect();
-        let mut opt = Adam::new(cfg.lr);
-        for _ in 0..cfg.fit_epochs {
-            store.zero_grads();
-            for &(x, y) in &targets {
-                let mut tape = Tape::new();
-                let xv = tape.constant(Tensor::row(vec![x]));
-                let out = mlp.forward(&mut tape, &store, xv);
-                let l = tape.mse_selected(out, &[(0, 0, y)]);
-                tape.backward(l, &mut store);
-            }
-            opt.step(&mut store);
-        }
-        let err = targets
-            .iter()
-            .map(|&(x, y)| {
-                let p = mlp.infer(&store, &Tensor::row(vec![x])).data[0];
-                f64::from((p - y).abs())
-            })
-            .fold(0.0f64, f64::max)
-            .clamp(0.0, 1.0);
-        TableModel {
-            keys,
-            store,
-            mlp,
-            err,
-            refits: 0,
-        }
+        let xs = sorted.iter().map(|&k| k as f32).collect();
+        let ys = (0..n).map(|i| i as f32 / (n - 1).max(1) as f32).collect();
+        (store, mlp, xs, ys)
     }
 
     /// Current per-table maximum CDF error bounds (diagnostics/tests).
@@ -221,9 +249,7 @@ impl LearnedIndexBackend {
     /// search. Exposed for diagnostics and attack analysis.
     pub fn predicted_cdf(&self, t: TableId, key: f64) -> CostResult<f64> {
         let models = self.models.lock().map_err(|_| poisoned())?;
-        let tm = &models[t.0 as usize];
-        let p = tm.mlp.infer(&tm.store, &Tensor::row(vec![key as f32])).data[0];
-        Ok(f64::from(p))
+        Ok(models[t.0 as usize].predict(key))
     }
 
     /// Key fractions a query contributes to each table it filters.
@@ -396,6 +422,7 @@ impl CostBackend for LearnedIndexBackend {
 mod tests {
     use super::*;
     use pipa_sim::{ColumnId, Predicate, QueryBuilder};
+    use rand::Rng;
 
     fn backend() -> LearnedIndexBackend {
         let db = pipa_workload::Benchmark::TpcH.database(1.0, None);
@@ -537,5 +564,88 @@ mod tests {
             b.session_total(&w, &s),
             Err(CostError::SessionMismatch { .. })
         ));
+    }
+
+    /// The per-key fit that [`LearnedIndexBackend::fit`] batched, kept as
+    /// its oracle: a fresh tape for every key in every epoch, and one
+    /// inference per key for the error bound.
+    fn fit_per_key(cfg: &LearnedIndexConfig, table: u64, keys: Vec<f64>) -> TableModel {
+        let (mut store, mlp, xs, ys) = LearnedIndexBackend::fit_setup(cfg, table, &keys);
+        let mut opt = Adam::new(cfg.lr);
+        for _ in 0..cfg.fit_epochs {
+            store.zero_grads();
+            for (&x, &y) in xs.iter().zip(&ys) {
+                let mut tape = Tape::new();
+                let xv = tape.constant(Tensor::row(vec![x]));
+                let out = mlp.forward(&mut tape, &store, xv);
+                let l = tape.mse_selected(out, &[(0, 0, y)]);
+                tape.backward(l, &mut store);
+            }
+            opt.step(&mut store);
+        }
+        let err = max_error(
+            xs.iter()
+                .zip(&ys)
+                .map(|(&x, &y)| (mlp.infer(&store, &Tensor::row(vec![x])).data[0], y)),
+        );
+        TableModel {
+            keys,
+            store,
+            mlp,
+            err,
+            refits: 0,
+        }
+    }
+
+    fn bulk_load(n: usize) -> Vec<f64> {
+        (0..n).map(|i| i as f64 / (n - 1).max(1) as f64).collect()
+    }
+
+    #[test]
+    fn batched_fit_is_bit_identical_to_the_per_key_fit() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut wide: Vec<f64> = bulk_load(33);
+        // Uniform keys with duplicates drawn from a coarse grid.
+        wide.extend((0..300).map(|_| f64::from(rng.gen_range(0u32..64)) / 63.0));
+        let mut poisoned = bulk_load(33);
+        poisoned.extend((0..40).map(|i| 0.9 + (i % 5) as f64 * 1e-4));
+        let key_sets: Vec<(&str, Vec<f64>)> = vec![
+            ("empty", vec![]),
+            ("n=1", vec![0.5]),
+            ("n=1 zero", vec![0.0]),
+            ("n=2", vec![0.0, 1.0]),
+            ("n=33 bulk load", bulk_load(33)),
+            ("duplicates", vec![0.25, 0.0, 0.25, 1.0, 0.25, 0.25, 1.0]),
+            ("n=333 with duplicates", wide),
+            ("poison cluster", poisoned),
+        ];
+        let configs = [
+            LearnedIndexConfig::fast(),
+            LearnedIndexConfig::default(),
+            LearnedIndexConfig {
+                seed: 5,
+                hidden: 20,
+                ..LearnedIndexConfig::fast()
+            },
+        ];
+        let grid: Vec<f64> = (0..=40).map(|i| i as f64 / 40.0).collect();
+        for cfg in &configs {
+            for (table, (label, keys)) in key_sets.iter().enumerate() {
+                let batched = LearnedIndexBackend::fit(cfg, table as u64, keys.clone());
+                let oracle = fit_per_key(cfg, table as u64, keys.clone());
+                let bits = |tm: &TableModel| -> Vec<u32> {
+                    tm.store.snapshot().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&batched), bits(&oracle), "{label}: parameters");
+                assert_eq!(batched.err.to_bits(), oracle.err.to_bits(), "{label}: err");
+                for &k in &grid {
+                    assert_eq!(
+                        batched.predict(k).to_bits(),
+                        oracle.predict(k).to_bits(),
+                        "{label}: predicted CDF at {k}"
+                    );
+                }
+            }
+        }
     }
 }

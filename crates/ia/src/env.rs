@@ -152,18 +152,21 @@ impl<'a> IndexEnv<'a> {
             .collect()
     }
 
-    /// Greedy rollout using a per-action scoring function; used for
-    /// decoding a configuration from learned parameters.
+    /// Greedy rollout; used for decoding a configuration from learned
+    /// parameters. `scores` maps an episode state to one score per
+    /// candidate, and each step takes the valid action that scores
+    /// highest (the last of equals).
     pub fn greedy_rollout(
         &self,
-        mut score: impl FnMut(&Episode, usize) -> f64,
+        mut scores: impl FnMut(&Episode) -> Vec<f64>,
     ) -> CostResult<Episode> {
         let mut ep = self.reset();
         while !self.done(&ep) {
+            let s = scores(&ep);
             let Some(best) = self
                 .valid_actions(&ep)
                 .into_iter()
-                .max_by(|&x, &y| score(&ep, x).total_cmp(&score(&ep, y)))
+                .max_by(|&x, &y| s[x].total_cmp(&s[y]))
             else {
                 break;
             };
@@ -274,10 +277,14 @@ mod tests {
         let env = IndexEnv::new(&cost, &w, cands.clone(), 4).unwrap();
         // Oracle: score by true marginal benefit.
         let oracle = env
-            .greedy_rollout(|ep, a| {
-                let mut cfg = ep.config.clone();
-                cfg.add(Index::single(env.candidates[a]));
-                -cost.workload_cost(&w, &cfg).unwrap()
+            .greedy_rollout(|ep| {
+                (0..env.candidates.len())
+                    .map(|a| {
+                        let mut cfg = ep.config.clone();
+                        cfg.add(Index::single(env.candidates[a]));
+                        -cost.workload_cost(&w, &cfg).unwrap()
+                    })
+                    .collect()
             })
             .unwrap();
         // Random: first four candidates.

@@ -223,8 +223,12 @@ impl QLearner {
         }
         self.store.restore(&kept);
         let env = IndexEnv::new(cost, workload, self.candidates.clone(), self.spec.budget)?;
-        let ep = env.greedy_rollout(|ep, a| {
-            f64::from(self.q_values(cost, &ep.config)[env.candidates[a].0 as usize])
+        let ep = env.greedy_rollout(|ep| {
+            let q = self.q_values(cost, &ep.config);
+            env.candidates
+                .iter()
+                .map(|c| f64::from(q[c.0 as usize]))
+                .collect()
         })?;
         Ok(ep.config)
     }

@@ -1,6 +1,6 @@
-//! Bit-exact fast matmul kernels: cache-blocked, packed-operand, and
-//! (optionally) row-parallel implementations of the three matrix
-//! products the models use, plus the shared layer-norm forward.
+//! Bit-exact fast matmul kernels: cache-blocked, packed-operand
+//! implementations of the three matrix products the models use, plus
+//! the shared layer-norm forward.
 //!
 //! ## The bit-equality contract
 //!
@@ -20,36 +20,25 @@
 //! [`PANEL`] columns so that, for a fixed `(i, p)`, the [`PANEL`]
 //! accumulator chains advance in lock-step over contiguous memory.
 //! Independent chains may be reordered or vectorized freely without
-//! changing any chain's own sequence of f32 additions. The parallel
-//! variant partitions **disjoint output rows** across scoped threads
-//! (`std::thread::scope`, mirroring `pipa-core`'s `par_map`), which
-//! again touches no chain's internal order — `--jobs`-style determinism
-//! holds by construction, and the differential suite
-//! (`tests/nn_kernel_differential.rs`) proves it empirically.
+//! changing any chain's own sequence of f32 additions. The differential
+//! suite (`tests/nn_kernel_differential.rs`) checks the equality on
+//! proptest shapes.
 //!
 //! ## Telemetry
 //!
 //! Every dispatched product bumps the process-wide [`stats`] counters
 //! and, when a `pipa-obs` recorder is installed on the calling thread,
 //! the `nn_matmul` / `nn_flops` counters on the deterministic trace
-//! channel. Counters are bumped on the *dispatching* thread before any
-//! worker threads spawn, so traces stay byte-identical regardless of
-//! the kernel mode.
+//! channel. Every mode bumps them once per product, so traces stay
+//! byte-identical regardless of the kernel mode.
 
 use crate::tensor::Tensor;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Panel width (output columns per packed B panel). 16 f32 lanes fill
 /// two AVX registers / four NEON registers and keep the accumulator
 /// block in registers.
 pub const PANEL: usize = 16;
-
-/// Minimum multiply-add count before the parallel path spawns threads;
-/// below this, scoped-thread setup costs more than it saves.
-const PAR_MIN_FLOPS: usize = 1 << 17;
-
-/// Minimum output rows per worker thread.
-const PAR_MIN_ROWS: usize = 8;
 
 /// Which kernel implementation [`Tensor::matmul`] and friends dispatch
 /// to.
@@ -57,36 +46,26 @@ const PAR_MIN_ROWS: usize = 8;
 pub enum KernelMode {
     /// The reference triple loops (the pre-kernel-layer code paths).
     Naive,
-    /// Cache-blocked with a packed B operand, single-threaded.
+    /// Cache-blocked with a packed B operand.
     Blocked,
-    /// Blocked, with large products row-partitioned across scoped
-    /// threads. Falls back to [`KernelMode::Blocked`] when the product
-    /// is small or only one hardware thread is available.
-    BlockedParallel,
 }
 
-static MODE: AtomicU8 = AtomicU8::new(2);
+static BLOCKED: AtomicBool = AtomicBool::new(true);
 
 /// Select the global kernel mode (process-wide). All modes are
 /// bit-identical, so switching is safe at any time; only throughput
 /// changes. Benches and the differential suite use this to compare
 /// implementations.
 pub fn set_kernel_mode(mode: KernelMode) {
-    let v = match mode {
-        KernelMode::Naive => 0,
-        KernelMode::Blocked => 1,
-        KernelMode::BlockedParallel => 2,
-    };
-    MODE.store(v, Ordering::Relaxed);
+    BLOCKED.store(mode == KernelMode::Blocked, Ordering::Relaxed);
 }
 
-/// The current global kernel mode (default:
-/// [`KernelMode::BlockedParallel`]).
+/// The current global kernel mode (default: [`KernelMode::Blocked`]).
 pub fn kernel_mode() -> KernelMode {
-    match MODE.load(Ordering::Relaxed) {
-        0 => KernelMode::Naive,
-        1 => KernelMode::Blocked,
-        _ => KernelMode::BlockedParallel,
+    if BLOCKED.load(Ordering::Relaxed) {
+        KernelMode::Blocked
+    } else {
+        KernelMode::Naive
     }
 }
 
@@ -266,47 +245,6 @@ fn blocked_rows_into<const SKIP: bool>(
     }
 }
 
-/// Worker-thread count for an `m × k × n` product under the current
-/// hardware: 0 or 1 means "stay sequential".
-fn par_threads(m: usize, k: usize, n: usize) -> usize {
-    if m * k * n < PAR_MIN_FLOPS || m < 2 * PAR_MIN_ROWS {
-        return 1;
-    }
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    hw.min(m / PAR_MIN_ROWS).min(8)
-}
-
-/// Row-parallel blocked product: output rows are partitioned into
-/// contiguous disjoint chunks, one scoped thread each, all reading the
-/// same packed B. Per-row arithmetic is untouched, so results are
-/// bit-identical to [`blocked_rows_into`] (and hence to naive).
-fn blocked_rows_parallel_into<const SKIP: bool>(
-    a: &[f32],
-    rows: usize,
-    k: usize,
-    pb: &PackedB,
-    out: &mut [f32],
-    init: f32,
-) {
-    let threads = par_threads(rows, k, pb.n);
-    if threads < 2 {
-        return blocked_rows_into::<SKIP>(a, rows, k, pb, out, init);
-    }
-    let chunk_rows = rows.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (ci, out_chunk) in out.chunks_mut(chunk_rows * pb.n).enumerate() {
-            let lo = ci * chunk_rows;
-            let rows_here = out_chunk.len() / pb.n;
-            let a_chunk = &a[lo * k..(lo + rows_here) * k];
-            scope.spawn(move || {
-                blocked_rows_into::<SKIP>(a_chunk, rows_here, k, pb, out_chunk, init);
-            });
-        }
-    });
-}
-
 // ---------------------------------------------------------------------
 // Naive reference loops (moved verbatim from the pre-kernel tensor.rs)
 // ---------------------------------------------------------------------
@@ -402,7 +340,7 @@ pub(crate) fn matmul_mode_into(
     bump_matmul(a.rows, a.cols, b.cols);
     match mode {
         KernelMode::Naive => matmul_naive_into(a, b, out),
-        mode => {
+        KernelMode::Blocked => {
             let mut pdata = scratch.take_zeroed(b.rows * b.cols);
             pack_into(&b.data, b.rows, b.cols, false, &mut pdata);
             let pb = PackedB {
@@ -410,11 +348,7 @@ pub(crate) fn matmul_mode_into(
                 k: b.rows,
                 n: b.cols,
             };
-            if mode == KernelMode::BlockedParallel {
-                blocked_rows_parallel_into::<true>(&a.data, a.rows, a.cols, &pb, out, 0.0);
-            } else {
-                blocked_rows_into::<true>(&a.data, a.rows, a.cols, &pb, out, 0.0);
-            }
+            blocked_rows_into::<true>(&a.data, a.rows, a.cols, &pb, out, 0.0);
             scratch.put(pb.data);
         }
     }
@@ -432,7 +366,7 @@ pub(crate) fn matmul_t_mode_into(
     bump_matmul(a.rows, a.cols, b.rows);
     match mode {
         KernelMode::Naive => matmul_t_naive_into(a, b, out),
-        mode => {
+        KernelMode::Blocked => {
             let mut pdata = scratch.take_zeroed(b.rows * b.cols);
             pack_into(&b.data, b.cols, b.rows, true, &mut pdata);
             let pb = PackedB {
@@ -442,11 +376,7 @@ pub(crate) fn matmul_t_mode_into(
             };
             // `matmul_t`'s naive reference accumulates with
             // `Iterator::sum`, whose fold starts at `-0.0` — match it.
-            if mode == KernelMode::BlockedParallel {
-                blocked_rows_parallel_into::<false>(&a.data, a.rows, a.cols, &pb, out, -0.0);
-            } else {
-                blocked_rows_into::<false>(&a.data, a.rows, a.cols, &pb, out, -0.0);
-            }
+            blocked_rows_into::<false>(&a.data, a.rows, a.cols, &pb, out, -0.0);
             scratch.put(pb.data);
         }
     }
@@ -468,7 +398,7 @@ pub(crate) fn t_matmul_mode_into(
     bump_matmul(m, k, b.cols);
     match mode {
         KernelMode::Naive => t_matmul_naive_into(a, b, out),
-        mode => {
+        KernelMode::Blocked => {
             let mut at = scratch.take_zeroed(m * k);
             for p in 0..k {
                 for i in 0..m {
@@ -482,11 +412,7 @@ pub(crate) fn t_matmul_mode_into(
                 k: b.rows,
                 n: b.cols,
             };
-            if mode == KernelMode::BlockedParallel {
-                blocked_rows_parallel_into::<true>(&at, m, k, &pb, out, 0.0);
-            } else {
-                blocked_rows_into::<true>(&at, m, k, &pb, out, 0.0);
-            }
+            blocked_rows_into::<true>(&at, m, k, &pb, out, 0.0);
             scratch.put(pb.data);
             scratch.put(at);
         }

@@ -5,7 +5,7 @@
 //!
 //! * [`tensor`] — dense 2-D `f32` tensors with the handful of kernels the
 //!   models use (matmul, transpose-matmul, row softmax, ...);
-//! * [`kernels`] — cache-blocked / row-parallel matmul implementations
+//! * [`kernels`] — cache-blocked matmul implementations
 //!   that are **bit-identical** to the naive loops (see the module docs
 //!   for the equality argument), selectable via [`kernels::set_kernel_mode`];
 //! * [`pool`] — a buffer pool the tape uses to recycle forward/gradient

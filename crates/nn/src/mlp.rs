@@ -1,6 +1,11 @@
 //! Multilayer perceptrons — the function approximators behind DQN,
 //! DRLindex, and SWIRL.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)
+)]
+
 use crate::layers::Linear;
 use crate::params::ParamStore;
 use crate::tape::{Tape, Var};
@@ -49,7 +54,7 @@ impl Mlp {
 
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("nonempty").out_dim
+        self.layers.last().map_or(0, |l| l.out_dim)
     }
 
     /// Forward pass on the tape.

@@ -1,6 +1,11 @@
 //! Optimizers: SGD (with optional momentum) and Adam, both with global
 //! gradient-norm clipping.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)
+)]
+
 use crate::params::ParamStore;
 
 /// An optimizer consumes accumulated gradients and updates parameters.
@@ -108,30 +113,34 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
+    /// One fused pass per parameter over its value, gradient and both
+    /// moments. Each element runs the operations of an indexed loop in
+    /// the same order; Rust never contracts them into FMAs, and division
+    /// and `sqrt` round per lane, so the pass may vectorize without
+    /// changing a bit.
     fn step(&mut self, store: &mut ParamStore) {
         let scale = clip_scale(store, self.clip);
-        let ids: Vec<_> = store.ids().collect();
         if self.m.is_empty() {
-            self.m = ids
-                .iter()
-                .map(|&id| vec![0.0; store.value(id).len()])
+            self.m = store
+                .ids()
+                .map(|id| vec![0.0; store.value(id).len()])
                 .collect();
             self.v = self.m.clone();
         }
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (k, id) in ids.into_iter().enumerate() {
-            let grad: Vec<f32> = store.grad(id).data.iter().map(|&g| g * scale).collect();
-            let (m, v) = (&mut self.m[k], &mut self.v[k]);
-            let value = store.value_mut(id);
-            for i in 0..grad.len() {
-                let g = grad[i];
-                m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
-                v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
-                let mh = m[i] / bc1;
-                let vh = v[i] / bc2;
-                value.data[i] -= self.lr * mh / (vh.sqrt() + self.eps);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        let moments = self.m.iter_mut().zip(&mut self.v);
+        for (p, (m, v)) in store.params_mut().iter_mut().zip(moments) {
+            let lanes = p.value.data.iter_mut().zip(&p.grad.data).zip(m).zip(v);
+            for (((w, &g), m), v) in lanes {
+                let g = g * scale;
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let mh = *m / bc1;
+                let vh = *v / bc2;
+                *w -= lr * mh / (vh.sqrt() + eps);
             }
         }
     }
@@ -154,6 +163,9 @@ mod tests {
     use super::*;
     use crate::tape::Tape;
     use crate::tensor::Tensor;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     /// Minimize f(w) = (w - 3)^2 starting from 0.
     fn quadratic_descends(opt: &mut dyn Optimizer, iters: usize) -> f32 {
@@ -200,5 +212,104 @@ mod tests {
             store.value(id).data[0].abs() <= 1.0 + 1e-6,
             "clipped update should be ≤ lr·clip"
         );
+    }
+
+    /// The indexed Adam loop that the fused pass replaced, kept as its
+    /// oracle: a per-parameter copy of the scaled gradient, then one
+    /// indexed update per element.
+    fn indexed_adam_step(opt: &mut Adam, store: &mut ParamStore) {
+        let scale = clip_scale(store, opt.clip);
+        let ids: Vec<_> = store.ids().collect();
+        if opt.m.is_empty() {
+            opt.m = ids
+                .iter()
+                .map(|&id| vec![0.0; store.value(id).len()])
+                .collect();
+            opt.v = opt.m.clone();
+        }
+        opt.t += 1;
+        let bc1 = 1.0 - opt.beta1.powi(opt.t as i32);
+        let bc2 = 1.0 - opt.beta2.powi(opt.t as i32);
+        for (k, id) in ids.into_iter().enumerate() {
+            let grad: Vec<f32> = store.grad(id).data.iter().map(|&g| g * scale).collect();
+            let (m, v) = (&mut opt.m[k], &mut opt.v[k]);
+            let value = store.value_mut(id);
+            for i in 0..grad.len() {
+                let g = grad[i];
+                m[i] = opt.beta1 * m[i] + (1.0 - opt.beta1) * g;
+                v[i] = opt.beta2 * v[i] + (1.0 - opt.beta2) * g * g;
+                let mh = m[i] / bc1;
+                let vh = v[i] / bc2;
+                value.data[i] -= opt.lr * mh / (vh.sqrt() + opt.eps);
+            }
+        }
+    }
+
+    /// A value from the classes the update treats differently: exact
+    /// `+0.0` and `-0.0`, subnormals of either sign, and normal values
+    /// of `big` magnitude (which pushes the global norm over the clip).
+    fn edge_value(rng: &mut ChaCha8Rng, big: f32) -> f32 {
+        match rng.gen_range(0..5) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => {
+                let sign = if rng.gen::<bool>() { 0x8000_0000 } else { 0 };
+                f32::from_bits(rng.gen_range(1u32..0x0080_0000) | sign)
+            }
+            3 => rng.gen_range(-1e-3f32..1e-3),
+            _ => rng.gen_range(-big..big),
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn fused_adam_matches_indexed_loop_bit_for_bit(
+            seed in 0u64..1 << 40,
+            shapes in proptest::collection::vec((1usize..5, 1usize..24), 1..5),
+            steps in 1usize..9,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut store = ParamStore::new();
+            for (i, &(rows, cols)) in shapes.iter().enumerate() {
+                let data = (0..rows * cols).map(|_| edge_value(&mut rng, 2.0)).collect();
+                store.add(&format!("p{i}"), Tensor::from_vec(rows, cols, data));
+            }
+            let mut oracle_store = store.clone();
+            let (mut fused, mut oracle) = (Adam::new(0.01), Adam::new(0.01));
+            for step in 0..steps {
+                // Alternate steps whose gradient norm stays under the 1.0
+                // clip with steps far above it.
+                let big = if rng.gen::<bool>() { 8.0 } else { 1e-2 };
+                for p in store.params_mut() {
+                    for g in &mut p.grad.data {
+                        *g = edge_value(&mut rng, big);
+                    }
+                }
+                for (o, p) in oracle_store.params_mut().iter_mut().zip(store.params_mut()) {
+                    o.grad.data.copy_from_slice(&p.grad.data);
+                }
+                fused.step(&mut store);
+                indexed_adam_step(&mut oracle, &mut oracle_store);
+                for id in store.ids() {
+                    prop_assert_eq!(
+                        bits(&store.value(id).data),
+                        bits(&oracle_store.value(id).data),
+                        "step {} param {:?}",
+                        step,
+                        id
+                    );
+                }
+                for k in 0..fused.m.len() {
+                    prop_assert_eq!(bits(&fused.m[k]), bits(&oracle.m[k]));
+                    prop_assert_eq!(bits(&fused.v[k]), bits(&oracle.v[k]));
+                }
+            }
+        }
     }
 }

@@ -7,6 +7,11 @@
 //! cheap [`ParamStore::snapshot`] / [`ParamStore::restore`] /
 //! [`ParamStore::average`] operations over flat `Vec<f32>` images.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)
+)]
+
 use crate::tensor::Tensor;
 use rand::Rng;
 
@@ -112,6 +117,11 @@ impl ParamStore {
         for p in &mut self.params {
             p.grad.data.fill(0.0);
         }
+    }
+
+    /// Every parameter in id order, for an optimizer's fused update.
+    pub(crate) fn params_mut(&mut self) -> &mut [Param] {
+        &mut self.params
     }
 
     /// Iterate ids (stable order).

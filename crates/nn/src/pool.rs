@@ -9,9 +9,7 @@
 //! kernel stats and the `pipa-obs` trace channel.
 //!
 //! The pool is deliberately not thread-safe: each [`crate::tape::Tape`]
-//! owns one, and the row-parallel kernels never touch it from worker
-//! threads (scratch is taken/returned on the dispatching thread only),
-//! so trace determinism is unaffected.
+//! owns one, so trace determinism is unaffected.
 
 use crate::kernels::bump_buf_reuse;
 use std::collections::HashMap;

@@ -18,9 +18,21 @@
 //! are expressed as [`Grad::PassThrough`] rather than `g.clone()`:
 //! backward moves or borrows the upstream gradient instead of copying
 //! it once per trivial op.
+//!
+//! Backward computes only gradients that reach a parameter: each node
+//! records at push time whether a parameter leaf feeds it, backward
+//! drops the gradients of nodes that none does, and `matmul`/`matmul_t`
+//! skip the product toward a constant operand (a network's input layer
+//! would otherwise pay for `dX = dH·Wᵀ`, which nothing reads). Every
+//! parameter gradient sums the same terms in the same order as without
+//! the pruning, so it is bit-identical.
 
 // Index-based loops in these kernels mirror the maths they implement.
 #![allow(clippy::needless_range_loop)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)
+)]
 
 use crate::kernels;
 use crate::params::{ParamId, ParamStore};
@@ -39,6 +51,8 @@ pub enum Grad {
     /// Jacobian). Backward accumulates or moves the upstream gradient
     /// without materializing a copy.
     PassThrough,
+    /// No gradient was computed: no parameter leaf feeds the parent.
+    Skipped,
 }
 
 type BackFn = Box<dyn Fn(&Tensor, &[&Tensor], &mut BufferPool) -> Vec<Grad>>;
@@ -48,6 +62,9 @@ struct Node {
     parents: Vec<usize>,
     back: Option<BackFn>,
     param: Option<ParamId>,
+    /// Whether a parameter leaf feeds this node, i.e. whether backward
+    /// needs its gradient.
+    needs_grad: bool,
 }
 
 /// The autodiff tape.
@@ -85,13 +102,20 @@ impl Tape {
         back: Option<BackFn>,
         param: Option<ParamId>,
     ) -> Var {
+        let needs_grad = param.is_some() || parents.iter().any(|&p| self.nodes[p].needs_grad);
         self.nodes.push(Node {
             value,
             parents,
             back,
             param,
+            needs_grad,
         });
         Var(self.nodes.len() - 1)
+    }
+
+    /// Whether backward needs `v`'s gradient (a parameter leaf feeds it).
+    fn needs_grad(&self, v: Var) -> bool {
+        self.nodes[v.0].needs_grad
     }
 
     /// Leaf for a model parameter (value copied from the store into a
@@ -112,37 +136,39 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
-    /// `a @ b`.
+    /// `a @ b`. Backward skips the product toward a constant operand.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
+        let (need_a, need_b) = (self.needs_grad(a), self.needs_grad(b));
         let Tape { nodes, pool } = &mut *self;
         let out = kernels::matmul_pooled(&nodes[a.0].value, &nodes[b.0].value, pool);
         self.push(
             out,
             vec![a.0, b.0],
-            Some(Box::new(|g, ps, pool| {
+            Some(Box::new(move |g, ps, pool| {
                 let (a, b) = (ps[0], ps[1]);
                 vec![
-                    Grad::Tensor(kernels::matmul_t_pooled(g, b, pool)),
-                    Grad::Tensor(kernels::t_matmul_pooled(a, g, pool)),
+                    grad_if(need_a, || kernels::matmul_t_pooled(g, b, pool)),
+                    grad_if(need_b, || kernels::t_matmul_pooled(a, g, pool)),
                 ]
             })),
             None,
         )
     }
 
-    /// `a @ b^T`.
+    /// `a @ b^T`. Backward skips the product toward a constant operand.
     pub fn matmul_t(&mut self, a: Var, b: Var) -> Var {
+        let (need_a, need_b) = (self.needs_grad(a), self.needs_grad(b));
         let Tape { nodes, pool } = &mut *self;
         let out = kernels::matmul_t_pooled(&nodes[a.0].value, &nodes[b.0].value, pool);
         self.push(
             out,
             vec![a.0, b.0],
-            Some(Box::new(|g, ps, pool| {
+            Some(Box::new(move |g, ps, pool| {
                 let (a, b) = (ps[0], ps[1]);
                 // out = a b^T : da = g b ; db = g^T a
                 vec![
-                    Grad::Tensor(kernels::matmul_pooled(g, b, pool)),
-                    Grad::Tensor(kernels::t_matmul_pooled(g, a, pool)),
+                    grad_if(need_a, || kernels::matmul_pooled(g, b, pool)),
+                    grad_if(need_b, || kernels::t_matmul_pooled(g, a, pool)),
                 ]
             })),
             None,
@@ -506,11 +532,15 @@ impl Tape {
     }
 
     /// Run backpropagation from `loss` (must be `(1,1)`), accumulating
-    /// parameter gradients into `store`. Consumed gradient buffers are
-    /// retired into the tape's pool for reuse by the next step.
+    /// parameter gradients into `store`. Nodes that no parameter leaf
+    /// feeds get no gradient. Consumed gradient buffers are retired into
+    /// the tape's pool for reuse by the next step.
     pub fn backward(&mut self, loss: Var, store: &mut ParamStore) {
         let Tape { nodes, pool } = self;
         assert_eq!(nodes[loss.0].value.len(), 1, "loss must be scalar");
+        if !nodes[loss.0].needs_grad {
+            return;
+        }
         let mut grads: Vec<Option<Tensor>> = Vec::new();
         grads.resize_with(nodes.len(), || None);
         grads[loss.0] = Some(Tensor::from_vec(1, 1, vec![1.0]));
@@ -522,59 +552,72 @@ impl Tape {
             if let Some(pid) = node.param {
                 store.accumulate_grad(pid, &g);
             }
-            let mut g_opt = Some(g);
-            if let Some(back) = &node.back {
-                let parent_vals: Vec<&Tensor> =
-                    node.parents.iter().map(|&p| &nodes[p].value).collect();
-                let g = g_opt.as_ref().expect("gradient present");
-                let pgrads = back(g, &parent_vals, pool);
-                debug_assert_eq!(pgrads.len(), node.parents.len());
-                // Owned tensor gradients first; identity pass-throughs
-                // second so the upstream gradient can be moved into the
-                // last empty slot instead of copied. Within a node, two
-                // contributions hit the same slot only for duplicate
-                // parents (e.g. `add(a, a)`), and those are always the
-                // same `Grad` kind, so accumulation order is unchanged.
-                pass_parents.clear();
-                for (&p, pg) in node.parents.iter().zip(pgrads) {
-                    match pg {
-                        Grad::Tensor(pg) => match &mut grads[p] {
-                            Some(existing) => {
-                                for (a, &b) in existing.data.iter_mut().zip(&pg.data) {
-                                    *a += b;
-                                }
-                                pool.put(pg.data);
-                            }
-                            slot => *slot = Some(pg),
-                        },
-                        Grad::PassThrough => pass_parents.push(p),
-                    }
-                }
-                let npass = pass_parents.len();
-                for (k, &p) in pass_parents.iter().enumerate() {
-                    match &mut grads[p] {
+            let Some(back) = &node.back else {
+                pool.put(g.data);
+                continue;
+            };
+            let parent_vals: Vec<&Tensor> = node.parents.iter().map(|&p| &nodes[p].value).collect();
+            let pgrads = back(&g, &parent_vals, pool);
+            debug_assert_eq!(pgrads.len(), node.parents.len());
+            // Owned tensor gradients first; identity pass-throughs
+            // second so the upstream gradient can be moved into the
+            // last empty slot instead of copied. Within a node, two
+            // contributions hit the same slot only for duplicate
+            // parents (e.g. `add(a, a)`), and those are always the
+            // same `Grad` kind, so accumulation order is unchanged.
+            pass_parents.clear();
+            for (&p, pg) in node.parents.iter().zip(pgrads) {
+                match pg {
+                    Grad::Tensor(pg) if !nodes[p].needs_grad => pool.put(pg.data),
+                    Grad::Tensor(pg) => match &mut grads[p] {
                         Some(existing) => {
-                            let g = g_opt.as_ref().expect("gradient present");
-                            for (a, &b) in existing.data.iter_mut().zip(&g.data) {
-                                *a += b;
-                            }
+                            add_into(existing, &pg);
+                            pool.put(pg.data);
                         }
-                        slot => {
-                            if k + 1 == npass {
-                                *slot = g_opt.take();
-                            } else {
-                                let g = g_opt.as_ref().expect("gradient present");
-                                let copy = pool.take_copy(&g.data);
-                                *slot = Some(Tensor::from_vec(g.rows, g.cols, copy));
-                            }
-                        }
+                        slot => *slot = Some(pg),
+                    },
+                    Grad::PassThrough if nodes[p].needs_grad => pass_parents.push(p),
+                    Grad::PassThrough | Grad::Skipped => {}
+                }
+            }
+            let Some((&last, rest)) = pass_parents.split_last() else {
+                pool.put(g.data);
+                continue;
+            };
+            for &p in rest {
+                match &mut grads[p] {
+                    Some(existing) => add_into(existing, &g),
+                    slot => {
+                        let copy = pool.take_copy(&g.data);
+                        *slot = Some(Tensor::from_vec(g.rows, g.cols, copy));
                     }
                 }
             }
-            if let Some(g) = g_opt.take() {
-                pool.put(g.data);
+            match &mut grads[last] {
+                Some(existing) => {
+                    add_into(existing, &g);
+                    pool.put(g.data);
+                }
+                slot => *slot = Some(g),
             }
         }
+    }
+}
+
+/// `dst += src`, element by element.
+fn add_into(dst: &mut Tensor, src: &Tensor) {
+    for (a, &b) in dst.data.iter_mut().zip(&src.data) {
+        *a += b;
+    }
+}
+
+/// The gradient `product` computes when the parent needs one, else
+/// [`Grad::Skipped`] without running it.
+fn grad_if(needed: bool, product: impl FnOnce() -> Tensor) -> Grad {
+    if needed {
+        Grad::Tensor(product())
+    } else {
+        Grad::Skipped
     }
 }
 

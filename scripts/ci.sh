@@ -107,6 +107,10 @@ fi
 echo "== cargo doc (RUSTDOCFLAGS=-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${PKGS[@]}"
 
+echo "== rustfmt check (pipa-nn) =="
+# pipa-nn is rustfmt-clean; keep it so. The other crates are not yet.
+cargo fmt -p pipa-nn -- --check
+
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --all-targets -q "${PKGS[@]}" -- -D warnings
 

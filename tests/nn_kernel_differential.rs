@@ -1,6 +1,6 @@
 //! Differential suite for the NN matmul kernels (proptest).
 //!
-//! The blocked and blocked+parallel kernels must be **bit-identical**
+//! The blocked kernels must be **bit-identical**
 //! (`f32::to_bits`) to the naive reference loops — for `matmul`,
 //! `matmul_t`, and `t_matmul`, on proptest-generated shapes (including
 //! 1×1, tall/skinny, and non-multiples of the 16-wide panel) and on
@@ -61,35 +61,28 @@ fn assert_bits_eq(label: &str, reference: &Tensor, fast: &Tensor) {
     }
 }
 
-/// All three products, all three modes, one shape.
+/// All three products, both modes, one shape.
 fn check_all_products(a_pool: &[f32], b_pool: &[f32], m: usize, k: usize, n: usize) {
-    let modes = [KernelMode::Blocked, KernelMode::BlockedParallel];
     {
         let a = tensor_from(a_pool, m, k);
         let b = tensor_from(b_pool, k, n);
         let naive = matmul_with_mode(&a, &b, KernelMode::Naive);
-        for mode in modes {
-            let fast = matmul_with_mode(&a, &b, mode);
-            assert_bits_eq(&format!("matmul {m}x{k}x{n} {mode:?}"), &naive, &fast);
-        }
+        let fast = matmul_with_mode(&a, &b, KernelMode::Blocked);
+        assert_bits_eq(&format!("matmul {m}x{k}x{n}"), &naive, &fast);
     }
     {
         let a = tensor_from(a_pool, m, k);
         let bt = tensor_from(b_pool, n, k);
         let naive = matmul_t_with_mode(&a, &bt, KernelMode::Naive);
-        for mode in modes {
-            let fast = matmul_t_with_mode(&a, &bt, mode);
-            assert_bits_eq(&format!("matmul_t {m}x{k}x{n} {mode:?}"), &naive, &fast);
-        }
+        let fast = matmul_t_with_mode(&a, &bt, KernelMode::Blocked);
+        assert_bits_eq(&format!("matmul_t {m}x{k}x{n}"), &naive, &fast);
     }
     {
         let at = tensor_from(a_pool, k, m);
         let b = tensor_from(b_pool, k, n);
         let naive = t_matmul_with_mode(&at, &b, KernelMode::Naive);
-        for mode in modes {
-            let fast = t_matmul_with_mode(&at, &b, mode);
-            assert_bits_eq(&format!("t_matmul {m}x{k}x{n} {mode:?}"), &naive, &fast);
-        }
+        let fast = t_matmul_with_mode(&at, &b, KernelMode::Blocked);
+        assert_bits_eq(&format!("t_matmul {m}x{k}x{n}"), &naive, &fast);
     }
 }
 
@@ -195,11 +188,7 @@ fn assert_params_bit_eq(label: &str, a: &[f32], b: &[f32]) {
 fn train_steps_bit_identical_across_modes_and_tape_reuse() {
     let initial = kernel_mode();
     let mut snaps = Vec::new();
-    for mode in [
-        KernelMode::Naive,
-        KernelMode::Blocked,
-        KernelMode::BlockedParallel,
-    ] {
+    for mode in [KernelMode::Naive, KernelMode::Blocked] {
         set_kernel_mode(mode);
         snaps.push((format!("{mode:?} fresh"), train_snapshot(false)));
         snaps.push((format!("{mode:?} pooled"), train_snapshot(true)));

@@ -100,7 +100,6 @@ fn bench_nn_artifact_meets_the_kernel_acceptance_floor() {
         "decode_tokens",
         "median_ns",
         "matmul_blocked_speedup",
-        "matmul_parallel_speedup",
         "matmul_t_speedup",
         "mlp_train_speedup",
         "decode_speedup",
@@ -116,7 +115,6 @@ fn bench_nn_artifact_meets_the_kernel_acceptance_floor() {
     for cell in [
         "matmul_naive",
         "matmul_blocked",
-        "matmul_parallel",
         "matmul_t_naive",
         "matmul_t_blocked",
         "mlp_train_naive",
@@ -127,11 +125,7 @@ fn bench_nn_artifact_meets_the_kernel_acceptance_floor() {
         let ns = num_field(&text, cell);
         assert!(ns.is_finite() && ns > 0.0, "median_ns.{cell} = {ns}");
     }
-    for sp in [
-        "matmul_blocked_speedup",
-        "matmul_parallel_speedup",
-        "matmul_t_speedup",
-    ] {
+    for sp in ["matmul_blocked_speedup", "matmul_t_speedup"] {
         let v = num_field(&text, sp);
         assert!(v.is_finite() && v > 1.0, "{sp} = {v} should exceed 1.0");
     }
