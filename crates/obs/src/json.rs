@@ -6,17 +6,26 @@
 //! recursive-descent implementation of the JSON grammar, specialized to
 //! the one question the lint asks: *is this line a syntactically valid
 //! JSON object, and what are its top-level keys?*
+//!
+//! Nesting is capped at 128 objects and arrays, so a hostile line cannot
+//! overflow the parser's stack.
+
+/// Deepest nesting of objects and arrays, the top-level object included,
+/// that [`top_level_keys`] accepts. The deepest committed artifact nests
+/// 4 levels.
+const MAX_DEPTH: usize = 128;
 
 /// Parse `line` as a JSON object and return its top-level keys in
-/// document order. Errors describe the first syntax violation with a
-/// byte offset.
+/// document order. Errors describe the first syntax violation, or
+/// nesting deeper than 128 levels, with a byte offset.
 pub fn top_level_keys(line: &str) -> Result<Vec<String>, String> {
     let mut p = Parser {
         bytes: line.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
-    let keys = p.object()?;
+    let keys = p.nested(Parser::object)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(format!("trailing bytes at offset {}", p.pos));
@@ -27,6 +36,8 @@ pub fn top_level_keys(line: &str) -> Result<Vec<String>, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Objects and arrays open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -58,6 +69,20 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
+    }
+
+    /// Parse one object or array at `pos` with `parse`, one level deeper.
+    fn nested<T>(&mut self, parse: fn(&mut Self) -> Result<T, String>) -> Result<T, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
     }
 
     fn object(&mut self) -> Result<Vec<String>, String> {
@@ -93,10 +118,10 @@ impl Parser<'_> {
         self.skip_ws();
         match self.peek() {
             Some(b'{') => {
-                self.object()?;
+                self.nested(Self::object)?;
                 Ok(())
             }
-            Some(b'[') => self.array(),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => {
                 self.string()?;
                 Ok(())
@@ -273,7 +298,15 @@ mod tests {
         let keys = top_level_keys(&line).expect("valid");
         assert_eq!(
             keys,
-            vec!["event", "cell_seed", "phase", "epoch", "benefit", "trace", "note"]
+            vec![
+                "event",
+                "cell_seed",
+                "phase",
+                "epoch",
+                "benefit",
+                "trace",
+                "note"
+            ]
         );
     }
 
@@ -339,8 +372,14 @@ mod tests {
             let c = char::from_u32(code).unwrap();
             let in_value = format!("{{\"k\":\"{c}\"}}");
             let in_key = format!("{{\"{c}\":1}}");
-            assert!(top_level_keys(&in_value).is_err(), "accepted raw 0x{code:02x} in value");
-            assert!(top_level_keys(&in_key).is_err(), "accepted raw 0x{code:02x} in key");
+            assert!(
+                top_level_keys(&in_value).is_err(),
+                "accepted raw 0x{code:02x} in value"
+            );
+            assert!(
+                top_level_keys(&in_key).is_err(),
+                "accepted raw 0x{code:02x} in key"
+            );
         }
     }
 
@@ -386,6 +425,33 @@ mod tests {
                 "{why}: error {err:?} lacks an offset"
             );
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        // 100,000 levels used to recurse once per level and abort the
+        // whole process with a stack overflow.
+        let deep = 100_000;
+        let line = format!("{{\"a\":{}{}}}", "[".repeat(deep), "]".repeat(deep));
+        let err = top_level_keys(&line).expect_err("too deep");
+        assert!(err.contains("nesting") && err.contains("offset"), "{err}");
+        // The same cap holds through objects.
+        let objects = format!("{}1{}", "{\"k\":".repeat(deep), "}".repeat(deep));
+        assert!(top_level_keys(&objects).is_err());
+
+        // Exactly MAX_DEPTH levels, the top-level object included, parse;
+        // one more does not, and the error points at the opening bracket.
+        let nested = |levels: usize| {
+            let arrays = levels - 1;
+            format!("{{\"a\":{}{}}}", "[".repeat(arrays), "]".repeat(arrays))
+        };
+        assert_eq!(top_level_keys(&nested(MAX_DEPTH)), Ok(vec!["a".into()]));
+        let err = top_level_keys(&nested(MAX_DEPTH + 1)).expect_err("one too deep");
+        let offset = 5 + MAX_DEPTH - 1;
+        assert!(err.ends_with(&format!("offset {offset}")), "{err}");
+        // Depth is released on close: many shallow siblings are fine.
+        let siblings = format!("{{\"a\":[{}]}}", vec!["[[]]"; 10_000].join(","));
+        assert!(top_level_keys(&siblings).is_ok());
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod sink;
 
 pub use event::{Event, Value};
 pub use recorder::{
-    count, count_unique, emit, is_recording, metric, phase, record_cell, timer, CellCtx,
-    CellTrace, Timer,
+    count, count_unique, emit, is_recording, metric, phase, record_cell, timer, CellCtx, CellTrace,
+    Timer,
 };
 pub use sink::{JsonlSink, MemorySink, NoopSink, Sink, TraceOutputs};

@@ -256,7 +256,8 @@ mod tests {
         assert!(t.trace[0].contains("\"event\":\"phase_start\"") && t.trace[0].contains("probe"));
         assert!(t.trace[1].contains("probe_epoch"));
         assert!(
-            t.trace[2].contains("\"name\":\"whatif_lookups\"") && t.trace[2].contains("\"value\":2")
+            t.trace[2].contains("\"name\":\"whatif_lookups\"")
+                && t.trace[2].contains("\"value\":2")
         );
         assert!(
             t.trace[3].contains("\"name\":\"whatif_distinct\"")
@@ -265,7 +266,8 @@ mod tests {
         );
         assert!(t.trace[4].contains("\"event\":\"phase_start\"") && t.trace[4].contains("measure"));
         assert!(
-            t.trace[5].contains("\"name\":\"whatif_lookups\"") && t.trace[5].contains("\"value\":5")
+            t.trace[5].contains("\"name\":\"whatif_lookups\"")
+                && t.trace[5].contains("\"value\":5")
         );
         assert_eq!(t.trace.len(), 6);
         // Metrics channel: the explicit metric plus the timer.

@@ -492,12 +492,7 @@ impl BenefitMatrix {
         q: &Query,
         qf: Fingerprint,
     ) -> QueryShape {
-        if let Some(s) = self
-            .shapes
-            .read()
-            .expect("matrix shapes poisoned")
-            .get(&qf)
-        {
+        if let Some(s) = self.shapes.read().expect("matrix shapes poisoned").get(&qf) {
             return s.clone();
         }
         let s = if q.tables.is_empty() {
@@ -546,8 +541,8 @@ impl BenefitMatrix {
         acc: &mut Option<TableAccess<'q>>,
     ) -> f64 {
         let cell_key = (key.qf, idxf);
-        let shard = &self.entries[(key.qf.to_u128() as u64 ^ idxf.to_u128() as u64) as usize
-            & (SHARDS - 1)];
+        let shard = &self.entries
+            [(key.qf.to_u128() as u64 ^ idxf.to_u128() as u64) as usize & (SHARDS - 1)];
         if let Some(&v) = shard.read().expect("matrix shard poisoned").get(&cell_key) {
             self.entry_hits.fetch_add(1, Ordering::Relaxed);
             return v;
@@ -623,8 +618,8 @@ impl BenefitMatrix {
         col: ColumnId,
     ) -> f64 {
         let cell_key = (qf, idxf);
-        let shard = &self.nl_entries
-            [(qf.to_u128() as u64 ^ idxf.to_u128() as u64) as usize & (SHARDS - 1)];
+        let shard =
+            &self.nl_entries[(qf.to_u128() as u64 ^ idxf.to_u128() as u64) as usize & (SHARDS - 1)];
         if let Some(&v) = shard.read().expect("matrix shard poisoned").get(&cell_key) {
             self.entry_hits.fetch_add(1, Ordering::Relaxed);
             return v;
@@ -788,16 +783,12 @@ impl BenefitMatrix {
         index: &Index,
     ) -> f64 {
         let t = index.table(cat.schema);
-        let replace = plan
-            .steps
-            .iter()
-            .position(|s| s.table == t)
-            .map(|k| {
-                (
-                    k,
-                    self.step_with_index(model, cat, q, qf, &plan.steps[k], steps[k], idxf, index),
-                )
-            });
+        let replace = plan.steps.iter().position(|s| s.table == t).map(|k| {
+            (
+                k,
+                self.step_with_index(model, cat, q, qf, &plan.steps[k], steps[k], idxf, index),
+            )
+        });
         model.join_cost_substituted(q, plan, steps, replace)
     }
 }
@@ -1031,7 +1022,10 @@ mod tests {
         }
         let s = m.stats();
         assert!(s.entry_hits > 0, "warm pass must hit resident cells");
-        assert!(s.nl_entries > 0, "join-key index must own a nested-loop cell");
+        assert!(
+            s.nl_entries > 0,
+            "join-key index must own a nested-loop cell"
+        );
     }
 
     #[test]
@@ -1166,10 +1160,7 @@ mod tests {
             for (i, fc) in cols.iter().enumerate() {
                 for ic in &cols {
                     let q = QueryBuilder::new()
-                        .filter(
-                            &fx.schema,
-                            Predicate::eq(fx.col(fc), 0.1 + i as f64 / 10.0),
-                        )
+                        .filter(&fx.schema, Predicate::eq(fx.col(fc), 0.1 + i as f64 / 10.0))
                         .select(fx.col("f_price"))
                         .build(&fx.schema)
                         .unwrap();
@@ -1178,8 +1169,7 @@ mod tests {
                     if round == 0 {
                         scalars.push(model.query_cost(fx.cat(), &q, &cfg));
                     }
-                    let want = scalars[i * cols.len()
-                        + cols.iter().position(|c| c == ic).unwrap()];
+                    let want = scalars[i * cols.len() + cols.iter().position(|c| c == ic).unwrap()];
                     assert_eq!(got.to_bits(), want.to_bits(), "round {round} {fc}/{ic}");
                 }
             }
@@ -1210,7 +1200,10 @@ mod tests {
         let s = m.stats();
         assert_eq!(s.compactions, 0);
         assert_eq!(s.byte_budget, usize::MAX);
-        assert_eq!(s.approx_bytes, (s.entries + s.nl_entries) * super::CELL_BYTES);
+        assert_eq!(
+            s.approx_bytes,
+            (s.entries + s.nl_entries) * super::CELL_BYTES
+        );
     }
 
     #[test]

@@ -427,8 +427,7 @@ impl AnalyticalCostModel {
                     let lt = cat.schema.table_of(j.left);
                     let rt = cat.schema.table_of(j.right);
                     let in_prefix = |t: TableId| order.iter().any(|&o| accs[o].table == t);
-                    (accs[i].table == lt && in_prefix(rt))
-                        || (accs[i].table == rt && in_prefix(lt))
+                    (accs[i].table == lt && in_prefix(rt)) || (accs[i].table == rt && in_prefix(lt))
                 })
             });
             let next = remaining.remove(connected_pos.unwrap_or(0));

@@ -130,9 +130,8 @@ impl Database {
         let cf = fingerprint_config(cfg);
         let qf = fingerprint_query(q);
         record_whatif(qf, cf);
-        self.whatif_cache.get_or_compute(qf, cf, || {
-            self.model.query_cost(self.catalog(), q, cfg)
-        })
+        self.whatif_cache
+            .get_or_compute(qf, cf, || self.model.query_cost(self.catalog(), q, cfg))
     }
 
     /// Scalar-path workload cost (frequency-weighted sum of memoized
@@ -321,16 +320,18 @@ impl Database {
                             let raw2 = if e < *raw { e } else { *raw };
                             self.model.apply_surcharges(&wq.query, raw2, *rows_out)
                         }
-                        QueryState::Join { plan, steps, .. } => self.whatif_matrix.join_preview_add(
-                            &self.model,
-                            self.catalog(),
-                            &wq.query,
-                            st.qf,
-                            plan,
-                            steps,
-                            idxf,
-                            idx,
-                        ),
+                        QueryState::Join { plan, steps, .. } => {
+                            self.whatif_matrix.join_preview_add(
+                                &self.model,
+                                self.catalog(),
+                                &wq.query,
+                                st.qf,
+                                plan,
+                                steps,
+                                idxf,
+                                idx,
+                            )
+                        }
                         QueryState::Full(_) => self.scalar_query_cost(&wq.query, cfg_after),
                     }
             })
@@ -655,7 +656,10 @@ impl DatabaseBuilder {
 /// deterministic trace channel never sees scheduling effects.
 fn record_whatif(qf: crate::cost::cache::Fingerprint, cf: crate::cost::cache::Fingerprint) {
     pipa_obs::count("whatif_lookups", 1);
-    pipa_obs::count_unique("whatif_distinct", qf.to_u128() ^ cf.to_u128().rotate_left(64));
+    pipa_obs::count_unique(
+        "whatif_distinct",
+        qf.to_u128() ^ cf.to_u128().rotate_left(64),
+    );
 }
 
 /// Default column statistics derived from types alone: keys (`*_id`,

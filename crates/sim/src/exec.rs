@@ -9,6 +9,11 @@
 //! with an index nested-loop path when a join-key index makes probing
 //! cheaper than scanning.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)
+)]
+
 use crate::cost::{Catalog, CostParams};
 use crate::datagen::NULL_POSITION;
 use crate::error::{SimError, SimResult};
@@ -46,11 +51,127 @@ impl ExecStats {
 
 /// Distinct non-NULL join-key positions: the probe keys of an index
 /// nested loop and the keys of a semijoin reduction.
-type KeySet = HashSet<i64, BuildHasherDefault<KeyHasher>>;
+///
+/// The layout follows the sizes at hand. A bitmap over the keys' own
+/// `[min, max]` is used when its span is at most 64 bits for each value
+/// inserted or row tested against the set, so it never takes more than
+/// 8 bytes per value or probe, the same order as a hash set. Sparser
+/// keys go into a hash set.
+enum KeySet {
+    Bitmap(KeyBitmap),
+    Hash(HashSet<i64, BuildHasherDefault<KeyHasher>>),
+}
 
-/// Multiplicative hasher for [`KeySet`] (the FxHash recipe: add,
-/// multiply, rotate on finish). The keys are domain positions from this
-/// crate's own data generator, never outside input, so SipHash's
+impl KeySet {
+    /// The distinct non-NULL positions among `values`, laid out for a set
+    /// that `tested` rows will be checked against. Two passes: the span
+    /// and count, then the keys.
+    fn build<I>(values: I, tested: u32) -> KeySet
+    where
+        I: Iterator<Item = i64> + Clone,
+    {
+        let values = values.filter(|&v| v != NULL_POSITION);
+        let (mut min, mut max, mut inserted) = (i64::MAX, i64::MIN, 0u64);
+        for v in values.clone() {
+            min = min.min(v);
+            max = max.max(v);
+            inserted += 1;
+        }
+        if inserted == 0 {
+            return KeySet::Bitmap(KeyBitmap {
+                base: 0,
+                words: Vec::new(),
+                len: 0,
+            });
+        }
+        // NULL (`i64::MIN`) is excluded, so `max - min` fits a u64 with
+        // room for the `+ 1`.
+        let span = max.wrapping_sub(min) as u64 + 1;
+        if span <= 64 * (inserted + u64::from(tested)) {
+            let mut words = vec![0u64; span.div_ceil(64) as usize];
+            let mut len = 0;
+            for v in values {
+                let off = v.wrapping_sub(min) as u64;
+                let word = &mut words[(off / 64) as usize];
+                let bit = 1 << (off % 64);
+                len += usize::from(*word & bit == 0);
+                *word |= bit;
+            }
+            KeySet::Bitmap(KeyBitmap {
+                base: min,
+                words,
+                len,
+            })
+        } else {
+            let mut set = HashSet::with_capacity_and_hasher(inserted as usize, Default::default());
+            set.extend(values);
+            KeySet::Hash(set)
+        }
+    }
+
+    /// Number of distinct keys.
+    fn len(&self) -> usize {
+        match self {
+            KeySet::Bitmap(b) => b.len,
+            KeySet::Hash(set) => set.len(),
+        }
+    }
+
+    /// Whether `v` is a key (never for NULL).
+    #[cfg(test)]
+    fn contains(&self, v: i64) -> bool {
+        match self {
+            KeySet::Bitmap(b) => b.contains(v),
+            KeySet::Hash(set) => set.contains(&v),
+        }
+    }
+
+    /// Every key, ascending. Each counter the keys feed is a sum over
+    /// keys, so the order changes no count.
+    fn ascending(&self) -> Vec<i64> {
+        match self {
+            KeySet::Bitmap(b) => {
+                let mut keys = Vec::with_capacity(b.len);
+                for (i, &word) in (0u64..).zip(&b.words) {
+                    let mut w = word;
+                    while w != 0 {
+                        let off = i * 64 + u64::from(w.trailing_zeros());
+                        keys.push(b.base.wrapping_add(off as i64));
+                        w &= w - 1;
+                    }
+                }
+                keys
+            }
+            KeySet::Hash(set) => {
+                let mut keys: Vec<i64> = set.iter().copied().collect();
+                keys.sort_unstable();
+                keys
+            }
+        }
+    }
+}
+
+/// Bit `k - base` of `words` is set for each key `k`; `len` counts them.
+struct KeyBitmap {
+    base: i64,
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl KeyBitmap {
+    /// A range check and a bit test. Values below `base` wrap to offsets
+    /// past every set bit, NULL included.
+    fn contains(&self, v: i64) -> bool {
+        let off = v.wrapping_sub(self.base) as u64;
+        self.words
+            .get((off / 64) as usize)
+            .is_some_and(|w| w >> (off % 64) & 1 == 1)
+    }
+}
+
+/// Multiplicative hasher for [`KeySet`]'s hash layout (the FxHash recipe:
+/// add, multiply, rotate on finish). The keys are domain positions from
+/// this crate's own data generator, never outside input, so SipHash's
 /// protection against crafted collisions buys nothing here.
 #[derive(Default)]
 struct KeyHasher(u64);
@@ -75,6 +196,81 @@ impl Hasher for KeyHasher {
     fn finish(&self) -> u64 {
         self.0.rotate_left(26)
     }
+}
+
+/// One row-level test on one column of the accessed table: a resolved
+/// predicate or probe-key membership. NULL never passes.
+struct ColumnTest<'x> {
+    col: &'x [i64],
+    test: RowTest<'x>,
+}
+
+enum RowTest<'x> {
+    /// `lo <= v <= hi`, with `lo` above NULL.
+    Range(i64, i64),
+    /// `v` is one of the listed non-NULL positions.
+    In(Vec<i64>),
+    /// `v` is a probe key.
+    Keys(&'x KeySet),
+}
+
+impl RowTest<'_> {
+    /// A predicate's position test with NULL excluded up front, so a
+    /// match is the test alone.
+    fn position(test: PositionTest) -> Self {
+        match test {
+            PositionTest::Range(lo, hi) => RowTest::Range(lo.max(NULL_POSITION + 1), hi),
+            PositionTest::In(mut ps) => {
+                ps.retain(|&p| p != NULL_POSITION);
+                RowTest::In(ps)
+            }
+        }
+    }
+}
+
+impl ColumnTest<'_> {
+    /// The rows of `rows` that pass, in order; `None` stands for every
+    /// row of the table, scanned in heap order.
+    fn narrow(&self, rows: Option<Vec<u32>>) -> Vec<u32> {
+        let col = self.col;
+        match &self.test {
+            RowTest::Range(lo, hi) => narrow_by(col, rows, |v| *lo <= v && v <= *hi),
+            RowTest::In(ps) => narrow_by(col, rows, |v| ps.contains(&v)),
+            RowTest::Keys(KeySet::Bitmap(b)) => narrow_by(col, rows, |v| b.contains(v)),
+            RowTest::Keys(KeySet::Hash(set)) => narrow_by(col, rows, |v| set.contains(&v)),
+        }
+    }
+}
+
+/// The rows of `rows` (or of the whole column) whose value passes. The
+/// whole-column scan writes every row id and advances past the passing
+/// ones, so it does not branch on the test.
+fn narrow_by(col: &[i64], rows: Option<Vec<u32>>, pass: impl Fn(i64) -> bool) -> Vec<u32> {
+    match rows {
+        Some(mut rows) => {
+            rows.retain(|&r| pass(col[r as usize]));
+            rows
+        }
+        None => {
+            let mut out = vec![0u32; col.len()];
+            let mut n = 0;
+            for (r, &v) in (0u32..).zip(col) {
+                out[n] = r;
+                n += usize::from(pass(v));
+            }
+            out.truncate(n);
+            out
+        }
+    }
+}
+
+/// The rows that pass every test, one column at a time: `candidates`, or
+/// when `None` every row of a table with `rows` rows.
+fn narrow_all(tests: &[ColumnTest<'_>], candidates: Option<Vec<u32>>, rows: u32) -> Vec<u32> {
+    tests
+        .iter()
+        .fold(candidates, |acc, t| Some(t.narrow(acc)))
+        .unwrap_or_else(|| (0..rows).collect())
 }
 
 /// Distinct heap pages touched by an access, one bit per page.
@@ -156,7 +352,10 @@ impl<'a> Executor<'a> {
                     (j.right, j.left)
                 };
                 let other_t = self.cat.schema.table_of(other_col);
-                let outer_keys = self.column_values(other_t, other_col, &matched[&other_t])?;
+                // The keys are tested against every row of `t`.
+                let tested = self.table_data(t)?.rows;
+                let outer_keys =
+                    self.column_values(other_t, other_col, &matched[&other_t], tested)?;
                 self.access_table(q, t, cfg, physical, Some((my_col, &outer_keys)), &mut st)?
             } else {
                 self.access_table(q, t, cfg, physical, None, &mut st)?
@@ -213,18 +412,21 @@ impl<'a> Executor<'a> {
         Ok(cost)
     }
 
-    /// Values of `col` over the given rows (NULLs excluded).
-    fn column_values(&self, t: TableId, col: ColumnId, rows: &[u32]) -> SimResult<KeySet> {
+    /// Values of `col` over the given rows (NULLs excluded), as a key set
+    /// that `tested` rows will be checked against.
+    fn column_values(
+        &self,
+        t: TableId,
+        col: ColumnId,
+        rows: &[u32],
+        tested: u32,
+    ) -> SimResult<KeySet> {
         let data = self.table_data(t)?;
-        let ord = Storage::ordinal(self.cat.schema, col);
-        let col_data = data.column(ord);
-        let mut keys = KeySet::with_capacity_and_hasher(rows.len(), Default::default());
-        keys.extend(
-            rows.iter()
-                .map(|&r| col_data[r as usize])
-                .filter(|&v| v != NULL_POSITION),
-        );
-        Ok(keys)
+        let col_data = data.column(Storage::ordinal(self.cat.schema, col));
+        Ok(KeySet::build(
+            rows.iter().map(|&r| col_data[r as usize]),
+            tested,
+        ))
     }
 
     /// Materialized data for `t`, or [`SimError::MissingData`].
@@ -247,18 +449,18 @@ impl<'a> Executor<'a> {
         if keep_t == by_t || !matched.contains_key(&keep_t) || !matched.contains_key(&by_t) {
             return Ok(());
         }
-        let keys = self.column_values(by_t, by_col, &matched[&by_t])?;
+        let tested = u32::try_from(matched[&keep_t].len()).unwrap_or(u32::MAX);
+        let keys = self.column_values(by_t, by_col, &matched[&by_t], tested)?;
         let data = self.table_data(keep_t)?;
-        let ord = Storage::ordinal(self.cat.schema, keep_col);
-        let col = data.column(ord);
+        let test = ColumnTest {
+            col: data.column(Storage::ordinal(self.cat.schema, keep_col)),
+            test: RowTest::Keys(&keys),
+        };
         let rows = matched
             .get_mut(&keep_t)
             .ok_or(SimError::Internal("matched set vanished"))?;
         st.tuples += rows.len() as u64;
-        rows.retain(|&r| {
-            let v = col[r as usize];
-            v != NULL_POSITION && keys.contains(&v)
-        });
+        *rows = test.narrow(Some(std::mem::take(rows)));
         Ok(())
     }
 
@@ -328,33 +530,27 @@ impl<'a> Executor<'a> {
             }
         }
 
-        // Residual filtering: apply every predicate (re-checking the index
-        // predicate is harmless) and the probe key membership. Each
-        // predicate's column and position test are resolved once here.
+        // Residual filtering: every predicate (re-checking the index
+        // predicate is harmless), then the probe key membership, each
+        // resolved once and applied one column at a time.
         let ordinal = |c: ColumnId| Storage::ordinal(self.cat.schema, c);
-        let filters: Vec<(&[i64], PositionTest)> = preds
+        let tests: Vec<ColumnTest<'_>> = preds
             .iter()
-            .map(|pred| {
-                let test = pred.position_test(self.cat.column(pred.col));
-                (data.column(ordinal(pred.col)), test)
+            .map(|pred| ColumnTest {
+                col: data.column(ordinal(pred.col)),
+                test: RowTest::position(pred.position_test(self.cat.column(pred.col))),
             })
+            .chain(probe.map(|(join_col, keys)| ColumnTest {
+                col: data.column(ordinal(join_col)),
+                test: RowTest::Keys(keys),
+            }))
             .collect();
-        let probe_keys = probe.map(|(join_col, keys)| (data.column(ordinal(join_col)), keys));
-        let keep = |r: u32| {
-            filters.iter().all(|(col, test)| {
-                let v = col[r as usize];
-                v != NULL_POSITION && test.matches(v)
-            }) && probe_keys.is_none_or(|(col, keys)| {
-                let v = col[r as usize];
-                v != NULL_POSITION && keys.contains(&v)
-            })
-        };
 
         Ok(match plan {
             Plan::Seq => {
                 st.seq_pages += data.pages();
                 st.tuples += u64::from(data.rows);
-                (0..data.rows).filter(|&r| keep(r)).collect()
+                narrow_all(&tests, None, data.rows)
             }
             Plan::IndexScan(phys, pred) => {
                 let (lo, hi) = pred.position_bounds(self.cat.column(pred.col));
@@ -369,22 +565,22 @@ impl<'a> Executor<'a> {
                     pages.insert(data.page_of(r));
                 }
                 st.random_pages += pages.count();
-                rows.iter().copied().filter(|&r| keep(r)).collect()
+                narrow_all(&tests, Some(rows.to_vec()), data.rows)
             }
             Plan::IndexProbe(phys, keys) => {
-                let mut out = Vec::new();
+                let mut hits = Vec::new();
                 let mut pages = PageBitmap::new(data.pages());
-                for &k in keys {
+                for k in keys.ascending() {
                     let hit = phys.lookup_leading(k);
                     st.random_pages += u64::from(phys.height);
                     st.tuples += hit.len() as u64;
                     for &r in hit {
                         pages.insert(data.page_of(r));
                     }
-                    out.extend(hit.iter().copied().filter(|&r| keep(r)));
+                    hits.extend_from_slice(hit);
                 }
                 st.random_pages += pages.count();
-                out
+                narrow_all(&tests, Some(hits), data.rows)
             }
         })
     }
@@ -414,6 +610,8 @@ mod tests {
     use crate::query::QueryBuilder;
     use crate::schema::{DataType, Schema};
     use crate::stats::{ColumnStats, TableStats};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     struct Fixture {
         schema: Schema,
@@ -514,7 +712,9 @@ mod tests {
             .build(&fx.schema)
             .unwrap();
         let ex = Executor::new(fx.cat(), &fx.storage);
-        let none = ex.execute(&q, &IndexConfig::empty(), &HashMap::new()).unwrap();
+        let none = ex
+            .execute(&q, &IndexConfig::empty(), &HashMap::new())
+            .unwrap();
         let cfg = IndexConfig::from_indexes([Index::single(fx.col("f_dim"))]);
         let phys = build_physical(fx.cat(), &fx.storage, &cfg);
         let with = ex.execute(&q, &cfg, &phys).unwrap();
@@ -532,7 +732,9 @@ mod tests {
             .build(&fx.schema)
             .unwrap();
         let ex = Executor::new(fx.cat(), &fx.storage);
-        let st = ex.execute(&q, &IndexConfig::empty(), &HashMap::new()).unwrap();
+        let st = ex
+            .execute(&q, &IndexConfig::empty(), &HashMap::new())
+            .unwrap();
         // ~1/10 of dims selected → ~1/10 of fact rows survive.
         let frac = st.rows_out as f64 / 100_000.0;
         assert!(frac > 0.02 && frac < 0.3, "join output fraction {frac}");
@@ -548,7 +750,9 @@ mod tests {
             .build(&fx.schema)
             .unwrap();
         let ex = Executor::new(fx.cat(), &fx.storage);
-        let none = ex.execute(&q, &IndexConfig::empty(), &HashMap::new()).unwrap();
+        let none = ex
+            .execute(&q, &IndexConfig::empty(), &HashMap::new())
+            .unwrap();
         let cfg = IndexConfig::from_indexes([Index::single(fx.col("f_dim"))]);
         let phys = build_physical(fx.cat(), &fx.storage, &cfg);
         let with = ex.execute(&q, &cfg, &phys).unwrap();
@@ -585,6 +789,128 @@ mod tests {
         assert_eq!(best_est, "f_id");
     }
 
+    /// Check a key set against its `BTreeSet` oracle: `len`, the visited
+    /// keys, and `contains` on every value, its neighbours and `probes`.
+    fn assert_matches_oracle(set: &KeySet, values: &[i64], probes: &[i64]) {
+        let oracle: BTreeSet<i64> = values
+            .iter()
+            .copied()
+            .filter(|&v| v != NULL_POSITION)
+            .collect();
+        assert_eq!(set.len(), oracle.len(), "distinct count of {values:?}");
+        assert_eq!(
+            set.ascending(),
+            oracle.iter().copied().collect::<Vec<_>>(),
+            "visited keys of {values:?}"
+        );
+        assert!(!set.contains(NULL_POSITION), "NULL is never a key");
+        for &v in values.iter().chain(probes) {
+            for p in [v, v.wrapping_sub(1), v.wrapping_add(1)] {
+                assert_eq!(
+                    set.contains(p),
+                    oracle.contains(&p),
+                    "contains({p}) over {values:?}"
+                );
+            }
+        }
+    }
+
+    fn is_bitmap(set: &KeySet) -> bool {
+        matches!(set, KeySet::Bitmap(_))
+    }
+
+    /// A value for the key-set property: NULL, either extreme, a repeat
+    /// of the previous value, or `anchor` plus an offset below `2^bits`.
+    fn key_value(prev: Option<i64>, anchor: i64, bits: u32, kind: u8, raw: u64) -> i64 {
+        match kind {
+            0 => NULL_POSITION,
+            1 => i64::MIN + 1,
+            2 => i64::MAX,
+            3..=10 => prev.unwrap_or(anchor),
+            _ => anchor.wrapping_add((raw >> (64 - bits)) as i64),
+        }
+    }
+
+    /// Offset widths for [`key_value`]: half the cases stay below 2^16,
+    /// where bitmaps occur.
+    fn offset_bits() -> impl Strategy<Value = u32> {
+        (0u8..2, 1u32..=64).prop_map(|(wide, b)| if wide == 1 { b } else { b % 16 + 1 })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn key_set_layouts_match_a_btree_oracle(
+            anchor in i64::MIN..=i64::MAX,
+            bits in offset_bits(),
+            picks in proptest::collection::vec((0u8..64, 0u64..=u64::MAX), 0..48),
+            probes in proptest::collection::vec(i64::MIN..=i64::MAX, 0..16),
+        ) {
+            // NULLs and extremes are rarer than repeats, repeats rarer
+            // than plain offsets.
+            let mut values: Vec<i64> = Vec::new();
+            for &(kind, raw) in &picks {
+                values.push(key_value(values.last().copied(), anchor, bits, kind, raw));
+            }
+            let keys: Vec<i64> = values.iter().copied().filter(|&v| v != NULL_POSITION).collect();
+            let span = match (keys.iter().min(), keys.iter().max()) {
+                (Some(&lo), Some(&hi)) => Some(hi.wrapping_sub(lo) as u64 + 1),
+                _ => None,
+            };
+            let mut near = probes.clone();
+            near.extend(keys.iter().map(|&k| k.wrapping_add(64)));
+
+            // No rows tested: the values alone pay for the bitmap.
+            let auto = KeySet::build(values.iter().copied(), 0);
+            let dense = span.is_none_or(|s| s <= 64 * keys.len() as u64);
+            prop_assert_eq!(is_bitmap(&auto), dense, "span {:?}, {} values", span, keys.len());
+            assert_matches_oracle(&auto, &values, &near);
+
+            match span {
+                // Enough rows tested make any small span a bitmap.
+                Some(s) if s <= 1 << 20 => {
+                    let tested = u32::try_from(s.div_ceil(64)).unwrap();
+                    let forced = KeySet::build(values.iter().copied(), tested);
+                    prop_assert!(is_bitmap(&forced));
+                    assert_matches_oracle(&forced, &values, &near);
+                }
+                // No row count makes a span above 2^62 a bitmap.
+                Some(s) if s > 1 << 62 => {
+                    let forced = KeySet::build(values.iter().copied(), u32::MAX);
+                    prop_assert!(!is_bitmap(&forced), "span {} took a bitmap", s);
+                    assert_matches_oracle(&forced, &values, &near);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn key_set_layouts_cover_both_sides_of_the_rule() {
+        // 1,000 keys over a span of 10^12 hash; 1,000 keys over 64,000
+        // positions sit exactly at the bitmap bound.
+        let sparse: Vec<i64> = (0..1000).map(|i| i * 1_000_000_000).collect();
+        let set = KeySet::build(sparse.iter().copied(), 200_000);
+        assert!(!is_bitmap(&set));
+        assert_matches_oracle(&set, &sparse, &[]);
+        let dense: Vec<i64> = (0..1000).map(|i| -5 + i * 64).collect();
+        let span = 999 * 64 + 1;
+        assert!(span <= 64 * 1000);
+        let set = KeySet::build(dense.iter().copied(), 0);
+        assert!(is_bitmap(&set));
+        assert_matches_oracle(&set, &dense, &[]);
+        // The widest possible span stays a hash set at any row count.
+        let extremes = [i64::MIN + 1, i64::MAX, NULL_POSITION, 0];
+        let set = KeySet::build(extremes.iter().copied(), u32::MAX);
+        assert!(!is_bitmap(&set));
+        assert_matches_oracle(&set, &extremes, &[i64::MIN + 2, i64::MAX - 1]);
+        // Only NULLs: an empty set.
+        let set = KeySet::build([NULL_POSITION; 3].into_iter(), 10);
+        assert_eq!(set.len(), 0);
+        assert!(set.ascending().is_empty());
+    }
+
     #[test]
     fn empty_result_is_handled() {
         let fx = Fixture::new();
@@ -600,7 +926,9 @@ mod tests {
             .build(&fx.schema)
             .unwrap();
         let ex = Executor::new(fx.cat(), &fx.storage);
-        let st = ex.execute(&q, &IndexConfig::empty(), &HashMap::new()).unwrap();
+        let st = ex
+            .execute(&q, &IndexConfig::empty(), &HashMap::new())
+            .unwrap();
         assert!(st.rows_out <= 5);
     }
 }

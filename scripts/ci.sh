@@ -107,9 +107,9 @@ fi
 echo "== cargo doc (RUSTDOCFLAGS=-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${PKGS[@]}"
 
-echo "== rustfmt check (pipa-nn) =="
-# pipa-nn is rustfmt-clean; keep it so. The other crates are not yet.
-cargo fmt -p pipa-nn -- --check
+echo "== rustfmt check (pipa-nn, pipa-sim, pipa-obs) =="
+# These crates are rustfmt-clean; keep them so. The others are not yet.
+cargo fmt -p pipa-nn -p pipa-sim -p pipa-obs -- --check
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --all-targets -q "${PKGS[@]}" -- -D warnings

@@ -777,3 +777,114 @@ fn nullable_columns_execute_bit_identically() {
     }
     assert_every_path("nullable star", diff.old.plans.counts());
 }
+
+/// A star whose join keys are sparse: `f_dim` and `d_id` each draw from
+/// 1,000 positions spread evenly over `[0, 10^12]`, about 10^9 apart.
+/// The executor keeps a key set as a bitmap only when its span is at
+/// most 64 × (values inserted + rows tested), here at most
+/// 64 × (20,000 + 20,000) = 2,560,000 positions. Any set of two or more
+/// of these keys spans at least 10^9, so it takes the hash layout. TPC-H
+/// keys are dense (about one position per distinct key), so its large
+/// sets take the bitmap instead.
+fn sparse_key_star() -> Materialized {
+    let mut schema = Schema::new();
+    schema.add_table(
+        "fact",
+        20_000,
+        &[
+            ("f_id", DataType::Int),
+            ("f_dim", DataType::Int),
+            ("f_val", DataType::Int),
+        ],
+    );
+    schema.add_table(
+        "dim",
+        2_000,
+        &[
+            ("d_id", DataType::Int),
+            ("d_cat", DataType::Int),
+            ("d_val", DataType::Int),
+        ],
+    );
+    const SPAN: i64 = 1_000_000_000_000;
+    let cstats = vec![
+        ColumnStats::uniform(ColumnId(0), DataType::Int, 20_000, 0, 19_999),
+        ColumnStats::uniform(ColumnId(1), DataType::Int, 1000, 0, SPAN),
+        ColumnStats::uniform(ColumnId(2), DataType::Int, 100, 0, 99),
+        ColumnStats::uniform(ColumnId(3), DataType::Int, 1000, 0, SPAN),
+        ColumnStats::uniform(ColumnId(4), DataType::Int, 10, 0, 9),
+        ColumnStats::uniform(ColumnId(5), DataType::Int, 200, 0, 199),
+    ];
+    Materialized::new(schema, cstats, 23, 20_000)
+}
+
+#[test]
+fn sparse_join_keys_execute_bit_identically() {
+    let mat = sparse_key_star();
+    let s = &mat.schema;
+    let col = |n: &str| s.column_id(n).expect("column exists");
+    let (f_id, f_dim, f_val) = (col("f_id"), col("f_dim"), col("f_val"));
+    let (d_id, d_cat, d_val) = (col("d_id"), col("d_cat"), col("d_val"));
+    let joined = |filters: &[Predicate]| {
+        filters
+            .iter()
+            .fold(QueryBuilder::new().join(s, f_dim, d_id), |b, p| {
+                b.filter(s, p.clone())
+            })
+            .select(f_val)
+            .build(s)
+            .expect("valid query")
+    };
+    let queries = vec![
+        // The fact table is probed with no predicate of its own.
+        joined(&[Predicate::eq(d_cat, 0.4)]),
+        joined(&[Predicate::le(d_val, 0.05)]),
+        // Two or three dimension keys: cheap enough to probe by index.
+        // Key `k` of the grid sits at fraction k / 999.
+        joined(&[Predicate::in_list(d_id, vec![100.0 / 999.0, 900.0 / 999.0])]),
+        joined(&[Predicate::in_list(d_id, vec![0.2, 0.5, 0.8])]),
+        joined(&[Predicate::between(d_id, 0.5, 0.5025)]),
+        // The fact table's first predicate is an IN list.
+        joined(&[
+            Predicate::in_list(f_val, vec![0.1, 0.3, 0.5]),
+            Predicate::le(f_id, 0.5),
+            Predicate::le(d_cat, 0.5),
+        ]),
+        joined(&[
+            Predicate::between(f_dim, 0.2, 0.4),
+            Predicate::ge(d_val, 0.3),
+        ]),
+        // A selective fact filter: the dimension is probed with no
+        // predicate of its own, against a few hundred fact keys.
+        joined(&[Predicate::le(f_id, 0.01)]),
+        // The fact table alone, aggregated and ordered.
+        QueryBuilder::new()
+            .filter(s, Predicate::in_list(f_dim, vec![0.25, 0.5, 0.75]))
+            .filter(s, Predicate::le(f_val, 0.6))
+            .select(f_val)
+            .group_by(f_val)
+            .order_by(f_val)
+            .build(s)
+            .expect("valid query"),
+    ];
+    let w = Workload::from_queries(queries.into_iter().map(|q| (q, 1)));
+
+    let configs = [
+        IndexConfig::empty(),
+        IndexConfig::from_indexes([Index::single(f_dim)]),
+        IndexConfig::from_indexes([Index::single(d_id)]),
+        IndexConfig::from_indexes([Index::single(f_val), Index::single(d_cat)]),
+        IndexConfig::from_indexes([
+            Index::single(f_dim),
+            Index::single(d_id),
+            Index::single(f_id),
+            Index::single(d_val),
+        ]),
+        IndexConfig::from_indexes([Index::multi(s, vec![f_dim, f_val]).expect("one table")]),
+    ];
+    let mut diff = Differential::new(&mat);
+    for (k, cfg) in configs.iter().enumerate() {
+        diff.check(&w, cfg, &format!("sparse-key star config {k}"));
+    }
+    assert_every_path("sparse-key star", diff.old.plans.counts());
+}
