@@ -8,12 +8,14 @@
 //! flipped and inserted. Word inputs are random sequences, including
 //! table and column ids the schema does not have, and grammatical
 //! sequences with words dropped, replaced and inserted. The property:
-//! a typed error or success, never a panic.
+//! a typed error or success, never a panic. A tape entry damaged inside
+//! its marker or a field name is a typed error too, never a line the
+//! reader skips as foreign.
 
 use pipa_bench::cli::median_of;
 use pipa_core::experiment::build_db;
 use pipa_core::{run_grid_traced, CellConfig, GridSpec, InjectorKind};
-use pipa_cost::{RecordingBackend, Tape};
+use pipa_cost::{CostError, RecordingBackend, Tape};
 use pipa_ia::{AdvisorKind, SpeedPreset, TrajectoryMode};
 use pipa_obs::json::top_level_keys;
 use pipa_obs::{MemorySink, TraceOutputs};
@@ -105,6 +107,71 @@ fn mutate(text: &str, edits: &[Edit]) -> String {
     }
     // Invalid UTF-8 becomes U+FFFD: the parsers take `&str`.
     String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// The marker and field names of a rendered tape entry.
+const ENTRY_NAMES: [&str; 5] = [
+    "\"event\":\"whatif_cost\"",
+    "\"kind\"",
+    "\"q\"",
+    "\"cfg\"",
+    "\"bits\"",
+];
+
+/// Every single-byte edit inside `name` in `line`: each printable
+/// replacement, each deletion, and each printable insertion between two
+/// of its bytes that breaks it (inserting a copy of the first or last
+/// byte next to it leaves the name whole, like an insertion outside).
+fn name_edits(line: &str, name: &str) -> Vec<String> {
+    let start = line
+        .find(name)
+        .expect("a rendered entry carries every name");
+    let mut edits = Vec::new();
+    for at in start..start + name.len() {
+        for byte in (b' '..=b'~').filter(|&b| b != line.as_bytes()[at]) {
+            let mut bytes = line.as_bytes().to_vec();
+            bytes[at] = byte;
+            edits.push(bytes);
+        }
+        let mut bytes = line.as_bytes().to_vec();
+        bytes.remove(at);
+        edits.push(bytes);
+        for byte in (b' '..=b'~').filter(|_| at > start) {
+            let mut bytes = line.as_bytes().to_vec();
+            bytes.insert(at, byte);
+            edits.push(bytes);
+        }
+    }
+    edits
+        .into_iter()
+        .map(|bytes| String::from_utf8(bytes).expect("printable edits stay UTF-8"))
+        .filter(|edit| !edit.contains(name))
+        .collect()
+}
+
+#[test]
+fn every_edit_of_an_entry_name_is_corrupt() {
+    // The first, a middle and the last entry of the recorded tape, each
+    // edited after an intact entry.
+    let lines: Vec<&str> = corpus().tape.lines().collect();
+    for no in [0, lines.len() / 2, lines.len() - 1] {
+        let intact = lines[(no + 1) % lines.len()];
+        for name in ENTRY_NAMES {
+            let edits = name_edits(lines[no], name);
+            assert!(
+                edits.len() > 95 * name.len(),
+                "{} edits of {name}",
+                edits.len()
+            );
+            for edit in edits {
+                // An error, so never a tape that lost the entry.
+                match Tape::from_jsonl(&format!("{intact}\n{edit}\n")) {
+                    Err(CostError::TapeCorrupt { line: 2, .. }) => {}
+                    other => panic!("{edit:?} parsed as {other:?}"),
+                }
+            }
+        }
+    }
 }
 
 const KEYWORDS: [Kw; 14] = [

@@ -137,7 +137,10 @@ pub trait CostBackend: Send + Sync {
     /// bulk what-if call). Backends with shared per-query state answer
     /// this cheaper than `configs.len()` independent workload costings.
     fn batch_workload_cost(&self, w: &Workload, configs: &[IndexConfig]) -> CostResult<Vec<f64>> {
-        configs.iter().map(|cfg| self.workload_cost(w, cfg)).collect()
+        configs
+            .iter()
+            .map(|cfg| self.workload_cost(w, cfg))
+            .collect()
     }
 
     /// Workload cost of `base ± index` (one [`ConfigDelta`]).

@@ -1,7 +1,7 @@
 //! [`CostEngine`]: composed helpers on top of any [`CostBackend`].
 
 use crate::backend::{CostBackend, CostSession};
-use crate::error::{CostError, CostResult};
+use crate::error::{finite_cost, CostResult};
 use pipa_sim::cost::{Catalog, ConfigDelta};
 use pipa_sim::{ColumnId, ColumnStats, Index, IndexConfig, Query, Schema, TableStats, Workload};
 
@@ -173,8 +173,8 @@ impl<'a> CostEngine<'a> {
 
     /// Workload cost measured the way the caller asked for: executed
     /// (actual) when `use_actual`, estimated otherwise. A NaN, infinite or
-    /// negative cost is a [`CostError::NonFinite`], so degradation ratios
-    /// built from measurements are always finite.
+    /// negative cost is a [`crate::CostError::NonFinite`], so degradation
+    /// ratios built from measurements are always finite.
     pub fn measured_workload_cost(
         &self,
         w: &Workload,
@@ -186,14 +186,7 @@ impl<'a> CostEngine<'a> {
         } else {
             self.backend.workload_cost(w, cfg)?
         };
-        if value.is_finite() && value >= 0.0 {
-            Ok(value)
-        } else {
-            Err(CostError::NonFinite {
-                backend: self.backend.name(),
-                value,
-            })
-        }
+        finite_cost(self.backend.name(), value)
     }
 }
 

@@ -64,8 +64,10 @@ pub enum CostError {
     },
     /// Reading or parsing a tape failed.
     Io(String),
-    /// A backend measured a cost that is NaN, infinite or negative. Raised
-    /// at the measurement seam so it never reaches a degradation ratio.
+    /// A backend answered a cost that is NaN, infinite or negative.
+    /// Raised by [`finite_cost`] on the measurement route and in the
+    /// advisors' environment, so it never reaches a degradation ratio, a
+    /// reward or a benefit.
     NonFinite {
         /// Name of the backend that produced the cost.
         backend: &'static str,
@@ -82,6 +84,18 @@ pub enum CostError {
         /// Comma-joined ids that *were* registered at resolution time.
         registered: String,
     },
+}
+
+/// `value` when it is a usable cost, finite and not negative; otherwise a
+/// [`CostError::NonFinite`] naming `backend`. Callers apply it where a
+/// cost crosses the [`crate::CostBackend`] seam into arithmetic, so a
+/// NaN or infinity never reaches a reward, a benefit or a ratio.
+pub fn finite_cost(backend: &'static str, value: f64) -> CostResult<f64> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(value)
+    } else {
+        Err(CostError::NonFinite { backend, value })
+    }
 }
 
 /// Diagnostic payload attached to [`CostError::ReplayMiss`]: what the
@@ -155,10 +169,7 @@ impl fmt::Display for CostError {
                 write!(f, "backend `{backend}` measured an invalid cost: {value}")
             }
             CostError::UnknownTarget { kind, registered } => {
-                write!(
-                    f,
-                    "unknown target kind {kind:?} (registered: {registered})"
-                )
+                write!(f, "unknown target kind {kind:?} (registered: {registered})")
             }
         }
     }
@@ -224,11 +235,9 @@ mod tests {
             op: "explain",
         };
         assert!(u.to_string().contains("replay"));
-        assert!(
-            CostError::SessionMismatch { backend: "sim" }
-                .to_string()
-                .contains("sim")
-        );
+        assert!(CostError::SessionMismatch { backend: "sim" }
+            .to_string()
+            .contains("sim"));
         let nan = CostError::NonFinite {
             backend: "sim",
             value: f64::NAN,

@@ -363,10 +363,9 @@ impl CostBackend for LearnedIndexBackend {
         cfg_after: &IndexConfig,
         _idx: &Index,
     ) -> CostResult<f64> {
-        let s: &mut LearnedSession =
-            session.downcast_mut().ok_or(CostError::SessionMismatch {
-                backend: BACKEND_NAME,
-            })?;
+        let s: &mut LearnedSession = session.downcast_mut().ok_or(CostError::SessionMismatch {
+            backend: BACKEND_NAME,
+        })?;
         s.cfg = cfg_after.clone();
         self.workload_cost(w, cfg_after)
     }
@@ -508,12 +507,9 @@ mod tests {
 
         // A poisoned batch: a tight adversarial key cluster at one point
         // of the domain, which an identity-shaped CDF model cannot fit.
-        let poison = Workload::from_queries((0..40).map(|i| {
-            (
-                point_query(col, 0.9 + (i % 5) as f64 * 1e-4, &b.schema),
-                1,
-            )
-        }));
+        let poison = Workload::from_queries(
+            (0..40).map(|i| (point_query(col, 0.9 + (i % 5) as f64 * 1e-4, &b.schema), 1)),
+        );
         b.observe_training(&poison).unwrap();
 
         let after_err = b.error_bounds()[t];
@@ -538,7 +534,9 @@ mod tests {
         let empty = b.session_total(&w, &s).unwrap();
         assert_eq!(
             empty.to_bits(),
-            b.workload_cost(&w, &IndexConfig::empty()).unwrap().to_bits()
+            b.workload_cost(&w, &IndexConfig::empty())
+                .unwrap()
+                .to_bits()
         );
         let idx = Index::single(col);
         let mut cfg = IndexConfig::empty();

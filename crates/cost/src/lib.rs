@@ -40,7 +40,7 @@ mod sim;
 
 pub use backend::{CostBackend, CostSession};
 pub use engine::CostEngine;
-pub use error::{CostError, CostResult, ReplayMissDetail};
+pub use error::{finite_cost, CostError, CostResult, ReplayMissDetail};
 pub use learned::{LearnedIndexBackend, LearnedIndexConfig};
 pub use replay::{RecordingBackend, ReplayBackend, Tape, DEFAULT_TAPE_BYTE_LIMIT};
 pub use sim::SimBackend;

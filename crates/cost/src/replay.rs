@@ -40,10 +40,17 @@ fn render_line(kind: &str, q: u128, cfg: u128, bits: u64) -> String {
     )
 }
 
+/// The marker that makes a line a tape entry.
+const ENTRY_MARKER: &str = "\"event\":\"whatif_cost\"";
+
+/// The fields only a tape entry carries. A line with one of them but
+/// without [`ENTRY_MARKER`] is a damaged entry, not a foreign event.
+const ENTRY_FIELDS: [&str; 3] = ["\"q\":\"", "\"cfg\":\"", "\"bits\":"];
+
 /// One classified tape line.
 enum ParsedLine {
     /// Empty, or a different `"event"` (tapes can live inside mixed
-    /// telemetry streams).
+    /// telemetry streams) that carries none of the entry fields.
     Foreign,
     /// A `whatif_cost` entry.
     Entry {
@@ -58,16 +65,21 @@ enum ParsedLine {
 
 /// Parse one line of tape JSONL. `no` is the 1-based line number for
 /// error reporting; malformed lines (including a truncated final line
-/// with no newline) surface as [`CostError::TapeCorrupt`].
+/// with no newline, and an entry whose marker is damaged) surface as
+/// [`CostError::TapeCorrupt`].
 fn parse_tape_line(line: &str, no: usize) -> CostResult<ParsedLine> {
     let line = line.trim();
-    if line.is_empty() || !line.contains("\"event\":\"whatif_cost\"") {
-        return Ok(ParsedLine::Foreign);
-    }
     let bad = || CostError::TapeCorrupt {
         line: no,
         detail: line.chars().take(160).collect(),
     };
+    if !line.contains(ENTRY_MARKER) {
+        return if ENTRY_FIELDS.iter().any(|f| line.contains(f)) {
+            Err(bad())
+        } else {
+            Ok(ParsedLine::Foreign)
+        };
+    }
     let q = u128::from_str_radix(field(line, "\"q\":\"", '"').ok_or_else(bad)?, 16)
         .map_err(|_| bad())?;
     let cfg = u128::from_str_radix(field(line, "\"cfg\":\"", '"').ok_or_else(bad)?, 16)
@@ -490,11 +502,7 @@ impl ReplayBackend {
     fn miss_detail(&self, q: &Query, cfg: &IndexConfig, tape_len: usize) -> String {
         let cat = self.catalog();
         let sql = q.render_sql(cat.schema, |c| cat.column(c));
-        let indexes: Vec<String> = cfg
-            .indexes()
-            .iter()
-            .map(|i| i.name(cat.schema))
-            .collect();
+        let indexes: Vec<String> = cfg.indexes().iter().map(|i| i.name(cat.schema)).collect();
         format!(
             "query `{sql}` under config [{}]; tape holds {tape_len} entr{}",
             indexes.join(", "),
@@ -636,8 +644,13 @@ mod tests {
         assert_eq!(back, tape);
         // Sorted output: the (1,2) entry precedes (7,9) regardless of
         // insertion order.
-        assert!(text.find("\"q\":\"00000000000000000000000000000001\"").unwrap()
-            < text.find("\"q\":\"00000000000000000000000000000007\"").unwrap());
+        assert!(
+            text.find("\"q\":\"00000000000000000000000000000001\"")
+                .unwrap()
+                < text
+                    .find("\"q\":\"00000000000000000000000000000007\"")
+                    .unwrap()
+        );
     }
 
     #[test]
@@ -648,13 +661,23 @@ mod tests {
         assert_eq!(tape.est_len(), 1);
         assert_eq!(tape.est.get(&(0x0a, 0x01)), Some(&42));
 
-        let bad = "{\"event\":\"whatif_cost\",\"kind\":\"est\",\"q\":\"zz\",\"cfg\":\"01\",\"bits\":42}";
+        let bad =
+            "{\"event\":\"whatif_cost\",\"kind\":\"est\",\"q\":\"zz\",\"cfg\":\"01\",\"bits\":42}";
         assert!(matches!(
             Tape::from_jsonl(bad),
             Err(CostError::TapeCorrupt { line: 1, .. })
         ));
-        let bad_kind = "{\"event\":\"whatif_cost\",\"kind\":\"wat\",\"q\":\"0a\",\"cfg\":\"01\",\"bits\":1}";
+        let bad_kind =
+            "{\"event\":\"whatif_cost\",\"kind\":\"wat\",\"q\":\"0a\",\"cfg\":\"01\",\"bits\":1}";
         assert!(Tape::from_jsonl(bad_kind).is_err());
+        // An entry whose marker lost one byte is corrupt, not a foreign
+        // line the reader may skip.
+        let bad_marker =
+            "{\"event\":\"whatif_cosT\",\"kind\":\"est\",\"q\":\"0b\",\"cfg\":\"01\",\"bits\":7}";
+        assert!(matches!(
+            Tape::from_jsonl(&format!("{mixed}{bad_marker}\n")),
+            Err(CostError::TapeCorrupt { line: 3, .. })
+        ));
         // The error names the offending line in a mixed stream.
         let mixed_bad = format!("{mixed}{bad}\n");
         match Tape::from_jsonl(&mixed_bad) {

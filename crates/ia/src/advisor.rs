@@ -54,7 +54,8 @@ pub trait IndexAdvisor: Send {
     /// Recommend an index configuration for a workload. Trial-based
     /// advisors run trial trajectories here; one-off advisors predict
     /// directly.
-    fn recommend(&mut self, cost: &dyn CostBackend, workload: &Workload) -> CostResult<IndexConfig>;
+    fn recommend(&mut self, cost: &dyn CostBackend, workload: &Workload)
+        -> CostResult<IndexConfig>;
 
     /// Index-count budget `B`.
     fn budget(&self) -> usize;

@@ -320,16 +320,59 @@ mod tests {
         assert!(ia.recommend(&cost, &w).unwrap().len() <= 4);
     }
 
-    /// A simulator backend whose `session_add` fails after `ok` calls.
-    struct FailingSteps {
+    /// Where a [`Faulty`] backend misbehaves.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Seam {
+        /// `workload_cost`: an environment's base cost.
+        Base,
+        /// `session_preview_add`: a single-column benefit.
+        Preview,
+        /// `session_add`: an episode step.
+        Step,
+    }
+
+    /// A simulator backend that misbehaves at one seam after `ok` good
+    /// answers there: it fails with `Unsupported` (`bad` is `None`) or
+    /// answers the cost `bad`.
+    struct Faulty {
         inner: SimBackend,
+        seam: Seam,
         ok: usize,
+        bad: Option<f64>,
         calls: std::sync::atomic::AtomicUsize,
     }
 
-    impl CostBackend for FailingSteps {
+    impl Faulty {
+        fn new(inner: SimBackend, seam: Seam, ok: usize, bad: Option<f64>) -> Self {
+            Faulty {
+                inner,
+                seam,
+                ok,
+                bad,
+                calls: Default::default(),
+            }
+        }
+
+        /// `good` until this seam has answered `ok` times, then the fault.
+        fn answer(&self, seam: Seam, op: &'static str, good: CostResult<f64>) -> CostResult<f64> {
+            if seam != self.seam
+                || self
+                    .calls
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+                    < self.ok
+            {
+                return good;
+            }
+            self.bad.ok_or(pipa_cost::CostError::Unsupported {
+                backend: self.name(),
+                op,
+            })
+        }
+    }
+
+    impl CostBackend for Faulty {
         fn name(&self) -> &'static str {
-            "failing-steps"
+            "faulty"
         }
         fn catalog(&self) -> pipa_sim::cost::Catalog<'_> {
             self.inner.catalog()
@@ -338,7 +381,8 @@ mod tests {
             self.inner.query_cost(q, cfg)
         }
         fn workload_cost(&self, w: &Workload, cfg: &IndexConfig) -> CostResult<f64> {
-            self.inner.workload_cost(w, cfg)
+            let good = self.inner.workload_cost(w, cfg);
+            self.answer(Seam::Base, "workload_cost", good)
         }
         fn session_begin(&self, w: &Workload) -> CostResult<pipa_cost::CostSession> {
             self.inner.session_begin(w)
@@ -353,7 +397,8 @@ mod tests {
             cfg_after: &IndexConfig,
             idx: &pipa_sim::Index,
         ) -> CostResult<f64> {
-            self.inner.session_preview_add(w, s, cfg_after, idx)
+            let good = self.inner.session_preview_add(w, s, cfg_after, idx);
+            self.answer(Seam::Preview, "session_preview_add", good)
         }
         fn session_add(
             &self,
@@ -362,16 +407,8 @@ mod tests {
             cfg_after: &IndexConfig,
             idx: &pipa_sim::Index,
         ) -> CostResult<f64> {
-            let n = self
-                .calls
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if n >= self.ok {
-                return Err(pipa_cost::CostError::Unsupported {
-                    backend: self.name(),
-                    op: "session_add",
-                });
-            }
-            self.inner.session_add(w, s, cfg_after, idx)
+            let good = self.inner.session_add(w, s, cfg_after, idx);
+            self.answer(Seam::Step, "session_add", good)
         }
         fn hypo_create(&self, idx: &pipa_sim::Index) -> CostResult<()> {
             self.inner.hypo_create(idx)
@@ -387,6 +424,43 @@ mod tests {
         }
     }
 
+    /// Asserts `result` is the `NonFinite` error for `bad`.
+    fn assert_non_finite<T: std::fmt::Debug>(result: CostResult<T>, bad: f64, what: &str) {
+        match result {
+            Err(pipa_cost::CostError::NonFinite { backend, value }) => {
+                assert_eq!(backend, "faulty", "{what}");
+                assert_eq!(value.to_bits(), bad.to_bits(), "{what}");
+            }
+            other => panic!("{what} with cost {bad}: expected NonFinite, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn invalid_costs_at_the_seam_are_typed_errors() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let (sim, w) = setup();
+            let base = Faulty::new(sim, Seam::Base, 0, Some(bad));
+            let mut ia = DqnAdvisor::new(TrajectoryMode::Best, DqnConfig::fast());
+            assert_non_finite(ia.train(&base, &w), bad, "DQN train, base cost");
+
+            let mut bandit = crate::bandit::BanditAdvisor::new(
+                TrajectoryMode::Best,
+                crate::bandit::BanditConfig::fast(),
+            );
+            let preview = Faulty::new(base.inner, Seam::Preview, 3, Some(bad));
+            assert_non_finite(bandit.train(&preview, &w), bad, "DBAbandit train, preview");
+
+            let step = Faulty::new(preview.inner, Seam::Step, 0, Some(bad));
+            assert_non_finite(ia.train(&step, &w), bad, "DQN train, step");
+            // Train on good costs, then fail halfway through the trials.
+            ia.train(&step.inner, &w).unwrap();
+            let snap = ia.learner.as_ref().unwrap().params();
+            let step = Faulty::new(step.inner, Seam::Step, 80, Some(bad));
+            assert_non_finite(ia.recommend(&step, &w), bad, "DQN recommend, step");
+            assert_eq!(ia.learner.as_ref().unwrap().params(), snap);
+        }
+    }
+
     #[test]
     fn recommend_restores_parameters_when_a_trial_fails() {
         let (sim, w) = setup();
@@ -394,11 +468,7 @@ mod tests {
         ia.train(&sim, &w).unwrap();
         let snap = ia.learner.as_ref().unwrap().params();
         // 40 trials of 4 steps each: fail halfway, after 80 learn steps.
-        let failing = FailingSteps {
-            inner: sim,
-            ok: 80,
-            calls: Default::default(),
-        };
+        let failing = Faulty::new(sim, Seam::Step, 80, None);
         assert!(ia.recommend(&failing, &w).is_err());
         assert_eq!(ia.learner.as_ref().unwrap().params(), snap);
     }

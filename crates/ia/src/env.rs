@@ -15,8 +15,13 @@
 //!
 //! Rewards are scaled by [`REWARD_SCALE`] so learning curves land in the
 //! 0–20 range the paper's Figure 8 plots.
+//!
+//! Every cost the environment reads (the base cost, a step's cost, a
+//! preview) must be finite and non-negative; anything else is a
+//! [`pipa_cost::CostError::NonFinite`]. Rewards and benefits are
+//! therefore always finite.
 
-use pipa_cost::{CostBackend, CostResult, CostSession};
+use pipa_cost::{finite_cost, CostBackend, CostResult, CostSession};
 use pipa_sim::{ColumnId, Index, IndexConfig, Workload};
 
 /// Reward multiplier (presentation only; affects no ordering).
@@ -58,7 +63,10 @@ impl<'a> IndexEnv<'a> {
         candidates: Vec<ColumnId>,
         budget: usize,
     ) -> CostResult<Self> {
-        let base_cost = cost.workload_cost(workload, &IndexConfig::empty())?;
+        let base_cost = finite_cost(
+            cost.name(),
+            cost.workload_cost(workload, &IndexConfig::empty())?,
+        )?;
         let empty = cost.session_begin(workload)?;
         Ok(IndexEnv {
             cost,
@@ -98,7 +106,7 @@ impl<'a> IndexEnv<'a> {
         let cost = self
             .cost
             .session_preview_add(self.workload, &self.empty, &cfg, &idx)?;
-        Ok(1.0 - cost / self.base_cost)
+        Ok(1.0 - finite_cost(self.cost.name(), cost)? / self.base_cost)
     }
 
     /// Start an episode from the empty configuration.
@@ -127,6 +135,7 @@ impl<'a> IndexEnv<'a> {
         let new_cost = self
             .cost
             .session_add(self.workload, &mut ep.session, &ep.config, &idx)?;
+        let new_cost = finite_cost(self.cost.name(), new_cost)?;
         let reward = if self.base_cost > 0.0 {
             (ep.current_cost - new_cost) / self.base_cost * REWARD_SCALE
         } else {
@@ -309,7 +318,9 @@ mod tests {
         let mut ep = env.reset();
         assert_eq!(
             ep.current_cost.to_bits(),
-            cost.workload_cost(&w, &IndexConfig::empty()).unwrap().to_bits()
+            cost.workload_cost(&w, &IndexConfig::empty())
+                .unwrap()
+                .to_bits()
         );
         for a in [3, 9, 17, 25, 31] {
             env.step(&mut ep, a).unwrap();

@@ -154,11 +154,7 @@ impl InContextAdvisor {
 
     /// Label a workload with the deterministic greedy reference advisor
     /// and append the `(embedding, config)` exemplar.
-    fn record_exemplar(
-        &mut self,
-        cost: &dyn CostBackend,
-        workload: &Workload,
-    ) -> CostResult<()> {
+    fn record_exemplar(&mut self, cost: &dyn CostBackend, workload: &Workload) -> CostResult<()> {
         if workload.is_empty() {
             return Ok(());
         }
@@ -215,7 +211,11 @@ impl IndexAdvisor for InContextAdvisor {
         self.record_exemplar(cost, workload)
     }
 
-    fn recommend(&mut self, cost: &dyn CostBackend, workload: &Workload) -> CostResult<IndexConfig> {
+    fn recommend(
+        &mut self,
+        cost: &dyn CostBackend,
+        workload: &Workload,
+    ) -> CostResult<IndexConfig> {
         if self.corpus.is_empty() {
             // Cold start (recommend before train): fall back to the
             // labeler directly rather than returning the empty config.
@@ -255,7 +255,8 @@ impl ClearBoxAdvisor for InContextAdvisor {
     /// The advisor's internal preference is how often a column leads an
     /// index across the recorded exemplar configurations.
     fn column_preferences(&self, _cost: &dyn CostBackend) -> Vec<(ColumnId, f64)> {
-        let mut counts: std::collections::BTreeMap<ColumnId, f64> = std::collections::BTreeMap::new();
+        let mut counts: std::collections::BTreeMap<ColumnId, f64> =
+            std::collections::BTreeMap::new();
         for e in &self.corpus {
             for idx in e.config.indexes() {
                 *counts.entry(idx.leading()).or_insert(0.0) += 1.0;

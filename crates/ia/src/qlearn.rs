@@ -146,7 +146,8 @@ impl QLearner {
     /// Q-values at the empty configuration under the last workload's
     /// features.
     pub(crate) fn empty_config_q(&self, cost: &dyn CostBackend) -> Vec<f32> {
-        self.q_values(cost, &IndexConfig::empty())
+        let state = Tensor::row(self.state(cost, &IndexConfig::empty()));
+        self.qnet.infer(&self.store, &state).data
     }
 
     /// Train on `workload` with ε annealed from 1.0 to `eps_end`.
@@ -223,12 +224,14 @@ impl QLearner {
         }
         self.store.restore(&kept);
         let env = IndexEnv::new(cost, workload, self.candidates.clone(), self.spec.budget)?;
+        let columns: Vec<usize> = env.candidates.iter().map(|c| c.0 as usize).collect();
+        let mut tape = Tape::new();
         let ep = env.greedy_rollout(|ep| {
-            let q = self.q_values(cost, &ep.config);
-            env.candidates
-                .iter()
-                .map(|c| f64::from(q[c.0 as usize]))
-                .collect()
+            let state = Tensor::row(self.state(cost, &ep.config));
+            let q = self
+                .qnet
+                .infer_cols(&mut tape, &self.store, state, &columns);
+            tape.value(q).data.iter().map(|&v| f64::from(v)).collect()
         })?;
         Ok(ep.config)
     }
@@ -267,14 +270,14 @@ impl QLearner {
                 let action = if self.rng.gen::<f64>() < eps {
                     valid.get(self.rng.gen_range(0..valid.len())).copied()
                 } else {
-                    let qv =
-                        self.qnet
-                            .forward_reuse(&mut tape, &self.store, Tensor::row(state.clone()));
-                    let q = &tape.value(qv).data;
+                    let columns: Vec<usize> = valid.iter().map(|&a| column(a)).collect();
+                    let row = Tensor::row(state.clone());
+                    let qv = self.qnet.infer_cols(&mut tape, &self.store, row, &columns);
                     valid
                         .iter()
-                        .copied()
-                        .max_by(|&a, &b| q[column(a)].total_cmp(&q[column(b)]))
+                        .zip(&tape.value(qv).data)
+                        .max_by(|(_, x), (_, y)| x.total_cmp(y))
+                        .map(|(&a, _)| a)
                 };
                 // Unreachable: an unfinished episode has a valid action.
                 let Some(action) = action else { break };
@@ -325,6 +328,14 @@ impl QLearner {
     }
 
     /// One minibatch step on the squared TD error of the actions taken.
+    ///
+    /// Both passes compute only the Q-values they read, with the bits of
+    /// the full forward: the bootstrap target evaluates the head at the
+    /// columns still open in some next state ([`Mlp::infer_cols`]), and
+    /// the loss trains the head at the action each row took
+    /// ([`pipa_nn::Linear::forward_at`]). The inputs are finite, as the
+    /// picked head requires: the state's features lie in [0, 1], and the
+    /// rewards come from costs the environment checks.
     fn learn_step(&mut self, opt: &mut Adam, tape: &mut Tape) {
         let n = self.spec.batch_size;
         if self.replay.len() < n {
@@ -334,7 +345,7 @@ impl QLearner {
         let batch: Vec<&Transition> = (0..n)
             .map(|_| &replay[rng.gen_range(0..replay.len())])
             .collect();
-        let width = self.spec.layers[0];
+        let [width, _, outputs] = self.spec.layers;
         // Every bootstrapping next state goes through ONE batched forward
         // pass. Row r of a batched matmul runs the same per-element
         // accumulation chain as a single-row forward, so the targets are
@@ -343,14 +354,26 @@ impl QLearner {
         let mut maxq = vec![0.0f32; n];
         if !need.is_empty() {
             let mut next_rows = Vec::with_capacity(need.len() * width);
+            let mut open = vec![false; outputs];
             for &i in &need {
                 next_rows.extend_from_slice(&batch[i].next_state);
+                for &c in &batch[i].next_valid {
+                    open[c] = true;
+                }
+            }
+            // The columns some next state has open, and `at[c]`, the
+            // position of column `c` among them.
+            let columns: Vec<usize> = (0..outputs).filter(|&c| open[c]).collect();
+            let mut at = vec![0; outputs];
+            for (j, &c) in columns.iter().enumerate() {
+                at[c] = j;
             }
             let bootstrap_net = self.target.as_ref().unwrap_or(&self.store);
-            let qv = self.qnet.forward_reuse(
+            let qv = self.qnet.infer_cols(
                 tape,
                 bootstrap_net,
                 Tensor::from_vec(need.len(), width, next_rows),
+                &columns,
             );
             let qn = tape.value(qv);
             for (r, &i) in need.iter().enumerate() {
@@ -358,11 +381,12 @@ impl QLearner {
                 maxq[i] = batch[i]
                     .next_valid
                     .iter()
-                    .map(|&c| row[c])
+                    .map(|&c| row[at[c]])
                     .fold(f32::NEG_INFINITY, f32::max);
             }
         }
         let mut rows = Vec::with_capacity(n * width);
+        let mut actions = Vec::with_capacity(n);
         let mut targets = Vec::with_capacity(n);
         for (r, t) in batch.iter().enumerate() {
             let y = if t.bootstraps() {
@@ -371,12 +395,14 @@ impl QLearner {
                 t.reward
             };
             rows.extend_from_slice(&t.state);
-            targets.push((r, t.action, y));
+            actions.push(t.action);
+            targets.push((r, 0, y));
         }
         self.store.zero_grads();
         tape.reset();
         let x = tape.constant(Tensor::from_vec(n, width, rows));
-        let q = self.qnet.forward(tape, &self.store, x);
+        let h = self.qnet.forward_hidden(tape, &self.store, x);
+        let q = self.qnet.head().forward_at(tape, &self.store, h, &actions);
         let loss = tape.mse_selected(q, &targets);
         tape.backward(loss, &mut self.store);
         opt.step(&mut self.store);
@@ -393,11 +419,6 @@ impl QLearner {
         let mut s = self.features.clone();
         s.extend(config_bitmap(cost, config));
         s
-    }
-
-    fn q_values(&self, cost: &dyn CostBackend, config: &IndexConfig) -> Vec<f32> {
-        let state = Tensor::row(self.state(cost, config));
-        self.qnet.infer(&self.store, &state).data
     }
 
     #[cfg(test)]

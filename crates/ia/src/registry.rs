@@ -327,7 +327,11 @@ fn builtins() -> BTreeMap<String, TargetEntry> {
         "swirl",
         TargetEntry::new(
             |_| "SWIRL".to_string(),
-            |spec| Box::new(Instrumented::new(SwirlAdvisor::new(spec.preset.swirl(spec.seed)))),
+            |spec| {
+                Box::new(Instrumented::new(SwirlAdvisor::new(
+                    spec.preset.swirl(spec.seed),
+                )))
+            },
         ),
     );
     builtin(

@@ -20,8 +20,8 @@
 use crate::advisor::{ClearBoxAdvisor, IndexAdvisor};
 use crate::env::IndexEnv;
 use crate::features::{column_frequency_features, config_bitmap};
-use pipa_nn::{Adam, Mlp, Optimizer, ParamStore, Tape, Tensor};
 use pipa_cost::{CostBackend, CostResult};
+use pipa_nn::{Adam, Mlp, Optimizer, ParamStore, Tape, Tensor};
 use pipa_sim::{ColumnId, IndexConfig, Workload};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -532,6 +532,111 @@ pub fn t_matmul_pooled(a: &Tensor, b: &Tensor, pool: &mut crate::pool::BufferPoo
     Tensor::from_vec(a.cols, b.cols, out)
 }
 
+/// `a @ b[:, cols]`: the product against the listed columns of `b`, in
+/// `cols` order, with pooled output and scratch (global mode). The
+/// columns are gathered into a `(k, cols.len())` operand, so the product
+/// is dispatched and counted like [`matmul_pooled`], and element
+/// `(i, j)` runs element `(i, cols[j])`'s accumulation chain of the full
+/// product: the bits are the same.
+pub(crate) fn matmul_cols_pooled(
+    a: &Tensor,
+    b: &Tensor,
+    cols: &[usize],
+    pool: &mut crate::pool::BufferPool,
+) -> Tensor {
+    let (k, n) = (b.rows, cols.len());
+    let mut gathered = pool.take_zeroed(k * n);
+    for p in 0..k {
+        let brow = &b.data[p * b.cols..(p + 1) * b.cols];
+        for (d, &c) in gathered[p * n..(p + 1) * n].iter_mut().zip(cols) {
+            *d = brow[c];
+        }
+    }
+    let gathered = Tensor::from_vec(k, n, gathered);
+    let out = matmul_pooled(a, &gathered, pool);
+    pool.put(gathered.data);
+    out
+}
+
+// ---------------------------------------------------------------------
+// Picked-column head
+// ---------------------------------------------------------------------
+//
+// A Q-learner's loss reads one output column per row: `q[r] = y[r,
+// cols[r]]` of `y = h·W + b`. These three kernels compute that element
+// and the gradients of `matmul` + `add_bias` when the upstream gradient
+// `dY` is zero outside the picked elements (`dY[r, cols[r]] = g[r]`,
+// `+0.0` elsewhere, as `Tape::mse_selected` leaves it). Each is
+// bit-identical to the dense products it replaces, given finite `h` and
+// `W`:
+//
+// * the forward runs element `(r, cols[r])`'s `matmul` chain (`+0.0`
+//   start, ascending `p`, zeros of `h` skipped), then `add_bias`'s add;
+// * in `dW = t_matmul(h, dY)` and `db = sum_rows(dY)`, every unpicked
+//   term is `h·(+0.0) = ±0` or `+0.0`. Adding a zero never changes an
+//   accumulator that starts at `+0.0`, because such an accumulator is
+//   never `-0.0`, so only the picked terms are added, in row order;
+// * in `dH = matmul_t(dY, W)`, the dot over `n` starts at `-0.0` (the
+//   `Iterator::sum` of the reference) and every unpicked term is a
+//   zero, so the dot equals its one picked term `g[r]·W[i, cols[r]]`
+//   whenever that term is nonzero. When it is zero, the sign of the
+//   result depends on the signs of the other terms, and the kernel runs
+//   the dot.
+//
+// Each counts as one product of its real shape: `n` is 1, not `W`'s
+// width.
+
+/// Forward of the picked head: `out[r] = (h·W)[r, cols[r]] + b[cols[r]]`.
+pub(crate) fn linear_at_into(h: &Tensor, w: &Tensor, b: &Tensor, cols: &[usize], out: &mut [f32]) {
+    let (k, n) = (h.cols, w.cols);
+    bump_matmul(h.rows, k, 1);
+    for (r, (o, &c)) in out.iter_mut().zip(cols).enumerate() {
+        let mut acc = 0.0f32;
+        for (p, &hv) in h.data[r * k..(r + 1) * k].iter().enumerate() {
+            if hv == 0.0 {
+                continue;
+            }
+            acc += hv * w.data[p * n + c];
+        }
+        *o = acc + b.data[c];
+    }
+}
+
+/// `dW = t_matmul(h, dY)` of the picked head, into a zeroed `(k, n)`
+/// buffer `dw`.
+pub(crate) fn linear_at_dw(h: &Tensor, g: &[f32], cols: &[usize], n: usize, dw: &mut [f32]) {
+    let k = h.cols;
+    bump_matmul(k, h.rows, 1);
+    for (r, (&gv, &c)) in g.iter().zip(cols).enumerate() {
+        for (p, &hv) in h.data[r * k..(r + 1) * k].iter().enumerate() {
+            if hv == 0.0 {
+                continue;
+            }
+            dw[p * n + c] += hv * gv;
+        }
+    }
+}
+
+/// `dH = matmul_t(dY, W)` of the picked head, into an `h`-shaped `dh`.
+pub(crate) fn linear_at_dh(g: &[f32], w: &Tensor, cols: &[usize], dh: &mut [f32]) {
+    let (k, n) = (w.rows, w.cols);
+    bump_matmul(g.len(), 1, k);
+    for (r, (&gv, &c)) in g.iter().zip(cols).enumerate() {
+        for (i, d) in dh[r * k..(r + 1) * k].iter_mut().enumerate() {
+            let wrow = &w.data[i * n..(i + 1) * n];
+            let picked = gv * wrow[c];
+            *d = if picked != 0.0 {
+                picked
+            } else {
+                wrow.iter()
+                    .enumerate()
+                    .map(|(j, &wv)| if j == c { gv } else { 0.0 } * wv)
+                    .sum()
+            };
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Shared layer-norm forward
 // ---------------------------------------------------------------------

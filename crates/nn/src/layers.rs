@@ -45,6 +45,16 @@ impl Linear {
         tape.add_bias(h, b)
     }
 
+    /// [`Linear::forward`] at one output column per row, `cols[r]` for
+    /// row `r`: an `(m, 1)` result with the dense path's bits
+    /// ([`Tape::linear_at`]). A loss that reads one column per row
+    /// trains through this instead of computing every column.
+    pub fn forward_at(&self, tape: &mut Tape, store: &ParamStore, x: Var, cols: &[usize]) -> Var {
+        let w = tape.param(store, self.w);
+        let b = tape.param(store, self.b);
+        tape.linear_at(x, w, b, cols)
+    }
+
     /// The weight parameter id (tape-less inference paths read the
     /// store value directly, e.g. to pre-pack it).
     pub fn weight_id(&self) -> ParamId {

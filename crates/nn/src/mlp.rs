@@ -25,7 +25,8 @@ pub enum Activation {
 /// output head.
 #[derive(Debug, Clone)]
 pub struct Mlp {
-    layers: Vec<Linear>,
+    hidden: Vec<Linear>,
+    head: Linear,
     activation: Activation,
 }
 
@@ -39,37 +40,59 @@ impl Mlp {
         rng: &mut R,
     ) -> Self {
         assert!(sizes.len() >= 2, "need at least input and output sizes");
-        let layers = sizes
+        let last = sizes.len() - 2;
+        let hidden = sizes[..=last]
             .windows(2)
             .enumerate()
             .map(|(i, w)| Linear::new(store, &format!("{name}.l{i}"), w[0], w[1], rng))
             .collect();
-        Mlp { layers, activation }
+        let head = Linear::new(
+            store,
+            &format!("{name}.l{last}"),
+            sizes[last],
+            sizes[last + 1],
+            rng,
+        );
+        Mlp {
+            hidden,
+            head,
+            activation,
+        }
     }
 
     /// Input dimension.
     pub fn in_dim(&self) -> usize {
-        self.layers[0].in_dim
+        self.hidden.first().unwrap_or(&self.head).in_dim
     }
 
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
-        self.layers.last().map_or(0, |l| l.out_dim)
+        self.head.out_dim
     }
 
-    /// Forward pass on the tape.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
+    /// The linear output layer.
+    pub fn head(&self) -> &Linear {
+        &self.head
+    }
+
+    /// Every layer but the output head, each followed by the activation:
+    /// the input of [`Mlp::head`].
+    pub fn forward_hidden(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
         let mut h = x;
-        for (i, l) in self.layers.iter().enumerate() {
+        for l in &self.hidden {
             h = l.forward(tape, store, h);
-            if i + 1 < self.layers.len() {
-                h = match self.activation {
-                    Activation::Relu => tape.relu(h),
-                    Activation::Tanh => tape.tanh(h),
-                };
-            }
+            h = match self.activation {
+                Activation::Relu => tape.relu(h),
+                Activation::Tanh => tape.tanh(h),
+            };
         }
         h
+    }
+
+    /// Forward pass on the tape: [`Mlp::forward_hidden`], then the head.
+    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
+        let h = self.forward_hidden(tape, store, x);
+        self.head.forward(tape, store, h)
     }
 
     /// Inference-only forward pass (no tape bookkeeping kept around; a
@@ -90,6 +113,24 @@ impl Mlp {
         tape.reset();
         let xv = tape.constant(x);
         self.forward(tape, store, xv)
+    }
+
+    /// [`Mlp::forward_reuse`] at the output columns `cols` only: the head
+    /// multiplies the hidden rows by those columns of its weight
+    /// ([`Tape::linear_cols`]). Column `j` of the `(m, cols.len())` value
+    /// is column `cols[j]` of the full forward, bit for bit.
+    pub fn infer_cols(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        x: Tensor,
+        cols: &[usize],
+    ) -> Var {
+        tape.reset();
+        let xv = tape.constant(x);
+        let h = self.forward_hidden(tape, store, xv);
+        let (w, b) = (self.head.weight_id(), self.head.bias_id());
+        tape.linear_cols(h, store.value(w), store.value(b), cols)
     }
 }
 

@@ -129,11 +129,14 @@ impl ParamStore {
         (0..self.params.len()).map(ParamId)
     }
 
-    /// Global L2 norm of all gradients (for clipping).
+    /// Global L2 norm of all gradients (for clipping): per parameter the
+    /// sequential `Iterator::sum` of the squares, then the sum of those.
+    /// All-zero runs of 64 gradients are skipped, which leaves every bit
+    /// unchanged (the private `sum_squares` gives the argument).
     pub fn grad_norm(&self) -> f32 {
         self.params
             .iter()
-            .map(|p| p.grad.data.iter().map(|&x| x * x).sum::<f32>())
+            .map(|p| sum_squares(&p.grad.data))
             .sum::<f32>()
             .sqrt()
     }
@@ -177,10 +180,36 @@ impl ParamStore {
     }
 }
 
+/// Gradient values [`sum_squares`] tests for all zeros at once.
+const ZERO_RUN: usize = 64;
+
+/// `xs.iter().map(|&x| x * x).sum::<f32>()`, bit for bit, without adding
+/// the all-zero runs of `xs`. The sum's fold starts at `-0.0`, and a
+/// square is never `-0.0`, so the first term turns the start into `+0.0`
+/// or a positive value: a nonempty sum may start at `+0.0`. Such a sum
+/// is never `-0.0`, and the square of a zero is `+0.0`, which leaves it
+/// unchanged. An empty `xs` keeps the fold's `-0.0`.
+fn sum_squares(xs: &[f32]) -> f32 {
+    if xs.is_empty() {
+        return -0.0;
+    }
+    let mut sum = 0.0f32;
+    for run in xs.chunks(ZERO_RUN) {
+        // Shifting out the sign bit maps both zeros, and only them, to 0.
+        if run.iter().fold(0u32, |bits, &x| bits | (x.to_bits() << 1)) == 0 {
+            continue;
+        }
+        for &x in run {
+            sum += x * x;
+        }
+    }
+    sum
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     #[test]
@@ -224,6 +253,62 @@ mod tests {
         let a = vec![0.0, 2.0];
         let b = vec![4.0, 6.0];
         assert_eq!(ParamStore::average(&[a, b]), vec![2.0, 4.0]);
+    }
+
+    /// The clip norm before the zero-run skip: every square, in order.
+    fn dense_norm(grads: &[Vec<f32>]) -> f32 {
+        grads
+            .iter()
+            .map(|g| g.iter().map(|&x| x * x).sum::<f32>())
+            .sum::<f32>()
+            .sqrt()
+    }
+
+    /// A gradient of `len` values: zeros of both signs, with nonzeros
+    /// (subnormals, ordinary and huge values) at a density picked by
+    /// `density`, 0 being none.
+    fn sparse_grad(len: usize, density: u8, seed: u64) -> Vec<f32> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let odds = [0.0, 0.01, 0.1, 0.9][usize::from(density % 4)];
+        (0..len)
+            .map(|_| {
+                let sign = if rng.gen::<bool>() { -1.0f32 } else { 1.0 };
+                if !rng.gen_bool(odds) {
+                    return sign * 0.0;
+                }
+                sign * match rng.gen_range(0u8..4) {
+                    0 => f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
+                    1 => rng.gen_range(1e18f32..1e22),
+                    _ => rng.gen_range(1e-3f32..2.0),
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn grad_norm_matches_the_dense_fold(
+            params in proptest::collection::vec((0usize..300, 0u8..4, 0u64..1 << 48), 0..6),
+        ) {
+            // Lengths up to 260 straddle the 64-value runs, one draw in
+            // eight is an empty parameter, and density 0 is an all-zero one.
+            let grads: Vec<Vec<f32>> = params
+                .iter()
+                .map(|&(len, density, seed)| {
+                    sparse_grad(if len < 260 { len } else { 0 }, density, seed)
+                })
+                .collect();
+            let mut store = ParamStore::new();
+            for (i, g) in grads.iter().enumerate() {
+                store.add_zeros(&format!("p{i}"), 1, g.len());
+            }
+            for (p, g) in store.params_mut().iter_mut().zip(&grads) {
+                p.grad.data.clone_from(g);
+            }
+            proptest::prop_assert_eq!(store.grad_norm().to_bits(), dense_norm(&grads).to_bits());
+        }
     }
 
     #[test]

@@ -175,6 +175,79 @@ impl Tape {
         )
     }
 
+    /// `add_bias(matmul(h, w), b)` at one column per row: row `r` of the
+    /// `(m, 1)` result is element `(r, cols[r])`. Backward gives what the
+    /// dense path gives when its upstream gradient is zero outside those
+    /// elements, as a loss that reads only them leaves it
+    /// ([`Tape::mse_selected`] over `(r, cols[r], y)` on the dense output
+    /// is the same loss, with the same bits, as over `(r, 0, y)` here).
+    /// The forward and all three gradients are bit-identical to the dense
+    /// path's; `crate::kernels` gives the argument.
+    ///
+    /// Precondition: `h` and `w` are finite. The dense path multiplies
+    /// every unread element's zero gradient into them, and a `0·∞` there
+    /// makes NaNs this op never computes.
+    pub fn linear_at(&mut self, h: Var, w: Var, b: Var, cols: &[usize]) -> Var {
+        let need = [self.needs_grad(h), self.needs_grad(w), self.needs_grad(b)];
+        let Tape { nodes, pool } = &mut *self;
+        let (th, tw, tb) = (&nodes[h.0].value, &nodes[w.0].value, &nodes[b.0].value);
+        assert_eq!(th.cols, tw.rows, "linear_at shape mismatch");
+        assert_eq!((tb.rows, tb.cols), (1, tw.cols), "linear_at bias shape");
+        assert_eq!(cols.len(), th.rows, "linear_at needs one column per row");
+        assert!(
+            cols.iter().all(|&c| c < tw.cols),
+            "linear_at column out of range"
+        );
+        let mut data = pool.take_zeroed(th.rows);
+        kernels::linear_at_into(th, tw, tb, cols, &mut data);
+        let out = Tensor::from_vec(th.rows, 1, data);
+        let cols = cols.to_vec();
+        self.push(
+            out,
+            vec![h.0, w.0, b.0],
+            Some(Box::new(move |g, ps, pool| {
+                let (h, w) = (ps[0], ps[1]);
+                let dh = grad_if(need[0], || {
+                    let mut dh = pool.take_zeroed(h.len());
+                    kernels::linear_at_dh(&g.data, w, &cols, &mut dh);
+                    Tensor::from_vec(h.rows, h.cols, dh)
+                });
+                let dw = grad_if(need[1], || {
+                    let mut dw = pool.take_zeroed(w.len());
+                    kernels::linear_at_dw(h, &g.data, &cols, w.cols, &mut dw);
+                    Tensor::from_vec(w.rows, w.cols, dw)
+                });
+                let db = grad_if(need[2], || {
+                    let mut db = pool.take_zeroed(w.cols);
+                    for (&gv, &c) in g.data.iter().zip(&cols) {
+                        db[c] += gv;
+                    }
+                    Tensor::from_vec(1, w.cols, db)
+                });
+                vec![dh, dw, db]
+            })),
+            None,
+        )
+    }
+
+    /// `add_bias(matmul(a, w), b)` at the columns `cols` of every row, for
+    /// inference: a constant leaf of shape `(m, cols.len())`, so no
+    /// gradient flows through it. The product runs on the kernel layer
+    /// against the gathered columns, and column `j` is bit-identical to
+    /// column `cols[j]` of the dense path.
+    pub fn linear_cols(&mut self, a: Var, w: &Tensor, b: &Tensor, cols: &[usize]) -> Var {
+        let Tape { nodes, pool } = &mut *self;
+        let mut out = kernels::matmul_cols_pooled(&nodes[a.0].value, w, cols, pool);
+        if !cols.is_empty() {
+            for row in out.data.chunks_exact_mut(cols.len()) {
+                for (o, &c) in row.iter_mut().zip(cols) {
+                    *o += b.data[c];
+                }
+            }
+        }
+        self.constant(out)
+    }
+
     /// Element-wise sum.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         let Tape { nodes, pool } = &mut *self;
@@ -853,6 +926,122 @@ mod tests {
         let doubled = tape.add(w, w);
         tape.backward(doubled, &mut store);
         assert!((store.grad(id).data[0] - 2.0).abs() < 1e-6);
+    }
+
+    /// An adversarial value from a raw draw: signed zeros (ReLU zeros),
+    /// subnormals, large finite values and ordinary ones. "Large" stays
+    /// below 1e8 so no product, loss or gradient of the heads below
+    /// overflows.
+    fn adversarial(kind: u8, raw: u32) -> f32 {
+        let unit = (raw % 4001) as f32 / 1000.0 - 2.0;
+        match kind % 8 {
+            0 | 1 => 0.0,
+            2 => -0.0,
+            3 => f32::from_bits((raw % 0x0080_0000) | (raw & 0x8000_0000)),
+            4 => unit * 4e7,
+            _ => unit,
+        }
+    }
+
+    fn tensor_of(draws: &[(u8, u32)], rows: usize, cols: usize) -> Tensor {
+        let data = (0..rows * cols)
+            .map(|i| {
+                let (kind, raw) = draws[i % draws.len()];
+                adversarial(kind.wrapping_add((i / draws.len()) as u8), raw)
+            })
+            .collect();
+        Tensor::from_vec(rows, cols, data)
+    }
+
+    fn bits(data: &[f32]) -> Vec<u32> {
+        data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The selected Q-values and the loss of an MSE over one column per
+    /// row, and the gradients it leaves on `h`, `w` and `b`, through the
+    /// picked head or the dense `matmul` + `add_bias`. `h` is a parameter
+    /// leaf so its gradient reaches the store, and every gradient
+    /// starts at `-0.0`, which `+=` turns into the added value bit for
+    /// bit: the store then holds each gradient exactly, zeros' signs
+    /// included.
+    fn head_bits(
+        (h, w, b): (&Tensor, &Tensor, &Tensor),
+        cols: &[usize],
+        ys: &[f32],
+        picked: bool,
+    ) -> [Vec<u32>; 4] {
+        let mut store = ParamStore::new();
+        let ids = [
+            store.add("h", h.clone()),
+            store.add("w", w.clone()),
+            store.add("b", b.clone()),
+        ];
+        for p in store.params_mut() {
+            p.grad.data.fill(-0.0);
+        }
+        let mut tape = Tape::new();
+        let [hv, wv, bv] = ids.map(|id| tape.param(&store, id));
+        let (q, targets): (Var, Vec<_>) = if picked {
+            let q = tape.linear_at(hv, wv, bv, cols);
+            (q, ys.iter().enumerate().map(|(r, &y)| (r, 0, y)).collect())
+        } else {
+            let product = tape.matmul(hv, wv);
+            let q = tape.add_bias(product, bv);
+            let targets = cols.iter().zip(ys).enumerate();
+            (q, targets.map(|(r, (&c, &y))| (r, c, y)).collect())
+        };
+        let loss = tape.mse_selected(q, &targets);
+        let qv = tape.value(q);
+        let mut values: Vec<f32> = targets.iter().map(|&(r, c, _)| qv.get(r, c)).collect();
+        values.push(tape.value(loss).data[0]);
+        tape.backward(loss, &mut store);
+        let [dh, dw, db] = ids.map(|id| bits(&store.grad(id).data));
+        [bits(&values), dh, dw, db]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn picked_and_column_heads_match_the_dense_bits(
+            (m, k, n) in (1usize..=8, 1usize..=12, 1usize..=9),
+            h_draws in proptest::collection::vec((0u8..8, 0u32..=u32::MAX), 1..40),
+            w_draws in proptest::collection::vec((0u8..8, 0u32..=u32::MAX), 1..40),
+            b_draws in proptest::collection::vec((0u8..8, 0u32..=u32::MAX), 1..8),
+            rows in proptest::collection::vec((0usize..64, 0u8..4, 0u32..=u32::MAX), 8),
+        ) {
+            let h = tensor_of(&h_draws, m, k);
+            let w = tensor_of(&w_draws, k, n);
+            let b = tensor_of(&b_draws, 1, n);
+            let dense = h.matmul(&w).add_row_broadcast(&b);
+            // Columns taken modulo `n` repeat across rows; one row in four
+            // has a zero TD error (its target is its own Q-value).
+            let cols: Vec<usize> = rows[..m].iter().map(|&(c, _, _)| c % n).collect();
+            let ys: Vec<f32> = rows[..m]
+                .iter()
+                .zip(&cols)
+                .enumerate()
+                .map(|(r, (&(_, kind, raw), &c))| {
+                    if kind == 0 { dense.get(r, c) } else { adversarial(kind + 3, raw) }
+                })
+                .collect();
+            let want = head_bits((&h, &w, &b), &cols, &ys, false);
+            let got = head_bits((&h, &w, &b), &cols, &ys, true);
+            let parts = ["q and loss", "dh", "dw", "db"];
+            for (what, (want, got)) in parts.iter().zip(want.iter().zip(&got)) {
+                proptest::prop_assert_eq!(want, got, "{} of {}x{}x{} at {:?}", what, m, k, n, cols);
+            }
+
+            // Inference at listed columns, repeats included.
+            let mut tape = Tape::new();
+            let hv = tape.constant(h.clone());
+            let q = tape.linear_cols(hv, &w, &b, &cols);
+            let want: Vec<f32> = (0..m)
+                .flat_map(|r| cols.iter().map(move |&c| (r, c)))
+                .map(|(r, c)| dense.get(r, c))
+                .collect();
+            proptest::prop_assert_eq!(bits(&want), bits(&tape.value(q).data));
+        }
     }
 
     #[test]

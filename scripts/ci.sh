@@ -107,9 +107,9 @@ fi
 echo "== cargo doc (RUSTDOCFLAGS=-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${PKGS[@]}"
 
-echo "== rustfmt check (pipa-nn, pipa-sim, pipa-obs) =="
+echo "== rustfmt check (pipa-nn, pipa-sim, pipa-obs, pipa-ia, pipa-cost) =="
 # These crates are rustfmt-clean; keep them so. The others are not yet.
-cargo fmt -p pipa-nn -p pipa-sim -p pipa-obs -- --check
+cargo fmt -p pipa-nn -p pipa-sim -p pipa-obs -p pipa-ia -p pipa-cost -- --check
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --all-targets -q "${PKGS[@]}" -- -D warnings

@@ -1,18 +1,20 @@
 //! The NN training path's work, pinned as dispatched kernel products.
 //!
 //! Backward skips the input-layer gradient `dX = dH·Wᵀ` of a constant
-//! input, and the learned-index fit runs each epoch as one batched tape
-//! instead of one tape per key. Both cuts show up as exact product
-//! counts here.
+//! input, the learned-index fit runs each epoch as one batched tape
+//! instead of one tape per key, and the Q-learner evaluates its output
+//! layer only at the columns it reads. Each cut shows up as exact
+//! product counts or flops here.
 //!
 //! The kernel counters are process-global, so this binary holds one test
 //! and measures each count in turn.
 
 use pipa::cost::{CostBackend, LearnedIndexBackend, LearnedIndexConfig, SimBackend};
+use pipa::ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
 use pipa::nn::kernels::{reset_stats, stats};
 use pipa::nn::mlp::Activation;
 use pipa::nn::{Adam, Mlp, Optimizer, ParamStore, Tape, Tensor};
-use pipa::workload::Benchmark;
+use pipa::workload::{Benchmark, WorkloadGenerator};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -52,4 +54,25 @@ fn training_dispatches_only_products_its_result_uses() {
     reset_stats();
     let _ = LearnedIndexBackend::new(sim.catalog(), LearnedIndexConfig::fast());
     assert_eq!(stats().matmuls, 1_016);
+
+    // A DQN `train`. Every product of the 61-wide output layer runs at
+    // the columns its result is read at: action selection and the
+    // bootstrap target at the open columns, the learn step at the one
+    // action per row.
+    let gen = WorkloadGenerator::new(
+        Benchmark::TpcH.schema(),
+        Benchmark::TpcH.default_templates(),
+    );
+    let w = gen
+        .normal(&mut ChaCha8Rng::seed_from_u64(1))
+        .expect("normal workload");
+    let mut dqn =
+        AdvisorKind::Dqn(TrajectoryMode::Best).build_with(BuildCtx::new(SpeedPreset::Test, 1));
+    reset_stats();
+    dqn.train(&sim, &w).expect("train");
+    let s = stats();
+    // Seven products per learn step (the target's two, the online
+    // forward's two, backward's three) and two per greedy step. With the
+    // head at full width the same products cost 137,694,080 flops.
+    assert_eq!((s.matmuls, s.flops), (1_859, 86_504_448));
 }
