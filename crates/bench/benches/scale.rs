@@ -15,8 +15,10 @@
 //!   correctness);
 //! * **matrix** — the same pool scored under a sweep of single-index
 //!   configurations with the benefit matrix *on* but under a byte
-//!   budget: rotating shard compaction must keep the tracked footprint
-//!   at the budget (peak overshoot ≤ one cell) while still answering;
+//!   budget of half the sweep's own unbudgeted footprint: rotating shard
+//!   compaction must run, keep the tracked footprint at the budget (peak
+//!   overshoot ≤ one cell), and answer every cost bit-identically to the
+//!   unbudgeted pass;
 //! * **tape** — a recorded what-if tape streamed to disk and back
 //!   through the chunked reader with its size guard, proving the
 //!   round trip and that the guard actually trips;
@@ -39,7 +41,6 @@ use pipa_workload::{Arrivals, Benchmark, Diurnal, TrafficModel, WorkloadGenerato
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use std::hint::black_box;
 use std::time::Instant;
 
 const SEED: u64 = 0x5CA1E;
@@ -264,26 +265,46 @@ fn main() {
     // --- matrix leg: byte-budgeted benefit matrix under a config sweep
     db.set_whatif_cache_capacity(usize::MAX);
     db.set_whatif_matrix_enabled(true);
-    db.clear_whatif_matrix();
-    let byte_budget = if smoke { 16 * 1024 } else { 64 * 1024 };
-    db.set_whatif_matrix_byte_budget(byte_budget);
     let sweep: Vec<IndexConfig> = pool_w
         .candidate_columns()
         .into_iter()
         .take(if smoke { 4 } else { 12 })
         .map(|c| IndexConfig::from_indexes([Index::single(c)]))
         .collect();
+    let sweep_bits = || -> Vec<u64> {
+        sweep
+            .iter()
+            .flat_map(|sweep_cfg| {
+                (0..pool0.distinct_queries())
+                    .map(|i| db.estimated_query_cost(pool0.query(i), sweep_cfg).to_bits())
+            })
+            .collect()
+    };
+    // An unbudgeted pass sizes the budget at half the sweep's own cell
+    // footprint, so the budgeted pass has to compact however few cells
+    // the cost model stores.
+    db.clear_whatif_matrix();
+    let unbudgeted = sweep_bits();
+    let sweep_bytes = db.whatif_matrix_stats().peak_bytes;
+    assert!(sweep_bytes > 0, "the sweep stored no matrix cell");
+    let byte_budget = sweep_bytes / 2;
+    db.clear_whatif_matrix();
+    db.set_whatif_matrix_byte_budget(byte_budget);
     eprintln!(
-        "[scale] sweeping {} single-index configs under a {} KiB matrix budget...",
-        sweep.len(),
-        byte_budget / 1024
+        "[scale] sweeping {} single-index configs under a {byte_budget} B matrix budget \
+         (half of the sweep's {sweep_bytes} B)...",
+        sweep.len()
     );
-    for sweep_cfg in &sweep {
-        for i in 0..pool0.distinct_queries() {
-            black_box(db.estimated_query_cost(pool0.query(i), sweep_cfg));
-        }
-    }
+    let budgeted = sweep_bits();
+    assert!(
+        budgeted == unbudgeted,
+        "compaction changed a cost bit of the sweep"
+    );
     let mstats = db.whatif_matrix_stats();
+    assert!(
+        mstats.compactions > 0,
+        "the budget never forced a compaction: the leg proves nothing"
+    );
     let matrix = MatrixLeg {
         byte_budget,
         peak_bytes: mstats.peak_bytes,

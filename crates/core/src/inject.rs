@@ -214,13 +214,10 @@ mod tests {
             .aggregate(pipa_sim::Aggregate::CountStar)
             .build(schema)
             .unwrap();
-        assert!(!passes_toxicity_filter(
-            &cost,
-            &q,
-            &seg.mid[..2.min(seg.mid.len())],
-            Some(top1)
-        )
-        .unwrap());
+        assert!(
+            !passes_toxicity_filter(&cost, &q, &seg.mid[..2.min(seg.mid.len())], Some(top1))
+                .unwrap()
+        );
     }
 
     #[test]

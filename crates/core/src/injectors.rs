@@ -154,7 +154,12 @@ impl TargetedInjector {
             seed,
             ..self.probe_cfg
         };
-        let res = probe(as_index_advisor(advisor), cost, self.generator.as_mut(), &cfg)?;
+        let res = probe(
+            as_index_advisor(advisor),
+            cost,
+            self.generator.as_mut(),
+            &cfg,
+        )?;
         let seg = segment(&res.preference, cost.catalog().schema, &self.segment_cfg);
         Ok((res.preference, seg))
     }
@@ -203,7 +208,10 @@ impl Injector for TargetedInjector {
                 while w.len() < n && attempts < n * 6 {
                     attempts += 1;
                     let cols: Vec<ColumnId> = all.choose_multiple(&mut rng, k).copied().collect();
-                    if let Some(q) = self.generator.generate(cost, &cols, inj_cfg.target_reward)? {
+                    if let Some(q) = self
+                        .generator
+                        .generate(cost, &cols, inj_cfg.target_reward)?
+                    {
                         w.push(q, rng.gen_range(1..=10));
                     }
                 }
@@ -219,7 +227,10 @@ impl Injector for TargetedInjector {
                 while w.len() < n && attempts < n * 6 {
                     attempts += 1;
                     let cols: Vec<ColumnId> = low.choose_multiple(&mut rng, k).copied().collect();
-                    if let Some(q) = self.generator.generate(cost, &cols, inj_cfg.target_reward)? {
+                    if let Some(q) = self
+                        .generator
+                        .generate(cost, &cols, inj_cfg.target_reward)?
+                    {
                         w.push(q, rng.gen_range(1..=10));
                     }
                 }

@@ -112,7 +112,11 @@ where
     let jobs = if jobs == 0 { default_jobs() } else { jobs };
     let n = items.len();
     if jobs <= 1 || n <= 1 {
-        return items.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| f(i, t))
+            .collect();
     }
 
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();

@@ -539,10 +539,7 @@ pub fn run_stream(
         cost_evals,
         baseline_indexes,
         final_indexes: index_names(cost, &deployed),
-        injector_label: spec
-            .attacker
-            .injector_kind()
-            .map(|k| k.label().to_string()),
+        injector_label: spec.attacker.injector_kind().map(|k| k.label().to_string()),
         first_attack_seed,
         seed: seed.get(),
         windows,
@@ -745,7 +742,11 @@ mod tests {
     fn clean_stream_never_degrades_vs_its_twin() {
         let cfg = cfg();
         let cost = build_db(&cfg);
-        let s = spec(AttackerStrategy::None, DefensePolicy::None, Cadence::Every(2));
+        let s = spec(
+            AttackerStrategy::None,
+            DefensePolicy::None,
+            Cadence::Every(2),
+        );
         let out = run_stream(&cost, &cfg, advisor(), &s, CellSeed::raw(21)).unwrap();
         assert_eq!(out.windows.len(), 4);
         for w in &out.windows {
@@ -754,7 +755,10 @@ mod tests {
         }
         assert_eq!(out.total_injected, 0);
         assert_eq!(out.retrains, 2, "Every(2) over 4 windows fires at 2 and 4");
-        assert!(out.as_stress_outcome().is_none(), "no attack, no stress view");
+        assert!(
+            out.as_stress_outcome().is_none(),
+            "no attack, no stress view"
+        );
     }
 
     #[test]
@@ -789,7 +793,11 @@ mod tests {
         );
         let out = run_stream(&cost, &cfg, advisor(), &s, CellSeed::raw(23)).unwrap();
         let injected: Vec<usize> = out.windows.iter().map(|w| w.injected).collect();
-        assert_eq!(injected, vec![0, 8, 0, 8], "full bank lands at each retrain");
+        assert_eq!(
+            injected,
+            vec![0, 8, 0, 8],
+            "full bank lands at each retrain"
+        );
         assert_eq!(out.total_injected, 16, "equal total budget to spread");
     }
 
@@ -808,7 +816,11 @@ mod tests {
         assert_eq!(out.retrains, 2);
         assert_eq!(out.rollbacks, 2);
         assert_eq!(out.defense_recall, 1.0);
-        assert!(out.windows.iter().filter(|w| w.retrained).all(|w| w.rolled_back));
+        assert!(out
+            .windows
+            .iter()
+            .filter(|w| w.retrained)
+            .all(|w| w.rolled_back));
     }
 
     #[test]
@@ -840,7 +852,10 @@ mod tests {
                 AttackerStrategy::Spread(InjectorKind::Tp),
                 AttackerStrategy::Burst(InjectorKind::Tp),
             ],
-            defenses: vec![DefensePolicy::None, DefensePolicy::Canary { tolerance: 0.02 }],
+            defenses: vec![
+                DefensePolicy::None,
+                DefensePolicy::Canary { tolerance: 0.02 },
+            ],
             cadences: vec![Cadence::Every(1), Cadence::EndOnly],
             windows: 3,
             drift: DriftSchedule::Resample,

@@ -103,10 +103,9 @@ fn grid_reruns_reproduce_and_caching_is_observable() {
     // Re-running the same grid on the now-warm database changes nothing:
     // cached costs are bit-identical to computed ones.
     let second = run_grid(&db, &cfg, &spec, 2).unwrap();
-    let ads =
-        |rs: &[(pipa_core::GridCell, pipa_core::StressOutcome)]| -> Vec<f64> {
-            rs.iter().map(|(_, o)| o.ad).collect()
-        };
+    let ads = |rs: &[(pipa_core::GridCell, pipa_core::StressOutcome)]| -> Vec<f64> {
+        rs.iter().map(|(_, o)| o.ad).collect()
+    };
     assert_eq!(ads(&first), ads(&second));
     assert!(db.database().whatif_matrix_stats().entry_hits > stats.entry_hits);
 }
@@ -186,7 +185,10 @@ fn small_stream_spec() -> (CellConfig, StreamGridSpec) {
             AttackerStrategy::Spread(InjectorKind::Pipa),
             AttackerStrategy::Burst(InjectorKind::Pipa),
         ],
-        defenses: vec![DefensePolicy::None, DefensePolicy::Canary { tolerance: 0.02 }],
+        defenses: vec![
+            DefensePolicy::None,
+            DefensePolicy::Canary { tolerance: 0.02 },
+        ],
         cadences: vec![Cadence::Every(1), Cadence::EndOnly],
         windows: 2,
         drift: DriftSchedule::Resample,
@@ -271,7 +273,14 @@ fn stream_trace_is_bit_identical_across_job_counts() {
     );
     for line in golden_trace.lines() {
         let keys = pipa_obs::json::top_level_keys(line).expect("valid JSON line");
-        for req in ["event", "cell_seed", "attacker", "defense", "cadence", "run"] {
+        for req in [
+            "event",
+            "cell_seed",
+            "attacker",
+            "defense",
+            "cadence",
+            "run",
+        ] {
             assert!(keys.iter().any(|k| k == req), "missing {req} in {line}");
         }
     }

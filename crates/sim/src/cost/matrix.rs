@@ -34,9 +34,11 @@
 //! `index_access_cost` / `index_nl_cost` / `join_cost_from_steps` /
 //! `apply_surcharges` helpers on the same `JoinPlan` skeleton, the
 //! `min` runs over the same values, and "index not applicable" is
-//! encoded as `+∞` so the `e < best` comparison skips it exactly like the
-//! scalar path's `continue`. `tests/whatif_differential.rs` pins this
-//! with proptest-generated workloads and edit sequences.
+//! answered as `+∞` so the `e < best` comparison skips it exactly like the
+//! scalar path's `continue`. That answer comes from metadata (the index's
+//! table and leading column) before any lookup, so inapplicable pairs
+//! never occupy a cell. `tests/whatif_differential.rs` pins this with
+//! proptest-generated workloads and edit sequences.
 //!
 //! Concurrency mirrors [`super::CostCache`]: sharded `RwLock` maps,
 //! misses compute outside locks, racy inserts are idempotent because the
@@ -289,9 +291,10 @@ impl IncrementalEval {
 pub struct BenefitMatrix {
     /// Query fingerprint → shape (lazily classified).
     shapes: RwLock<HashMap<Fingerprint, QueryShape>>,
-    /// `(query, index)` → raw access cost; `+∞` = index not applicable.
-    /// For join-decomposable queries the index's table resolves which
-    /// plan step the cell belongs to (tables are distinct by shape
+    /// `(query, index)` → raw access cost, for applicable indexes only
+    /// (an inapplicable one is answered `+∞` without a cell). For
+    /// join-decomposable queries the index's table resolves which plan
+    /// step the cell belongs to (tables are distinct by shape
     /// classification, so the key is unambiguous).
     entries: Vec<RwLock<HashMap<(Fingerprint, Fingerprint), f64>>>,
     /// `(query, index)` → index nested-loop probe cost into the step the
@@ -464,6 +467,18 @@ impl BenefitMatrix {
         }
     }
 
+    /// The cost held in every resident access cell, in no particular
+    /// order.
+    pub(crate) fn access_costs(&self) -> Vec<f64> {
+        self.entries
+            .iter()
+            .flat_map(|s| {
+                let r = s.read().expect("matrix shard poisoned");
+                r.values().copied().collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
     /// One per-query evaluation was answered from the matrix.
     pub(crate) fn note_matrix_eval(&self) {
         self.matrix_evals.fetch_add(1, Ordering::Relaxed);
@@ -531,6 +546,9 @@ impl BenefitMatrix {
     /// table through `index` (`+∞` when the index is on another table or
     /// unusable). `acc` is a lazily-built [`TableAccess`] shared across a
     /// row's lookups so a cold row costs one `table_access` total.
+    ///
+    /// Inapplicable indexes are answered `+∞` from metadata before any
+    /// lookup, so only applicable cells are ever stored.
     fn cell<'q>(
         &self,
         model: &AnalyticalCostModel,
@@ -540,6 +558,9 @@ impl BenefitMatrix {
         index: &Index,
         acc: &mut Option<TableAccess<'q>>,
     ) -> f64 {
+        if !model.index_applies(cat, key.q, key.table, index) {
+            return f64::INFINITY;
+        }
         let cell_key = (key.qf, idxf);
         let shard = &self.entries
             [(key.qf.to_u128() as u64 ^ idxf.to_u128() as u64) as usize & (SHARDS - 1)];
@@ -658,25 +679,13 @@ impl BenefitMatrix {
         plan.steps
             .iter()
             .map(|step| {
-                let mut acc = None;
                 let key = QueryKey {
                     q,
                     qf,
                     table: step.table,
                 };
-                let mut raw = step.seq_cost;
-                for &(idxf, index) in keyed {
-                    // Only this step's table: the cell key `(qf, idxf)`
-                    // must always hold the cost against the index's own
-                    // table, never another step's `+∞`.
-                    if index.table(cat.schema) != step.table {
-                        continue;
-                    }
-                    let e = self.cell(model, cat, &key, idxf, index, &mut acc);
-                    if e < raw {
-                        raw = e;
-                    }
-                }
+                // Indexes on other steps' tables are `+∞` without a cell.
+                let raw = self.best_raw(model, cat, &key, step.seq_cost, keyed);
                 let mut nl = f64::INFINITY;
                 if let Some(col) = step.inner_col {
                     for &(idxf, index) in keyed {
@@ -1113,6 +1122,32 @@ mod tests {
     }
 
     #[test]
+    fn inapplicable_indexes_are_answered_without_a_cell() {
+        let fx = Fixture::new();
+        let model = AnalyticalCostModel::new();
+        let m = BenefitMatrix::new();
+        let q = QueryBuilder::new()
+            .filter(&fx.schema, Predicate::eq(fx.col("f_id"), 0.5))
+            .select(fx.col("f_price"))
+            .build(&fx.schema)
+            .unwrap();
+        // Another table, and the query's table led by an unfiltered
+        // column (the filtered `f_id` is only second).
+        let cfg = IndexConfig::from_indexes([
+            Index::single(fx.col("d_cat")),
+            Index::multi(&fx.schema, vec![fx.col("f_dim"), fx.col("f_id")]).unwrap(),
+        ]);
+        for _ in 0..2 {
+            let got = eval_decomposable(&m, &model, fx.cat(), &q, &cfg);
+            let want = model.query_cost(fx.cat(), &q, &cfg);
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+        let s = m.stats();
+        assert_eq!((s.entries, s.approx_bytes, s.peak_bytes), (0, 0, 0));
+        assert_eq!(s.entry_hits + s.entry_misses, 0, "no lookup was made");
+    }
+
+    #[test]
     fn clear_resets_cells_shapes_and_counters() {
         let fx = Fixture::new();
         let model = AnalyticalCostModel::new();
@@ -1159,11 +1194,15 @@ mod tests {
         for round in 0..3 {
             for (i, fc) in cols.iter().enumerate() {
                 for ic in &cols {
-                    let q = QueryBuilder::new()
-                        .filter(&fx.schema, Predicate::eq(fx.col(fc), 0.1 + i as f64 / 10.0))
-                        .select(fx.col("f_price"))
-                        .build(&fx.schema)
-                        .unwrap();
+                    // Every query filters all three columns, so each of
+                    // the 9 (query, index) pairs is an applicable cell
+                    // the budget has to hold.
+                    let mut b = QueryBuilder::new()
+                        .filter(&fx.schema, Predicate::eq(fx.col(fc), 0.1 + i as f64 / 10.0));
+                    for other in cols.iter().filter(|c| *c != fc) {
+                        b = b.filter(&fx.schema, Predicate::le(fx.col(other), 0.5));
+                    }
+                    let q = b.select(fx.col("f_price")).build(&fx.schema).unwrap();
                     let cfg = IndexConfig::from_indexes([Index::single(fx.col(ic))]);
                     let got = eval_decomposable(&m, &model, fx.cat(), &q, &cfg);
                     if round == 0 {

@@ -254,6 +254,23 @@ impl AnalyticalCostModel {
         }
     }
 
+    /// Whether [`Self::index_access_cost`] is `Some` for `table` of `q`:
+    /// the index is on that table and some predicate of the query is on
+    /// its leading column. Metadata only, no [`TableAccess`] is built.
+    /// The two agree exactly because `index_access_cost` is `None` only
+    /// on another table or when `index_match` finds no predicate at
+    /// depth 0, and on the index's own table `acc.preds` holds every
+    /// predicate of the query on the leading column.
+    pub(crate) fn index_applies(
+        &self,
+        cat: Catalog<'_>,
+        q: &Query,
+        table: TableId,
+        index: &Index,
+    ) -> bool {
+        index.table(cat.schema) == table && q.predicates.iter().any(|p| p.col == index.leading())
+    }
+
     /// Cost of scanning `acc`'s table through `index`, or `None` when the
     /// index lives on another table or its leading column has no sargable
     /// predicate.

@@ -195,7 +195,7 @@ impl Database {
     /// from the benefit matrix. For the advisor hot loop that holds a
     /// session open across many edits, prefer [`Self::whatif_eval_begin`]
     /// / [`Self::whatif_eval_add`], which touch one matrix cell per query
-    /// per edit.
+    /// that scans the edited index's table.
     pub fn what_if_delta(&self, w: &Workload, base: &IndexConfig, delta: &ConfigDelta) -> f64 {
         self.whatif_matrix.note_delta();
         pipa_obs::count("whatif_delta", 1);
@@ -280,9 +280,11 @@ impl Database {
     }
 
     /// Total workload cost of `session config + idx` without committing:
-    /// one matrix-cell probe per decomposable query. `cfg_after` must be
-    /// the session's configuration with `idx` added (join-coupled entries
-    /// re-cost against it in full, through the what-if cache).
+    /// one matrix-cell probe per decomposable query that scans `idx`'s
+    /// table; every other matrix-backed query keeps its stored cost.
+    /// `cfg_after` must be the session's configuration with `idx` added
+    /// (join-coupled entries re-cost against it in full, through the
+    /// what-if cache).
     pub fn whatif_eval_preview_add(
         &self,
         w: &Workload,
@@ -294,11 +296,17 @@ impl Database {
         pipa_obs::count("whatif_delta", 1);
         debug_assert_eq!(w.len(), eval.len(), "session built for another workload");
         let idxf = fingerprint_index(idx);
+        let t = idx.table(&self.schema);
         w.iter()
             .zip(&eval.states)
             .map(|(wq, st)| {
                 wq.frequency as f64
                     * match &st.kind {
+                        QueryState::Full(_) => self.scalar_query_cost(&wq.query, cfg_after),
+                        // No cell of a query that never scans `t` can
+                        // change: the arms below would recompute the
+                        // stored cost from the same inputs.
+                        kind if !wq.query.tables.contains(&t) => kind.cost(),
                         QueryState::Trivial => 0.0,
                         QueryState::Raw {
                             table,
@@ -332,7 +340,6 @@ impl Database {
                                 idx,
                             )
                         }
-                        QueryState::Full(_) => self.scalar_query_cost(&wq.query, cfg_after),
                     }
             })
             .sum()
@@ -352,9 +359,15 @@ impl Database {
         pipa_obs::count("whatif_delta", 1);
         debug_assert_eq!(w.len(), eval.len(), "session built for another workload");
         let idxf = fingerprint_index(idx);
+        let t = idx.table(&self.schema);
         for (wq, st) in w.iter().zip(&mut eval.states) {
             let qf = st.qf;
             match &mut st.kind {
+                QueryState::Full(c) => {
+                    *c = self.scalar_query_cost(&wq.query, cfg_after);
+                }
+                // A query that never scans `t` keeps its state as it is.
+                _ if !wq.query.tables.contains(&t) => {}
                 QueryState::Trivial => {}
                 QueryState::Raw {
                     table,
@@ -391,9 +404,6 @@ impl Database {
                     );
                     *cost = self.model.join_cost_from_steps(&wq.query, plan, steps);
                 }
-                QueryState::Full(c) => {
-                    *c = self.scalar_query_cost(&wq.query, cfg_after);
-                }
             }
         }
         self.whatif_eval_total(w, eval)
@@ -402,6 +412,14 @@ impl Database {
     /// Counter snapshot of the benefit matrix.
     pub fn whatif_matrix_stats(&self) -> MatrixStats {
         self.whatif_matrix.stats()
+    }
+
+    /// The cost held in every resident access cell of the benefit
+    /// matrix. Public (but hidden) so the differential suite can check
+    /// that only applicable indexes own a cell.
+    #[doc(hidden)]
+    pub fn whatif_matrix_access_costs(&self) -> Vec<f64> {
+        self.whatif_matrix.access_costs()
     }
 
     /// Enable or disable the benefit matrix (evaluations route to the

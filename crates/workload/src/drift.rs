@@ -163,7 +163,10 @@ mod tests {
     #[test]
     fn rotate_span_clamps_to_the_pool() {
         let g = gen();
-        let d = DriftSchedule::Rotate { span: 999, stride: 1 };
+        let d = DriftSchedule::Rotate {
+            span: 999,
+            stride: 1,
+        };
         let w = d.window_workload(&g, 0, 3).unwrap();
         assert_eq!(w.len(), g.templates().len());
     }
@@ -188,7 +191,10 @@ mod tests {
         assert_eq!(d.window_template_indices(5, 0), vec![0, 1, 2]);
         assert_eq!(d.window_template_indices(5, 1), vec![2, 3, 4]);
         assert_eq!(d.window_template_indices(5, 2), vec![4, 0, 1]);
-        assert_eq!(DriftSchedule::Static.window_template_indices(3, 9), vec![0, 1, 2]);
+        assert_eq!(
+            DriftSchedule::Static.window_template_indices(3, 9),
+            vec![0, 1, 2]
+        );
         assert!(DriftSchedule::Rotate { span: 2, stride: 1 }
             .window_template_indices(0, 4)
             .is_empty());

@@ -24,7 +24,9 @@ pub mod traffic;
 pub use drift::DriftSchedule;
 pub use generator::{generate_normal_workload, WorkloadGenerator};
 pub use templates::{AggSpec, ParamKind, ParamPredicate, TemplateSpec};
-pub use traffic::{column_usage, Arrivals, ColumnUsage, Diurnal, Popularity, TrafficModel, WindowTraffic};
+pub use traffic::{
+    column_usage, Arrivals, ColumnUsage, Diurnal, Popularity, TrafficModel, WindowTraffic,
+};
 
 use pipa_sim::{Database, Schema};
 

@@ -74,9 +74,9 @@ impl Popularity {
         }
         let weights: Vec<f64> = match self {
             Popularity::Uniform => vec![1.0; n],
-            Popularity::Zipf { exponent } => (0..n)
-                .map(|r| ((r + 1) as f64).powf(-exponent))
-                .collect(),
+            Popularity::Zipf { exponent } => {
+                (0..n).map(|r| ((r + 1) as f64).powf(-exponent)).collect()
+            }
         };
         let total: f64 = weights.iter().sum();
         let mut acc = 0.0;
@@ -430,13 +430,15 @@ pub fn column_usage(w: &Workload) -> Vec<ColumnUsage> {
         totals.iter().sum::<u64>() as f64 / totals.len() as f64
     };
     map.into_iter()
-        .map(|(col, (select_count, filter_count, join_count))| ColumnUsage {
-            col: ColumnId(col),
-            select_count,
-            filter_count,
-            join_count,
-            hot: (select_count + filter_count + join_count) as f64 >= 2.0 * mean && mean > 0.0,
-        })
+        .map(
+            |(col, (select_count, filter_count, join_count))| ColumnUsage {
+                col: ColumnId(col),
+                select_count,
+                filter_count,
+                join_count,
+                hot: (select_count + filter_count + join_count) as f64 >= 2.0 * mean && mean > 0.0,
+            },
+        )
         .collect()
 }
 

@@ -89,9 +89,10 @@ WHATIF_BENCH_SMOKE=1 cargo bench -q -p pipa-bench --bench whatif >/dev/null
 
 echo "== scale bench smoke =="
 # Shrunk Zipf/diurnal stream through the scale bench harness: asserts
-# the bounded cache's bit-identity against the unbounded replay, the
-# matrix byte budget, the tape round trip + size guard, and the
-# hot>=cold economics ordering; smoke mode skips the committed artifact.
+# the bounded cache's bit-identity against the unbounded replay, that
+# the matrix byte budget compacts without changing a cost bit, the tape
+# round trip + size guard, and the hot>=cold economics ordering; smoke
+# mode skips the committed artifact.
 SCALE_BENCH_SMOKE=1 cargo bench -q -p pipa-bench --bench scale >/dev/null
 
 echo "== doc-link lint =="
@@ -107,9 +108,9 @@ fi
 echo "== cargo doc (RUSTDOCFLAGS=-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${PKGS[@]}"
 
-echo "== rustfmt check (pipa-nn, pipa-sim, pipa-obs, pipa-ia, pipa-cost) =="
+echo "== rustfmt check (pipa-nn, pipa-sim, pipa-obs, pipa-ia, pipa-cost, pipa-core, pipa-workload) =="
 # These crates are rustfmt-clean; keep them so. The others are not yet.
-cargo fmt -p pipa-nn -p pipa-sim -p pipa-obs -p pipa-ia -p pipa-cost -- --check
+cargo fmt -p pipa-nn -p pipa-sim -p pipa-obs -p pipa-ia -p pipa-cost -p pipa-core -p pipa-workload -- --check
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --all-targets -q "${PKGS[@]}" -- -D warnings

@@ -11,7 +11,7 @@
 
 use pipa::sim::{
     Aggregate, ColumnId, ConfigDelta, Database, Index, IndexConfig, Predicate, Query, QueryBuilder,
-    Workload,
+    TableId, Workload,
 };
 use pipa::workload::{Benchmark, TemplateSpec};
 use proptest::prelude::*;
@@ -50,14 +50,14 @@ enum QSpec {
     },
 }
 
-fn arb_qspec(ncols: u32) -> impl Strategy<Value = QSpec> {
+fn arb_qspec(ncols: u32, ntemplates: usize) -> impl Strategy<Value = QSpec> {
     // The vendored mini-proptest has no `prop_oneof!`; encode the 3:1
     // single-table / template choice as a drawn discriminant instead.
     (
         0u8..4,
         0..ncols,
         proptest::collection::vec((0..ncols, 0..4u8, 0.0f64..1.0, 0.0f64..1.0), 1..3),
-        0usize..8,
+        0usize..ntemplates,
         0u64..1_000,
     )
         .prop_map(|(choice, anchor, preds, idx, seed)| {
@@ -136,11 +136,95 @@ fn build_index(db: &Database, cols: &[u32]) -> Index {
 }
 
 fn arb_index_cols() -> impl Strategy<Value = Vec<u32>> {
-    proptest::collection::vec(0u32..61, 1..4)
+    arb_index_cols_of(61)
+}
+
+fn arb_index_cols_of(ncols: u32) -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::vec(0..ncols, 1..4)
 }
 
 fn arb_workload_specs() -> impl Strategy<Value = Vec<(QSpec, u32)>> {
-    proptest::collection::vec((arb_qspec(61), 1u32..6), 1..5)
+    proptest::collection::vec((arb_qspec(61, 8), 1u32..6), 1..5)
+}
+
+/// TPC-DS column count (the proptests above draw TPC-H's 61).
+fn tpcds_cols() -> u32 {
+    Benchmark::TpcDs.schema().num_columns() as u32
+}
+
+/// A drawn index edit on `w`. When `used`, its leading column is one the
+/// workload filters or joins on, as an advisor's edits are; otherwise
+/// any column, which on TPC-DS mostly lands on a table no query scans.
+fn build_edit(db: &Database, w: &Workload, used: bool, cols: &[u32]) -> Index {
+    let cand = w.candidate_columns();
+    let mut cols = cols.to_vec();
+    if used && !cand.is_empty() {
+        cols[0] = cand[cols[0] as usize % cand.len()].0;
+    }
+    build_index(db, &cols)
+}
+
+fn arb_tpcds_edits() -> impl Strategy<Value = Vec<(u8, Vec<u32>)>> {
+    proptest::collection::vec((0u8..4, arb_index_cols_of(tpcds_cols())), 1..6)
+}
+
+/// Begin a session on `w`, then preview and commit each of `adds` in
+/// turn: the begin total, every preview and every commit equal the
+/// scalar recompute of the session's configuration, bit for bit.
+fn assert_session_tracks_scalar(
+    label: &str,
+    bench: Benchmark,
+    db: &Database,
+    w: &Workload,
+    adds: &[Index],
+) {
+    let scalar = scalar_reference(bench);
+    let mut eval = db.whatif_eval_begin(w);
+    let mut cfg = IndexConfig::empty();
+    assert_bits(
+        &format!("{label} begin"),
+        scalar.estimated_workload_cost(w, &cfg),
+        db.whatif_eval_total(w, &eval),
+    );
+    for idx in adds {
+        let mut after = cfg.clone();
+        after.add(idx.clone());
+        let preview = db.whatif_eval_preview_add(w, &eval, &after, idx);
+        let committed = db.whatif_eval_add(w, &mut eval, &after, idx);
+        let reference = scalar.estimated_workload_cost(w, &after);
+        assert_bits(&format!("{label} preview"), reference, preview);
+        assert_bits(&format!("{label} commit"), reference, committed);
+        cfg = after;
+    }
+}
+
+/// One instantiation of each of the first `n` default templates.
+fn template_workload(bench: Benchmark, db: &Database, n: usize, seed: u64) -> Workload {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut w = Workload::new();
+    for t in bench.default_templates().iter().take(n) {
+        w.push(t.instantiate(db.schema(), &mut rng).unwrap(), 2);
+    }
+    w
+}
+
+/// `(template, seed, frequency)` draws instantiated from `bench`'s
+/// default templates.
+fn join_template_workload(
+    bench: Benchmark,
+    db: &Database,
+    tmpls: &[(usize, u64, u32)],
+) -> Workload {
+    let templates = bench.default_templates();
+    let mut w = Workload::new();
+    for (idx, seed, freq) in tmpls {
+        let t = &templates[idx % templates.len()];
+        let q = t
+            .instantiate(db.schema(), &mut ChaCha8Rng::seed_from_u64(*seed))
+            .unwrap();
+        w.push(q, *freq);
+    }
+    w
 }
 
 fn assert_bits(label: &str, reference: f64, got: f64) {
@@ -223,29 +307,28 @@ proptest! {
         specs in arb_workload_specs(),
         adds in proptest::collection::vec(arb_index_cols(), 1..5),
     ) {
-        let scalar = scalar_reference(Benchmark::TpcH);
         let db = tpch();
         let templates = Benchmark::TpcH.default_templates();
         let w = build_workload(&db, &templates, &specs);
+        let adds: Vec<Index> = adds.iter().map(|cols| build_index(&db, cols)).collect();
+        assert_session_tracks_scalar("session", Benchmark::TpcH, &db, &w, &adds);
+    }
 
-        let mut eval = db.whatif_eval_begin(&w);
-        let mut cfg = IndexConfig::empty();
-        assert_bits(
-            "session begin",
-            scalar.estimated_workload_cost(&w, &cfg),
-            db.whatif_eval_total(&w, &eval),
-        );
-        for cols in &adds {
-            let idx = build_index(&db, cols);
-            let mut after = cfg.clone();
-            after.add(idx.clone());
-            let preview = db.whatif_eval_preview_add(&w, &eval, &after, &idx);
-            let committed = db.whatif_eval_add(&w, &mut eval, &after, &idx);
-            let reference = scalar.estimated_workload_cost(&w, &after);
-            assert_bits("session preview", reference, preview);
-            assert_bits("session commit", reference, committed);
-            cfg = after;
-        }
+    /// The same session chains on TPC-DS, whose star joins over 24
+    /// tables make most edits land on a table the query never scans.
+    #[test]
+    fn tpcds_eval_sessions_match_scalar_bitwise(
+        specs in proptest::collection::vec((arb_qspec(tpcds_cols(), 128), 1u32..6), 1..5),
+        edits in arb_tpcds_edits(),
+    ) {
+        let db = Benchmark::TpcDs.database(1.0, None);
+        let templates = Benchmark::TpcDs.default_templates();
+        let w = build_workload(&db, &templates, &specs);
+        let adds: Vec<Index> = edits
+            .iter()
+            .map(|(used, cols)| build_edit(&db, &w, *used < 3, cols))
+            .collect();
+        assert_session_tracks_scalar("tpcds session", Benchmark::TpcDs, &db, &w, &adds);
     }
 
     /// Join-template-only workloads under session edit chains: the
@@ -258,36 +341,30 @@ proptest! {
         tmpls in proptest::collection::vec((0usize..8, 0u64..1_000, 1u32..4), 1..4),
         adds in proptest::collection::vec(arb_index_cols(), 1..5),
     ) {
-        let scalar = scalar_reference(Benchmark::TpcH);
         let db = tpch();
-        let templates = Benchmark::TpcH.default_templates();
-        let mut w = Workload::new();
-        for (idx, seed, freq) in &tmpls {
-            let t = &templates[idx % templates.len()];
-            let q = t
-                .instantiate(db.schema(), &mut ChaCha8Rng::seed_from_u64(*seed))
-                .unwrap();
-            w.push(q, *freq);
-        }
-
-        let mut eval = db.whatif_eval_begin(&w);
-        let mut cfg = IndexConfig::empty();
-        assert_bits(
-            "join session begin",
-            scalar.estimated_workload_cost(&w, &cfg),
-            db.whatif_eval_total(&w, &eval),
+        let w = join_template_workload(Benchmark::TpcH, &db, &tmpls);
+        let adds: Vec<Index> = adds.iter().map(|cols| build_index(&db, cols)).collect();
+        assert_session_tracks_scalar("join session", Benchmark::TpcH, &db, &w, &adds);
+        prop_assert_eq!(
+            db.whatif_matrix_stats().full_fallbacks,
+            0,
+            "benchmark templates must all decompose"
         );
-        for cols in &adds {
-            let idx = build_index(&db, cols);
-            let mut after = cfg.clone();
-            after.add(idx.clone());
-            let preview = db.whatif_eval_preview_add(&w, &eval, &after, &idx);
-            let committed = db.whatif_eval_add(&w, &mut eval, &after, &idx);
-            let reference = scalar.estimated_workload_cost(&w, &after);
-            assert_bits("join session preview", reference, preview);
-            assert_bits("join session commit", reference, committed);
-            cfg = after;
-        }
+    }
+
+    /// The join-template session chains on TPC-DS.
+    #[test]
+    fn tpcds_join_template_sessions_match_scalar_bitwise(
+        tmpls in proptest::collection::vec((0usize..128, 0u64..1_000, 1u32..4), 1..4),
+        edits in arb_tpcds_edits(),
+    ) {
+        let db = Benchmark::TpcDs.database(1.0, None);
+        let w = join_template_workload(Benchmark::TpcDs, &db, &tmpls);
+        let adds: Vec<Index> = edits
+            .iter()
+            .map(|(used, cols)| build_edit(&db, &w, *used < 3, cols))
+            .collect();
+        assert_session_tracks_scalar("tpcds join session", Benchmark::TpcDs, &db, &w, &adds);
         prop_assert_eq!(
             db.whatif_matrix_stats().full_fallbacks,
             0,
@@ -399,6 +476,140 @@ fn all_templates_of_both_benchmarks_match_scalar() {
     }
 }
 
+// ---- edits that touch no matrix cell --------------------------------------
+
+/// Access-cell lookups so far (hits and misses).
+fn lookups(db: &Database) -> u64 {
+    let s = db.whatif_matrix_stats();
+    s.entry_hits + s.entry_misses
+}
+
+/// The two edits a session answers without a cell: an index on a table
+/// no query scans, and a multi-column index on a scanned table whose
+/// leading column no query filters or joins on (its second column is
+/// filtered). Preview, commit and the scalar recompute agree bit for
+/// bit, and previewing either one makes no matrix lookup.
+#[test]
+fn tpcds_session_edits_that_touch_no_cell_match_scalar() {
+    let bench = Benchmark::TpcDs;
+    let db = bench.database(1.0, None);
+    let schema = db.schema();
+    let w = template_workload(bench, &db, 12, 5);
+    let scanned: Vec<TableId> = w.iter().flat_map(|wq| wq.query.tables.clone()).collect();
+    let filtered: Vec<ColumnId> = w
+        .iter()
+        .flat_map(|wq| wq.query.predicates.iter().map(|p| p.col))
+        .collect();
+    let joined: Vec<ColumnId> = w
+        .iter()
+        .flat_map(|wq| wq.query.joins.iter().flat_map(|j| [j.left, j.right]))
+        .collect();
+
+    let unscanned = schema
+        .tables()
+        .iter()
+        .find(|t| !scanned.contains(&t.id))
+        .expect("twelve templates leave a TPC-DS table unscanned")
+        .id;
+    let on_unscanned = Index::single(
+        schema
+            .columns()
+            .iter()
+            .find(|c| c.table == unscanned)
+            .expect("every table has a column")
+            .id,
+    );
+    let unfiltered_lead = filtered
+        .iter()
+        .find_map(|&f| {
+            let lead = schema.columns().iter().find(|c| {
+                c.table == schema.table_of(f)
+                    && !filtered.contains(&c.id)
+                    && !joined.contains(&c.id)
+            })?;
+            Index::multi(schema, vec![lead.id, f]).ok()
+        })
+        .expect("a scanned table has an unfiltered, unjoined column");
+    assert!(scanned.contains(&unfiltered_lead.table(schema)));
+
+    // Every column the workload filters or joins on first, so the
+    // no-cell edits meet states away from their empty-configuration
+    // baselines.
+    let mut adds: Vec<Index> = w
+        .candidate_columns()
+        .into_iter()
+        .map(Index::single)
+        .collect();
+    // Non-vacuous: some edit lowers a join query's cost through a table
+    // other than its first, which a skip keyed on the wrong table misses.
+    let scalar = scalar_reference(bench);
+    assert!(w.iter().any(|wq| {
+        let one = Workload::from_queries([(wq.query.clone(), 1)]);
+        let base = scalar.estimated_workload_cost(&one, &IndexConfig::empty());
+        adds.iter().any(|idx| {
+            wq.query.tables[1..].contains(&idx.table(schema))
+                && scalar.estimated_workload_cost(&one, &IndexConfig::from_indexes([idx.clone()]))
+                    < base
+        })
+    }));
+    adds.extend([on_unscanned.clone(), unfiltered_lead.clone()]);
+    assert_session_tracks_scalar("no-cell edit", bench, &db, &w, &adds);
+
+    let useful = Index::single(filtered[0]);
+    let mut eval = db.whatif_eval_begin(&w);
+    let base = IndexConfig::from_indexes([useful.clone()]);
+    db.whatif_eval_add(&w, &mut eval, &base, &useful);
+    for idx in [&on_unscanned, &unfiltered_lead] {
+        let mut after = base.clone();
+        after.add(idx.clone());
+        let before = lookups(&db);
+        let preview = db.whatif_eval_preview_add(&w, &eval, &after, idx);
+        assert_eq!(lookups(&db), before, "{idx:?} made a matrix lookup");
+        assert_bits("no-cell preview", db.whatif_eval_total(&w, &eval), preview);
+    }
+}
+
+/// A TPC-DS sweep (templates plus single-table queries, every candidate
+/// column as a one-index configuration, batch and session) stores only
+/// applicable access cells: none of them holds `+∞`.
+#[test]
+fn tpcds_matrix_stores_only_applicable_access_cells() {
+    let bench = Benchmark::TpcDs;
+    let db = bench.database(1.0, None);
+    let mut w = template_workload(bench, &db, 24, 9);
+    for c in (0..db.schema().num_columns() as u32).step_by(13) {
+        let q = QueryBuilder::new()
+            .filter(db.schema(), Predicate::le(ColumnId(c), 0.4))
+            .aggregate(Aggregate::CountStar)
+            .build(db.schema())
+            .unwrap();
+        w.push(q, 1);
+    }
+    let candidates: Vec<Index> = w
+        .candidate_columns()
+        .into_iter()
+        .map(Index::single)
+        .collect();
+    let configs: Vec<IndexConfig> = candidates
+        .iter()
+        .map(|i| IndexConfig::from_indexes([i.clone()]))
+        .collect();
+    let _ = db.what_if_batch(&w, &configs);
+    let eval = db.whatif_eval_begin(&w);
+    for (idx, cfg) in candidates.iter().zip(&configs) {
+        let _ = db.whatif_eval_preview_add(&w, &eval, cfg, idx);
+    }
+    let costs = db.whatif_matrix_access_costs();
+    assert!(!costs.is_empty(), "the sweep stored no access cell");
+    assert_eq!(costs.len(), db.whatif_matrix_stats().entries);
+    assert!(
+        costs.iter().all(|c| c.is_finite()),
+        "{} of {} resident access cells hold +inf",
+        costs.iter().filter(|c| !c.is_finite()).count(),
+        costs.len()
+    );
+}
+
 // ---- join-shape classification edge cases ---------------------------------
 //
 // `QueryShape` is crate-internal, so these pin the chosen shape through
@@ -412,19 +623,36 @@ fn col(db: &Database, name: &str) -> ColumnId {
 
 /// Evaluate one query and return which shape counter advanced, asserting
 /// bit-equality to the scalar reference on the way.
-fn eval_and_classify(db: &Database, scalar: &Database, q: &Query, cfg: &IndexConfig) -> &'static str {
+fn eval_and_classify(
+    db: &Database,
+    scalar: &Database,
+    q: &Query,
+    cfg: &IndexConfig,
+) -> &'static str {
     let w = Workload::from_queries([(q.clone(), 1)]);
     let before = db.whatif_matrix_stats();
     let got = db.estimated_workload_cost(&w, cfg);
     let after = db.whatif_matrix_stats();
-    assert_bits("edge-case shape", scalar.estimated_workload_cost(&w, cfg), got);
+    assert_bits(
+        "edge-case shape",
+        scalar.estimated_workload_cost(&w, cfg),
+        got,
+    );
     let deltas = [
         ("matrix", after.matrix_evals - before.matrix_evals),
         ("join", after.join_evals - before.join_evals),
         ("fallback", after.full_fallbacks - before.full_fallbacks),
     ];
-    let moved: Vec<&str> = deltas.iter().filter(|(_, d)| *d > 0).map(|(n, _)| *n).collect();
-    assert_eq!(moved.len(), 1, "exactly one shape counter must advance, got {moved:?}");
+    let moved: Vec<&str> = deltas
+        .iter()
+        .filter(|(_, d)| *d > 0)
+        .map(|(n, _)| *n)
+        .collect();
+    assert_eq!(
+        moved.len(),
+        1,
+        "exactly one shape counter must advance, got {moved:?}"
+    );
     moved[0]
 }
 
@@ -542,7 +770,11 @@ fn empty_config_deltas_match_scalar() {
 
     let add = ConfigDelta::Add(idx.clone());
     let reference = scalar.estimated_workload_cost(&w, &add.apply(&empty));
-    assert_bits("empty-base add", reference, db.what_if_delta(&w, &empty, &add));
+    assert_bits(
+        "empty-base add",
+        reference,
+        db.what_if_delta(&w, &empty, &add),
+    );
 
     // Removing an index the empty config doesn't hold is a no-op edit.
     let remove = ConfigDelta::Remove(idx);
