@@ -301,9 +301,7 @@ fn main() {
         // Dimensions were shrunk; the artifact write below is a no-op in
         // smoke mode, but the counters/printout above already ran.
     }
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    let threads = pipa_bench::cli::cores_available();
     let artifact = BenchArtifact {
         id: "BENCH_nn".to_string(),
         description: "blocked NN kernels, pooled tapes, batched DQN targets, and \

@@ -1,21 +1,15 @@
-//! Throughput of the parallel experiment runner and the what-if cost
-//! cache: the first perf datapoint for the `results/BENCH_*.json`
-//! series.
+//! Throughput of the parallel experiment runner: serial versus four
+//! workers over the same 4-cell grid (2 advisors × 2 injectors × 1 run,
+//! `Test` preset):
 //!
-//! Three scenarios over the same 4-cell grid (2 advisors × 2 injectors ×
-//! 1 run, `Test` preset):
-//!
-//! * `runner/serial_uncached` — `--jobs 1` with memoization disabled:
-//!   the pre-runner baseline every experiment used to pay;
-//! * `runner/parallel4_uncached` — `--jobs 4`, memoization disabled:
-//!   isolates thread-pool scaling (bounded by the machine's core count —
-//!   on a single-core container this is expected to be ≈1×);
-//! * `runner/serial_cached_warm` — `--jobs 1` against a warmed cache:
-//!   isolates the memoization win, which is core-count independent.
+//! * `runner/serial` — `--jobs 1`;
+//! * `runner/parallel4` — `--jobs 4`: thread-pool scaling, bounded by
+//!   the machine's core count (on a single-core container this is
+//!   expected to be ≈1×).
 //!
 //! A custom `main` (the `[[bench]]` is `harness = false`) re-reads the
 //! criterion JSON lines and writes `results/BENCH_runner.json` with the
-//! derived speedups and the measured cache hit rate.
+//! derived speedup and the cores the host offered.
 
 use pipa_core::experiment::{build_db, CellConfig, GridSpec, InjectorKind};
 use pipa_core::run_grid;
@@ -26,9 +20,8 @@ use std::hint::black_box;
 
 #[derive(Serialize)]
 struct Medians {
-    serial_uncached: Option<f64>,
-    parallel4_uncached: Option<f64>,
-    serial_cached_warm: Option<f64>,
+    serial: Option<f64>,
+    parallel4: Option<f64>,
 }
 
 #[derive(Serialize)]
@@ -39,10 +32,6 @@ struct BenchArtifact {
     cores_available: usize,
     median_ns: Medians,
     parallel4_speedup: Option<f64>,
-    cache_speedup: Option<f64>,
-    cache_hit_rate_after_warm_run: f64,
-    cache_hit_rate_final: f64,
-    cache_entries: usize,
 }
 
 fn grid() -> (CellConfig, GridSpec) {
@@ -68,64 +57,34 @@ fn main() {
     let db = build_db(&cfg);
     let mut c = bench.criterion(10);
 
-    db.database().set_whatif_cache_enabled(false);
-    c.bench_function("runner/serial_uncached", |b| {
+    c.bench_function("runner/serial", |b| {
         b.iter(|| black_box(run_grid(&db, &cfg, &spec, 1)))
     });
-    c.bench_function("runner/parallel4_uncached", |b| {
+    c.bench_function("runner/parallel4", |b| {
         b.iter(|| black_box(run_grid(&db, &cfg, &spec, 4)))
     });
 
-    db.database().set_whatif_cache_enabled(true);
-    db.database().clear_whatif_cache();
-    let _ = run_grid(&db, &cfg, &spec, 1); // warm the cache
-    let warm_stats = db.database().whatif_cache_stats();
-    c.bench_function("runner/serial_cached_warm", |b| {
-        b.iter(|| black_box(run_grid(&db, &cfg, &spec, 1)))
-    });
-    let final_stats = db.database().whatif_cache_stats();
-
     let lines = bench.lines();
-    let serial = pipa_bench::cli::median_of(&lines, "runner/serial_uncached");
-    let par4 = pipa_bench::cli::median_of(&lines, "runner/parallel4_uncached");
-    let cached = pipa_bench::cli::median_of(&lines, "runner/serial_cached_warm");
-    let ratio = pipa_bench::cli::ratio;
-    let parallel_speedup = ratio(serial, par4);
-    let cache_speedup = ratio(serial, cached);
+    let serial = pipa_bench::cli::median_of(&lines, "runner/serial");
+    let par4 = pipa_bench::cli::median_of(&lines, "runner/parallel4");
+    let parallel_speedup = pipa_bench::cli::ratio(serial, par4);
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = pipa_bench::cli::cores_available();
     println!("\ncores available: {cores}");
     if let Some(s) = parallel_speedup {
         println!("parallel (4 workers) speedup over serial: {s:.2}x");
     }
-    if let Some(s) = cache_speedup {
-        println!("warm-cache speedup over uncached serial:  {s:.2}x");
-    }
-    println!(
-        "cache after benchmark: {} hits / {} misses (hit rate {:.3})",
-        final_stats.hits,
-        final_stats.misses,
-        final_stats.hit_rate()
-    );
 
     let artifact = BenchArtifact {
         id: "BENCH_runner".to_string(),
-        description: "experiment-runner throughput: serial vs parallel vs warm what-if cache"
-            .to_string(),
+        description: "experiment-runner throughput: serial vs 4 workers".to_string(),
         grid_cells: spec.len(),
         cores_available: cores,
         median_ns: Medians {
-            serial_uncached: serial,
-            parallel4_uncached: par4,
-            serial_cached_warm: cached,
+            serial,
+            parallel4: par4,
         },
         parallel4_speedup: parallel_speedup,
-        cache_speedup,
-        cache_hit_rate_after_warm_run: warm_stats.hit_rate(),
-        cache_hit_rate_final: final_stats.hit_rate(),
-        cache_entries: final_stats.entries,
     };
     bench.write_artifact(&artifact);
 }

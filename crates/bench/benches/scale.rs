@@ -5,14 +5,14 @@
 //!
 //! * **stream** — a day of traffic (24 diurnal windows, bursty
 //!   multi-tenant arrivals, Zipf template popularity) costed through the
-//!   what-if path with the benefit matrix off and the cost cache capped
-//!   far below the distinct-query pool. Reports throughput, the
-//!   hit-rate gap between Zipf and uniform popularity at the same
-//!   capacity (skew is what makes a bounded cache work), eviction
-//!   counts, and — the hard contract — that the bounded run returns
-//!   **bit-identical** costs to an unbounded re-run of the same draw
-//!   sequence (eviction is presence-only; it can cost time, never
-//!   correctness);
+//!   what-if path's one memo, the benefit matrix, under a byte budget of
+//!   1/32 of the day's own unbudgeted footprint (cells and query shapes).
+//!   Reports throughput, the matrix cell-hit-rate gap between Zipf and
+//!   uniform popularity at the same budget (skew is what makes a bounded
+//!   memo work), compactions, and — the hard contract — that the
+//!   budgeted run returns **bit-identical** costs to the unbudgeted run
+//!   of the same draw sequence (compaction drops presence only; it can
+//!   cost time, never correctness);
 //! * **matrix** — the same pool scored under a sweep of single-index
 //!   configurations with the benefit matrix *on* but under a byte
 //!   budget of half the sweep's own unbudgeted footprint: rotating shard
@@ -36,7 +36,7 @@ use pipa_core::runner::CellSeed;
 use pipa_core::traffic::{poisoning_economics, PoisonEconomics};
 use pipa_cost::{CostBackend, CostError, RecordingBackend, ReplayBackend, DEFAULT_TAPE_BYTE_LIMIT};
 use pipa_ia::{AdvisorKind, SpeedPreset, TrajectoryMode};
-use pipa_sim::{Database, Index, IndexConfig};
+use pipa_sim::{Database, Index, IndexConfig, MatrixStats};
 use pipa_workload::{Arrivals, Benchmark, Diurnal, TrafficModel, WorkloadGenerator};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -44,6 +44,10 @@ use serde::Serialize;
 use std::time::Instant;
 
 const SEED: u64 = 0x5CA1E;
+
+/// The stream leg's byte budget is the unbudgeted day's footprint over
+/// this.
+const STREAM_BUDGET_DIVISOR: usize = 32;
 
 /// A business day with bursty multi-tenant arrivals layered on `model`.
 fn business_day(mut model: TrafficModel) -> TrafficModel {
@@ -64,16 +68,28 @@ struct StreamLeg {
     windows: u64,
     /// Distinct (template, slot) pool size per window.
     distinct_pool_per_window: usize,
-    cache_capacity: usize,
     zipf_exponent: f64,
+    /// Peak matrix footprint of the unbudgeted Zipf day (cells and
+    /// shapes).
+    footprint_bytes: usize,
+    /// The budget the day streams under: `footprint_bytes / 32`.
+    byte_budget: usize,
+    /// The budgeted Zipf day.
     elapsed_s: f64,
     throughput_qps: f64,
+    /// The unbudgeted Zipf day, for comparison.
+    unbudgeted_throughput_qps: f64,
+    /// Matrix cell-hit rates of the budgeted Zipf and uniform days.
     hit_rate_zipf: f64,
     hit_rate_uniform: f64,
-    evictions: u64,
-    /// Cache residency after the bounded run (≤ capacity).
-    entries_resident: usize,
-    /// Bounded-vs-unbounded differential: XOR/rotate fold over every
+    /// Shard clears the budget forced during the Zipf day.
+    compactions: u64,
+    /// High-water and final footprint of the budgeted Zipf day.
+    peak_bytes: usize,
+    resident_bytes: usize,
+    /// Query shapes resident after the budgeted Zipf day.
+    shapes_resident: usize,
+    /// Budgeted-vs-unbudgeted differential: XOR/rotate fold over every
     /// cost's f64 bits, equal iff every cost is bit-identical.
     bounded_bits_identical: bool,
     /// Peak-hour vs trough window load (the diurnal curve, realized).
@@ -102,6 +118,9 @@ struct TapeLeg {
 struct BenchArtifact {
     id: String,
     description: String,
+    /// Cores the host offered: the throughputs compare only between
+    /// hosts with the same count.
+    cores_available: usize,
     scale_factor: f64,
     seed: u64,
     smoke: bool,
@@ -120,15 +139,23 @@ fn fold_bits(acc: u64, cost: f64) -> u64 {
 struct StreamRun {
     total: u64,
     fingerprint: u64,
-    hit_rate: f64,
     elapsed_s: f64,
     peak_load: usize,
     trough_load: usize,
+    stats: MatrixStats,
+}
+
+impl StreamRun {
+    fn throughput_qps(&self) -> f64 {
+        self.total as f64 / self.elapsed_s.max(1e-9)
+    }
 }
 
 /// Drive `windows` windows of `model` traffic through the what-if path
-/// under the database's current cache settings. Pure in
-/// `(model, base, seed)` given identical database cost state.
+/// on a cleared matrix under `byte_budget` (`usize::MAX` = unbudgeted).
+/// The cost bits are a pure function of `(model, base, seed)`, whatever
+/// the budget.
+#[allow(clippy::too_many_arguments)]
 fn run_stream(
     db: &Database,
     gen: &WorkloadGenerator,
@@ -137,8 +164,10 @@ fn run_stream(
     windows: u64,
     base: usize,
     seed: u64,
+    byte_budget: usize,
 ) -> StreamRun {
-    db.clear_whatif_cache();
+    db.clear_whatif_matrix();
+    db.set_whatif_matrix_byte_budget(byte_budget);
     let start = Instant::now();
     let mut total = 0u64;
     let mut fingerprint = 0u64;
@@ -159,14 +188,15 @@ fn run_stream(
         total += load as u64;
     }
     let elapsed_s = start.elapsed().as_secs_f64();
-    let stats = db.whatif_cache_stats();
+    let stats = db.whatif_matrix_stats();
+    db.set_whatif_matrix_byte_budget(usize::MAX);
     StreamRun {
         total,
         fingerprint,
-        hit_rate: stats.hit_rate(),
         elapsed_s,
         peak_load,
         trough_load,
+        stats,
     }
 }
 
@@ -174,10 +204,10 @@ fn main() {
     let bench = pipa_bench::cli::BenchArgs::for_bench("scale");
     let smoke = bench.smoke;
     let scale_factor = 100.0;
-    let (windows, base, slots, capacity) = if smoke {
-        (4u64, 1_500usize, 8usize, 64usize)
+    let (windows, base, slots) = if smoke {
+        (4u64, 1_500usize, 8usize)
     } else {
-        (24u64, 70_000usize, 64usize, 512usize)
+        (24u64, 70_000usize, 64usize)
     };
 
     eprintln!("[scale] synthesizing SF-{scale_factor} statistics (no rows materialized)...");
@@ -205,66 +235,82 @@ fn main() {
             .map(Index::single),
     );
 
-    // --- stream leg: bounded Zipf vs uniform, then unbounded replay ---
-    db.set_whatif_matrix_enabled(false);
-    db.set_whatif_cache_capacity(capacity);
+    // --- stream leg: the unbudgeted day sizes the budget, then the
+    // budgeted Zipf and uniform days --------------------------------------
     eprintln!(
-        "[scale] streaming {windows} windows (Zipf, cache capped at {capacity} of {} distinct)...",
+        "[scale] streaming {windows} windows (Zipf, {} distinct per window), unbudgeted...",
         pool0.distinct_queries()
     );
-    let bounded = run_stream(db, &gen, &cfg, &zipf, windows, base, SEED);
-    let stats = db.whatif_cache_stats();
-    let evictions = stats.evictions;
-    let entries_resident = stats.entries;
+    let unbudgeted = run_stream(db, &gen, &cfg, &zipf, windows, base, SEED, usize::MAX);
+    let footprint_bytes = unbudgeted.stats.peak_bytes;
+    let byte_budget = footprint_bytes / STREAM_BUDGET_DIVISOR;
+    eprintln!(
+        "[scale] the same day under a {byte_budget} B matrix budget (of {footprint_bytes} B)..."
+    );
+    let bounded = run_stream(db, &gen, &cfg, &zipf, windows, base, SEED, byte_budget);
+    assert_eq!(bounded.total, unbudgeted.total);
+    let bounded_bits_identical = bounded.fingerprint == unbudgeted.fingerprint;
     assert!(
-        entries_resident <= capacity,
-        "cache over capacity: {entries_resident} > {capacity}"
+        bounded_bits_identical,
+        "the budget changed a cost bit: {:#x} vs {:#x}",
+        bounded.fingerprint, unbudgeted.fingerprint
+    );
+    assert!(
+        bounded.stats.compactions > 0,
+        "the budget never forced a compaction: the leg proves nothing"
+    );
+    assert!(
+        bounded.stats.approx_bytes <= byte_budget,
+        "matrix over budget: {} > {byte_budget}",
+        bounded.stats.approx_bytes
     );
 
     let uniform_model = business_day(TrafficModel::uniform(slots));
-    eprintln!("[scale] streaming uniform baseline at the same capacity...");
-    let uniform = run_stream(db, &gen, &cfg, &uniform_model, windows, base, SEED);
-
-    eprintln!("[scale] unbounded re-run for the bit-identity differential...");
-    db.set_whatif_cache_capacity(usize::MAX);
-    let unbounded = run_stream(db, &gen, &cfg, &zipf, windows, base, SEED);
-    assert_eq!(bounded.total, unbounded.total);
-    let bounded_bits_identical = bounded.fingerprint == unbounded.fingerprint;
-    assert!(
-        bounded_bits_identical,
-        "bounded cache changed a cost bit: {:#x} vs {:#x}",
-        bounded.fingerprint, unbounded.fingerprint
+    eprintln!("[scale] streaming the uniform baseline at the same budget...");
+    let uniform = run_stream(
+        db,
+        &gen,
+        &cfg,
+        &uniform_model,
+        windows,
+        base,
+        SEED,
+        byte_budget,
     );
 
     let stream = StreamLeg {
         queries: bounded.total,
         windows,
         distinct_pool_per_window: pool0.distinct_queries(),
-        cache_capacity: capacity,
         zipf_exponent: 1.1,
+        footprint_bytes,
+        byte_budget,
         elapsed_s: bounded.elapsed_s,
-        throughput_qps: bounded.total as f64 / bounded.elapsed_s.max(1e-9),
-        hit_rate_zipf: bounded.hit_rate,
-        hit_rate_uniform: uniform.hit_rate,
-        evictions,
-        entries_resident,
+        throughput_qps: bounded.throughput_qps(),
+        unbudgeted_throughput_qps: unbudgeted.throughput_qps(),
+        hit_rate_zipf: bounded.stats.hit_rate(),
+        hit_rate_uniform: uniform.stats.hit_rate(),
+        compactions: bounded.stats.compactions,
+        peak_bytes: bounded.stats.peak_bytes,
+        resident_bytes: bounded.stats.approx_bytes,
+        shapes_resident: bounded.stats.shapes,
         bounded_bits_identical,
         peak_window_load: bounded.peak_load,
         trough_window_load: bounded.trough_load,
     };
     eprintln!(
-        "[scale] {} queries in {:.2}s ({:.0} q/s); hit rate zipf {:.3} vs uniform {:.3}; {} evictions",
+        "[scale] {} queries in {:.2}s ({:.0} q/s; unbudgeted {:.0} q/s); cell hit rate zipf {:.3} \
+         vs uniform {:.3}; {} compactions",
         stream.queries,
         stream.elapsed_s,
         stream.throughput_qps,
+        stream.unbudgeted_throughput_qps,
         stream.hit_rate_zipf,
         stream.hit_rate_uniform,
-        stream.evictions
+        stream.compactions
     );
 
     // --- matrix leg: byte-budgeted benefit matrix under a config sweep
-    db.set_whatif_cache_capacity(usize::MAX);
-    db.set_whatif_matrix_enabled(true);
     let sweep: Vec<IndexConfig> = pool_w
         .candidate_columns()
         .into_iter()
@@ -390,11 +436,12 @@ fn main() {
 
     let artifact = BenchArtifact {
         id: "BENCH_scale".to_string(),
-        description: "≥1M-query Zipf/diurnal stream at SF 100 under a capacity-bounded \
-                      what-if cache (bit-identical to unbounded), byte-budgeted benefit \
-                      matrix, streamed cost tape with size guard, and hot-vs-cold \
-                      poisoning economics"
+        description: "≥1M-query Zipf/diurnal stream at SF 100 through the byte-budgeted \
+                      benefit matrix (bit-identical to unbudgeted), budgeted config sweep, \
+                      streamed cost tape with size guard, and hot-vs-cold poisoning \
+                      economics"
             .to_string(),
+        cores_available: pipa_bench::cli::cores_available(),
         scale_factor,
         seed: SEED,
         smoke,

@@ -95,9 +95,11 @@ fn roster(
 /// Record a roster's tapes, then rebuild the same roster over
 /// [`BackendSpec::Replay`].
 fn record_then_replay(n_tenants: usize, sessions: usize, root_seed: u64) -> FleetSpec {
-    let recorded = roster(n_tenants, sessions, root_seed, &|_| BackendSpec::SimRecording)
-        .workers(0)
-        .run(&TraceOutputs::disabled());
+    let recorded = roster(n_tenants, sessions, root_seed, &|_| {
+        BackendSpec::SimRecording
+    })
+    .workers(0)
+    .run(&TraceOutputs::disabled());
     assert_eq!(
         recorded.report.degraded_tenants(),
         0,
@@ -162,9 +164,7 @@ fn main() {
         0.0
     };
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = pipa_bench::cli::cores_available();
     println!("\ncores available: {cores}");
     println!(
         "big fleet: {big_tenants} tenants, {sessions_total} sessions, {whatif_evals_total} what-if evals"

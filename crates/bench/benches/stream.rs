@@ -166,7 +166,10 @@ fn main() {
             ]
         },
         defenses: if smoke {
-            vec![DefensePolicy::None, DefensePolicy::Canary { tolerance: 0.05 }]
+            vec![
+                DefensePolicy::None,
+                DefensePolicy::Canary { tolerance: 0.05 },
+            ]
         } else {
             vec![
                 DefensePolicy::None,
@@ -206,7 +209,10 @@ fn main() {
     let scenario_evals = reference.cost_evals;
     for (id, defense) in [
         ("scenario_spread_none", DefensePolicy::None),
-        ("scenario_spread_canary", DefensePolicy::Canary { tolerance: 0.05 }),
+        (
+            "scenario_spread_canary",
+            DefensePolicy::Canary { tolerance: 0.05 },
+        ),
     ] {
         let spec = scenario(defense);
         c.bench_function(&format!("stream/{id}"), |b| {
@@ -263,11 +269,7 @@ fn main() {
             mean_recall: cells.iter().map(|o| o.defense_recall).sum::<f64>() / n,
         }
     };
-    let columns: Vec<DefenseColumn> = grid
-        .defenses
-        .iter()
-        .map(|d| column(d.label()))
-        .collect();
+    let columns: Vec<DefenseColumn> = grid.defenses.iter().map(|d| column(d.label())).collect();
     let none = columns
         .iter()
         .find(|c| c.defense == "none")
@@ -293,7 +295,11 @@ fn main() {
         _ => 0.0,
     };
 
-    println!("\narms-race grid: {} cells, {} attacked", serial.len(), attacked.len());
+    println!(
+        "\narms-race grid: {} cells, {} attacked",
+        serial.len(),
+        attacked.len()
+    );
     for c in &columns {
         println!(
             "  defense {:>10}: steady AD {:+.4}, steady toxicity {:.2}, recall {:.2} ({} cells)",
@@ -330,7 +336,11 @@ fn main() {
         grid_cells: serial.len(),
         drift: DriftSchedule::Resample.label().to_string(),
         attackers: grid.attackers.iter().map(|a| a.label()).collect(),
-        defenses: grid.defenses.iter().map(|d| d.label().to_string()).collect(),
+        defenses: grid
+            .defenses
+            .iter()
+            .map(|d| d.label().to_string())
+            .collect(),
         cadences: grid.cadences.iter().map(|c| c.label()).collect(),
         median_scenario_ns: Medians {
             scenario_spread_none: median_none,
@@ -338,9 +348,7 @@ fn main() {
         },
         whatif_qps,
         canary_overhead: pipa_bench::cli::ratio(median_canary, median_none),
-        cores_available: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        cores_available: pipa_bench::cli::cores_available(),
         no_defense_steady_ad: none.steady_ad,
         no_defense_steady_toxicity: none.steady_toxicity,
         best_defense: best.defense.clone(),

@@ -212,8 +212,15 @@ fn main() {
     let normal = normal_workload(&cfg, seed.get());
     c.bench_function("targets/stress_incontext_sim", |b| {
         b.iter(|| {
-            let out = run_cell(&db, &normal, incontext.clone(), InjectorKind::Pipa, &cfg, seed)
-                .expect("in-context stress cell runs");
+            let out = run_cell(
+                &db,
+                &normal,
+                incontext.clone(),
+                InjectorKind::Pipa,
+                &cfg,
+                seed,
+            )
+            .expect("in-context stress cell runs");
             black_box(out.ad)
         })
     });
@@ -257,7 +264,8 @@ fn main() {
     let sim_outs = |rs: &[(pipa_core::experiment::GridCell, StressOutcome)]| {
         rs.iter().map(|(_, o)| o.clone()).collect::<Vec<_>>()
     };
-    let mut deterministic = ser_stress(&sim_outs(&sim_serial)) == ser_stress(&sim_outs(&sim_parallel));
+    let mut deterministic =
+        ser_stress(&sim_outs(&sim_serial)) == ser_stress(&sim_outs(&sim_parallel));
     deterministic &= ser_stress(&learned_serial) == ser_stress(&learned_parallel);
     assert!(
         deterministic,
@@ -271,7 +279,10 @@ fn main() {
             AttackerStrategy::None,
             AttackerStrategy::Spread(InjectorKind::Pipa),
         ],
-        defenses: vec![DefensePolicy::None, DefensePolicy::Canary { tolerance: 0.05 }],
+        defenses: vec![
+            DefensePolicy::None,
+            DefensePolicy::Canary { tolerance: 0.05 },
+        ],
         cadences: vec![Cadence::Every(1)],
         windows,
         drift: DriftSchedule::Resample,
@@ -289,9 +300,17 @@ fn main() {
     let ser_stream = |rs: &[StreamOutcome]| {
         serde_json::to_string_pretty(&rs.iter().collect::<Vec<_>>()).expect("serializable")
     };
-    let grid_outs = stream_serial.iter().map(|(_, o)| o.clone()).collect::<Vec<_>>();
+    let grid_outs = stream_serial
+        .iter()
+        .map(|(_, o)| o.clone())
+        .collect::<Vec<_>>();
     deterministic &= ser_stream(&grid_outs)
-        == ser_stream(&stream_parallel.iter().map(|(_, o)| o.clone()).collect::<Vec<_>>());
+        == ser_stream(
+            &stream_parallel
+                .iter()
+                .map(|(_, o)| o.clone())
+                .collect::<Vec<_>>(),
+        );
     assert!(
         deterministic,
         "in-context stream grid drifted between --jobs 1 and --jobs 4"
@@ -364,7 +383,11 @@ fn main() {
         .iter()
         .map(|(_, o)| stream_row("incontext-sim", "sim", o))
         .collect();
-    stream_rows.push(stream_row("dbabandit-learned", "learned-index", &learned_none));
+    stream_rows.push(stream_row(
+        "dbabandit-learned",
+        "learned-index",
+        &learned_none,
+    ));
     stream_rows.push(stream_row(
         "dbabandit-learned",
         "learned-index",
@@ -408,10 +431,7 @@ fn main() {
         classes,
         stream: stream_rows,
         deterministic_across_jobs: deterministic,
-        stress_cells: serial_outs
-            .into_iter()
-            .chain(learned_serial)
-            .collect(),
+        stress_cells: serial_outs.into_iter().chain(learned_serial).collect(),
     };
     bench.write_artifact(&artifact);
 }

@@ -1,8 +1,8 @@
 //! Advisor-hot-path what-if throughput: the benefit matrix versus the
 //! scalar full recompute it replaced.
 //!
-//! Cells (each measured cold — matrix and cost cache cleared inside
-//! every iteration, so no state survives from the previous sample):
+//! Cells (each measured cold — the matrix is cleared inside every
+//! iteration, so no state survives from the previous sample):
 //!
 //! * `whatif/greedy_single_*` — AutoAdmin greedy candidate scoring over
 //!   a single-table workload: the shape of PIPA's probing and injection
@@ -22,7 +22,7 @@
 //!
 //! The `_scalar` variants disable the matrix (`set_whatif_matrix_enabled
 //! (false)`), routing every evaluation through the full analytical
-//! model; `_matrix` variants answer decomposable queries from the
+//! model, uncached; `_matrix` variants answer decomposable queries from the
 //! per-(query, index) benefit matrix. The differential suite
 //! (`tests/whatif_differential.rs`) proves both return bit-identical
 //! costs, so this is a pure speed comparison.
@@ -36,7 +36,9 @@
 use criterion::Criterion;
 use pipa_cost::CostBackend;
 use pipa_ia::{AdvisorKind, AutoAdminGreedy, BuildCtx, IndexAdvisor, SpeedPreset, TrajectoryMode};
-use pipa_sim::{Aggregate, ColumnId, Database, Index, IndexConfig, Predicate, QueryBuilder, Workload};
+use pipa_sim::{
+    Aggregate, ColumnId, Database, Index, IndexConfig, Predicate, QueryBuilder, Workload,
+};
 use pipa_workload::{Benchmark, WorkloadGenerator};
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -133,12 +135,7 @@ fn single_table_workload(db: &Database, n: usize) -> Workload {
 /// (instantiated from the benchmark's join templates, cycled) and the
 /// rest are single-table probes in the shape of
 /// [`single_table_workload`].
-fn join_mix_workload(
-    db: &Database,
-    g: &WorkloadGenerator,
-    frac: f64,
-    n: usize,
-) -> Workload {
+fn join_mix_workload(db: &Database, g: &WorkloadGenerator, frac: f64, n: usize) -> Workload {
     let join_templates: Vec<_> = g
         .templates()
         .iter()
@@ -195,7 +192,6 @@ fn main() {
         c.bench_function(name, |b| {
             b.iter(|| {
                 cost.database().clear_whatif_matrix();
-                cost.database().clear_whatif_cache();
                 let mut adv = AutoAdminGreedy::new(budget);
                 black_box(adv.recommend(&cost, w).expect("greedy recommend"))
             })
@@ -233,7 +229,6 @@ fn main() {
         c.bench_function(name, |b| {
             b.iter(|| {
                 cost.database().clear_whatif_matrix();
-                cost.database().clear_whatif_cache();
                 let mut adv = AdvisorKind::Dqn(TrajectoryMode::Best)
                     .build_with(BuildCtx::new(SpeedPreset::Test, 7));
                 adv.train(&cost, &single).expect("train");
@@ -246,11 +241,10 @@ fn main() {
     cost.database().set_whatif_matrix_enabled(true);
 
     // --- trait-dispatch overhead: identical scalar work, direct call vs
-    // `&dyn CostBackend` virtual call. Cache and matrix stay off so each
+    // `&dyn CostBackend` virtual call. The matrix stays off so each
     // evaluation pays the full analytical model — the object-safe seam
     // must disappear into that work.
     cost.database().set_whatif_matrix_enabled(false);
-    cost.database().set_whatif_cache_enabled(false);
     let dispatch_cfgs: Vec<IndexConfig> = single
         .candidate_columns()
         .into_iter()
@@ -277,7 +271,6 @@ fn main() {
         })
     });
     cost.database().set_whatif_matrix_enabled(true);
-    cost.database().set_whatif_cache_enabled(true);
 
     let lines = bench.lines();
     let med = |id: &str| pipa_bench::cli::median_of(&lines, id);

@@ -124,7 +124,7 @@ fn main() {
         }
     }
 
-    args.finish_trace(&trace_out, &db);
+    trace_out.flush();
     println!(
         "{}",
         render_table(&["advisor", "defense", "mean AD", "actions"], &rows)

@@ -122,9 +122,23 @@ fn main() {
     };
     let full = run_variant(&args, &cfg, &db, &out, &st, variant("full", true, false));
     record("PIPA (full)", full, &mut rows, &mut payload);
-    let nofilter = run_variant(&args, &cfg, &db, &out, &st, variant("no_filter", false, false));
+    let nofilter = run_variant(
+        &args,
+        &cfg,
+        &db,
+        &out,
+        &st,
+        variant("no_filter", false, false),
+    );
     record("w/o toxicity filter", nofilter, &mut rows, &mut payload);
-    let unitfreq = run_variant(&args, &cfg, &db, &out, &st, variant("unit_freq", true, true));
+    let unitfreq = run_variant(
+        &args,
+        &cfg,
+        &db,
+        &out,
+        &st,
+        variant("unit_freq", true, true),
+    );
     record(
         "unit injection frequencies",
         unitfreq,
@@ -134,12 +148,19 @@ fn main() {
 
     if args.use_iabart {
         let iabart = cfg.backend.clone();
-        let s = run_variant(&args, &cfg, &db, &out, &iabart, variant("iabart", true, false));
+        let s = run_variant(
+            &args,
+            &cfg,
+            &db,
+            &out,
+            &iabart,
+            variant("iabart", true, false),
+        );
         record("IABART generator", s, &mut rows, &mut payload);
     } else {
         eprintln!("[ablation] pass --iabart to include the IABART-generator variant");
     }
-    args.finish_trace(&out, &db);
+    out.flush();
 
     println!("{}", render_table(&["variant", "mean AD", "std"], &rows));
     println!(

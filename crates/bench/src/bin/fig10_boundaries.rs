@@ -153,7 +153,7 @@ fn main() {
          dilute the target segment."
     );
 
-    args.finish_trace(&out, &cost);
+    out.flush();
     let artifact = ExperimentArtifact {
         id: "fig10_boundaries".to_string(),
         description: "Target-segment boundary sweeps".to_string(),

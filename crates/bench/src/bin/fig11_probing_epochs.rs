@@ -13,8 +13,8 @@
 use pipa_bench::cli::ExpArgs;
 use pipa_core::experiment::{build_db, normal_workload, run_cell, CellConfig, InjectorKind};
 use pipa_core::metrics::Stats;
-use pipa_core::report::{render_table, ExperimentArtifact};
 use pipa_core::par_map_traced;
+use pipa_core::report::{render_table, ExperimentArtifact};
 use pipa_ia::{AdvisorKind, TrajectoryMode};
 use pipa_obs::CellCtx;
 use serde::Serialize;
@@ -81,7 +81,7 @@ fn main() {
             (victim, pi, out.ad)
         },
     );
-    args.finish_trace(&out, &db);
+    out.flush();
 
     let mut points = Vec::new();
     let mut rows = Vec::new();

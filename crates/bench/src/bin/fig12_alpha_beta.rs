@@ -190,7 +190,7 @@ fn main() {
             (bi, converged_at as f64, mismatches as f64 / l as f64)
         },
     );
-    args.finish_trace(&trace_out, &db);
+    trace_out.flush();
     for (bi, &beta_i) in BETA_IS.iter().enumerate() {
         let conv: Vec<f64> = beta_outs
             .iter()

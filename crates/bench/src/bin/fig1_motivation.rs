@@ -50,12 +50,15 @@ fn main() {
         |_, (kind, run)| {
             let seed = args.cell_seed(run);
             let normal = normal_workload(&cfg, seed.get());
-            (kind, run_cell(&db, &normal, victim, kind, &cell_cfg, seed)
-                .expect("stress test against the simulator backend")
-                .ad)
+            (
+                kind,
+                run_cell(&db, &normal, victim, kind, &cell_cfg, seed)
+                    .expect("stress test against the simulator backend")
+                    .ad,
+            )
         },
     );
-    args.finish_trace(&out, &db);
+    out.flush();
 
     let mut rows = Vec::new();
     let mut payload = Vec::new();

@@ -53,7 +53,7 @@ fn main() {
     let out = args.trace_outputs();
     let outcomes = run_grid_traced(&db, &cfg, &spec, args.jobs, &out)
         .expect("stress test against the simulator backend");
-    args.finish_trace(&out, &db);
+    out.flush();
 
     let mut cells: Vec<Cell> = Vec::new();
     for advisor in AdvisorKind::all() {

@@ -120,7 +120,7 @@ fn main() {
             }
         },
     );
-    args.finish_trace(&out, &db);
+    out.flush();
     for c in cells {
         match c.retrained_benefit {
             None => println!(

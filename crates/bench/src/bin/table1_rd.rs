@@ -45,16 +45,11 @@ fn main() {
             .into_iter()
             .filter(|k| k.is_random_baseline()),
     );
-    let spec = GridSpec::new(
-        AdvisorKind::all(),
-        injectors,
-        args.runs as u64,
-        args.seed,
-    );
+    let spec = GridSpec::new(AdvisorKind::all(), injectors, args.runs as u64, args.seed);
     let out = args.trace_outputs();
     let outcomes = run_grid_traced(&db, &cfg, &spec, args.jobs, &out)
         .expect("stress test against the simulator backend");
-    args.finish_trace(&out, &db);
+    out.flush();
 
     let mut rows = Vec::new();
     let mut payload = Vec::new();

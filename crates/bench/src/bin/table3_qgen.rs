@@ -15,8 +15,8 @@
 use pipa_bench::cli::ExpArgs;
 use pipa_core::par_map_traced;
 use pipa_core::report::{render_table, ExperimentArtifact};
-use pipa_obs::CellCtx;
 use pipa_ia::SpeedPreset;
+use pipa_obs::CellCtx;
 use pipa_qgen::{
     build_corpus, evaluate_generator, DtGenerator, FsmGenerator, Iabart, IabartConfig,
     IabartGenerator, LlmLikeGenerator, ProgressiveTasks, QueryGenerator, StGenerator,
@@ -84,35 +84,35 @@ fn main() {
         &trace_out,
         |_, &vi| CellCtx::new(args.seed).field("method", METHODS[vi]),
         |_, vi| {
-        let mut rng = eval_rng.clone();
-        let mut gen: Box<dyn QueryGenerator> = match vi {
-            0 => Box::new(StGenerator::new(args.seed)),
-            1 => Box::new(DtGenerator::new(
-                args.benchmark.default_templates(),
-                args.seed,
-            )),
-            2 => Box::new(FsmGenerator::new(args.seed)),
-            3 => Box::new(LlmLikeGenerator::gpt35_like(args.seed)),
-            4 => Box::new(LlmLikeGenerator::gpt4_like(args.seed)),
-            5 => Box::new(train_variant(ProgressiveTasks {
-                task1: false,
-                task2: false,
-            })),
-            6 => Box::new(train_variant(ProgressiveTasks {
-                task1: false,
-                task2: true,
-            })),
-            7 => Box::new(train_variant(ProgressiveTasks {
-                task1: true,
-                task2: false,
-            })),
-            _ => Box::new(train_variant(ProgressiveTasks::default())),
-        };
-        evaluate_generator(gen.as_mut(), &db, n_tests, k_targets, &mut rng)
-            .expect("generator evaluation")
+            let mut rng = eval_rng.clone();
+            let mut gen: Box<dyn QueryGenerator> = match vi {
+                0 => Box::new(StGenerator::new(args.seed)),
+                1 => Box::new(DtGenerator::new(
+                    args.benchmark.default_templates(),
+                    args.seed,
+                )),
+                2 => Box::new(FsmGenerator::new(args.seed)),
+                3 => Box::new(LlmLikeGenerator::gpt35_like(args.seed)),
+                4 => Box::new(LlmLikeGenerator::gpt4_like(args.seed)),
+                5 => Box::new(train_variant(ProgressiveTasks {
+                    task1: false,
+                    task2: false,
+                })),
+                6 => Box::new(train_variant(ProgressiveTasks {
+                    task1: false,
+                    task2: true,
+                })),
+                7 => Box::new(train_variant(ProgressiveTasks {
+                    task1: true,
+                    task2: false,
+                })),
+                _ => Box::new(train_variant(ProgressiveTasks::default())),
+            };
+            evaluate_generator(gen.as_mut(), &db, n_tests, k_targets, &mut rng)
+                .expect("generator evaluation")
         },
     );
-    args.finish_trace(&trace_out, &db);
+    trace_out.flush();
 
     let mut rows: Vec<Row> = Vec::new();
     let mut table = Vec::new();
@@ -160,5 +160,3 @@ fn main() {
         eprintln!("[artifact] {p}");
     }
 }
-
-

@@ -15,8 +15,7 @@ use std::collections::BTreeMap;
 const REQUIRED: [&str; 3] = ["event", "cell_seed", "phase"];
 
 fn lint(path: &str) -> Result<(usize, BTreeMap<String, usize>), String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
     let mut events: BTreeMap<String, usize> = BTreeMap::new();
     let mut lines = 0usize;
     for (no, line) in text.lines().enumerate() {
@@ -55,8 +54,7 @@ fn main() {
     for path in &paths {
         match lint(path) {
             Ok((lines, events)) => {
-                let summary: Vec<String> =
-                    events.iter().map(|(k, v)| format!("{k}×{v}")).collect();
+                let summary: Vec<String> = events.iter().map(|(k, v)| format!("{k}×{v}")).collect();
                 println!("{path}: {lines} lines OK ({})", summary.join(", "));
             }
             Err(e) => {

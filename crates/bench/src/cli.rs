@@ -204,23 +204,6 @@ impl ExpArgs {
         CellSeed::derive(self.seed, run)
     }
 
-    /// Finish an instrumented run: report process-global what-if cache
-    /// statistics to the metrics channel (they are scheduling-dependent
-    /// under `--jobs > 1`, so they never go to the trace channel) and
-    /// flush both sinks.
-    pub fn finish_trace(&self, out: &TraceOutputs, cost: &pipa_cost::SimBackend) {
-        if out.active() {
-            let stats = cost.database().whatif_cache_stats();
-            out.global_metric(
-                pipa_obs::Event::new("whatif_cache")
-                    .field("hits", stats.hits)
-                    .field("misses", stats.misses)
-                    .field("hit_rate", stats.hit_rate()),
-            );
-        }
-        out.flush();
-    }
-
     /// One-line parameter summary for artifacts.
     pub fn summary(&self) -> String {
         format!(
@@ -346,6 +329,12 @@ pub fn median_of(lines: &str, id: &str) -> Option<f64> {
         .find(|l| l.contains(&format!("\"id\":\"{id}\"")))?;
     let rest = line.split("\"median_ns\":").nth(1)?;
     rest.split([',', '}']).next()?.trim().parse().ok()
+}
+
+/// Cores the host offers this process (`available_parallelism`, 1 if
+/// unknown): recorded in every bench artifact whose timings depend on it.
+pub fn cores_available() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// `a / b`, defined only when both exist and `b > 0` (speedup ratios).

@@ -143,6 +143,7 @@ mod tests {
     use crate::harness::StressTest;
     use crate::runner::CellSeed;
     use crate::stream::DefensePolicy;
+    use crate::testing::{assert_non_finite, BadCosts, Seam, BAD_COSTS};
     use pipa_ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
     use pipa_workload::Benchmark;
 
@@ -177,88 +178,15 @@ mod tests {
         );
     }
 
-    /// A simulator backend whose executed cost at call `bad_at` (counted
-    /// from 0) answers `bad`; every other cost is correct, so the
-    /// advisor trains and recommends as usual.
-    struct BadExecuted<'a> {
-        inner: &'a pipa_cost::SimBackend,
-        bad_at: usize,
-        bad: f64,
-        calls: std::sync::atomic::AtomicUsize,
-    }
-
-    impl CostBackend for BadExecuted<'_> {
-        fn name(&self) -> &'static str {
-            "bad-executed"
-        }
-        fn catalog(&self) -> pipa_cost::Catalog<'_> {
-            self.inner.catalog()
-        }
-        fn query_cost(&self, q: &pipa_sim::Query, cfg: &IndexConfig) -> CostResult<f64> {
-            self.inner.query_cost(q, cfg)
-        }
-        fn workload_cost(&self, w: &Workload, cfg: &IndexConfig) -> CostResult<f64> {
-            self.inner.workload_cost(w, cfg)
-        }
-        fn session_begin(&self, w: &Workload) -> CostResult<pipa_cost::CostSession> {
-            self.inner.session_begin(w)
-        }
-        fn session_total(&self, w: &Workload, s: &pipa_cost::CostSession) -> CostResult<f64> {
-            self.inner.session_total(w, s)
-        }
-        fn session_preview_add(
-            &self,
-            w: &Workload,
-            s: &pipa_cost::CostSession,
-            cfg_after: &IndexConfig,
-            idx: &pipa_sim::Index,
-        ) -> CostResult<f64> {
-            self.inner.session_preview_add(w, s, cfg_after, idx)
-        }
-        fn session_add(
-            &self,
-            w: &Workload,
-            s: &mut pipa_cost::CostSession,
-            cfg_after: &IndexConfig,
-            idx: &pipa_sim::Index,
-        ) -> CostResult<f64> {
-            self.inner.session_add(w, s, cfg_after, idx)
-        }
-        fn executed_workload_cost(&self, w: &Workload, cfg: &IndexConfig) -> CostResult<f64> {
-            let good = self.inner.executed_workload_cost(w, cfg)?;
-            let n = self
-                .calls
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Ok(if n == self.bad_at { self.bad } else { good })
-        }
-        fn hypo_create(&self, idx: &pipa_sim::Index) -> CostResult<()> {
-            self.inner.hypo_create(idx)
-        }
-        fn hypo_drop(&self, idx: &pipa_sim::Index) -> CostResult<()> {
-            self.inner.hypo_drop(idx)
-        }
-        fn hypo_clear(&self) -> CostResult<()> {
-            self.inner.hypo_clear()
-        }
-        fn hypo_config(&self) -> CostResult<IndexConfig> {
-            self.inner.hypo_config()
-        }
-    }
-
     #[test]
     fn canary_costs_must_be_finite() {
         let cfg = cfg();
         let sim = build_db(&cfg);
         let normal = normal_workload(&cfg, 59);
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+        for bad in BAD_COSTS {
             // The pre-update canary cost, then the post-update one.
             for bad_at in 0..2 {
-                let cost = BadExecuted {
-                    inner: &sim,
-                    bad_at,
-                    bad,
-                    calls: Default::default(),
-                };
+                let cost = BadCosts::new(&sim, Seam::Executed, bad_at, bad);
                 let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
                     .build_with(BuildCtx::new(SpeedPreset::Test, 59));
                 advisor.train(&cost, &normal).unwrap();
@@ -268,13 +196,7 @@ mod tests {
                     &normal,
                     &normal,
                 );
-                match got {
-                    Err(pipa_cost::CostError::NonFinite { backend, value }) => {
-                        assert_eq!(backend, "bad-executed");
-                        assert_eq!(value.to_bits(), bad.to_bits(), "call {bad_at}");
-                    }
-                    other => panic!("canary cost {bad} at call {bad_at}: got {other:?}"),
-                }
+                assert_non_finite(got, bad, &format!("canary cost at call {bad_at}"));
             }
         }
     }

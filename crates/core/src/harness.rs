@@ -346,6 +346,7 @@ mod tests {
     use super::*;
     use crate::injectors::{TargetedInjector, TpInjector};
     use crate::probe::ProbeConfig;
+    use crate::testing::{assert_non_finite, BadCosts, Seam};
     use pipa_ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
     use pipa_obs::MemorySink;
     use pipa_qgen::StGenerator;
@@ -511,72 +512,11 @@ mod tests {
         assert!(outcome.ad.is_finite());
     }
 
-    /// Delegates to a simulator backend, but every executed workload
-    /// costs `executed`.
-    struct FixedExecution {
-        inner: pipa_cost::SimBackend,
-        executed: f64,
-    }
-
-    impl CostBackend for FixedExecution {
-        fn name(&self) -> &'static str {
-            "fixed-execution"
-        }
-        fn catalog(&self) -> pipa_sim::cost::Catalog<'_> {
-            self.inner.catalog()
-        }
-        fn query_cost(&self, q: &pipa_sim::Query, cfg: &IndexConfig) -> CostResult<f64> {
-            self.inner.query_cost(q, cfg)
-        }
-        fn workload_cost(&self, w: &Workload, cfg: &IndexConfig) -> CostResult<f64> {
-            self.inner.workload_cost(w, cfg)
-        }
-        fn session_begin(&self, w: &Workload) -> CostResult<pipa_cost::CostSession> {
-            self.inner.session_begin(w)
-        }
-        fn session_total(&self, w: &Workload, s: &pipa_cost::CostSession) -> CostResult<f64> {
-            self.inner.session_total(w, s)
-        }
-        fn session_preview_add(
-            &self,
-            w: &Workload,
-            s: &pipa_cost::CostSession,
-            cfg_after: &IndexConfig,
-            idx: &pipa_sim::Index,
-        ) -> CostResult<f64> {
-            self.inner.session_preview_add(w, s, cfg_after, idx)
-        }
-        fn session_add(
-            &self,
-            w: &Workload,
-            s: &mut pipa_cost::CostSession,
-            cfg_after: &IndexConfig,
-            idx: &pipa_sim::Index,
-        ) -> CostResult<f64> {
-            self.inner.session_add(w, s, cfg_after, idx)
-        }
-        fn executed_workload_cost(&self, _w: &Workload, _cfg: &IndexConfig) -> CostResult<f64> {
-            Ok(self.executed)
-        }
-        fn hypo_create(&self, idx: &pipa_sim::Index) -> CostResult<()> {
-            self.inner.hypo_create(idx)
-        }
-        fn hypo_drop(&self, idx: &pipa_sim::Index) -> CostResult<()> {
-            self.inner.hypo_drop(idx)
-        }
-        fn hypo_clear(&self) -> CostResult<()> {
-            self.inner.hypo_clear()
-        }
-        fn hypo_config(&self) -> CostResult<IndexConfig> {
-            self.inner.hypo_config()
-        }
-    }
-
     #[test]
     fn invalid_measured_costs_are_typed_errors() {
         for executed in [f64::NAN, f64::INFINITY, -1.0] {
             let (inner, w) = setup();
-            let cost = FixedExecution { inner, executed };
+            let cost = BadCosts::new(&inner, Seam::Executed, 0, executed);
             let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
                 .build_with(BuildCtx::new(SpeedPreset::Test, 1));
             let mut inj = TpInjector::new(Benchmark::TpcH.default_templates());
@@ -586,13 +526,7 @@ mod tests {
                 .seed(CellSeed::raw(1))
                 .run(ia.as_mut(), &mut inj)
                 .expect_err("an invalid measured cost fails the run");
-            match err {
-                pipa_cost::CostError::NonFinite { backend, value } => {
-                    assert_eq!(backend, "fixed-execution");
-                    assert_eq!(value.to_bits(), executed.to_bits());
-                }
-                other => panic!("expected NonFinite for {executed}, got {other:?}"),
-            }
+            assert_non_finite::<()>(Err(err), executed, "measured cost");
         }
     }
 }

@@ -7,7 +7,7 @@
 //! advisors in a local optimum and directly degrading one-off advisors.
 
 use crate::preference::Segments;
-use pipa_cost::{CostBackend, CostResult};
+use pipa_cost::{finite_cost, CostBackend, CostResult};
 use pipa_qgen::QueryGenerator;
 use pipa_sim::{ColumnId, Index, IndexConfig, Query, Workload};
 use rand::seq::SliceRandom;
@@ -151,11 +151,12 @@ pub fn passes_toxicity_filter(
     // both sides of the comparison come from the same benefit-matrix row;
     // join-shaped queries fall back to the full model.
     let mid_cfg: IndexConfig = cols.iter().map(|&c| Index::single(c)).collect();
-    let c_mid = cost.query_cost(q, &mid_cfg)?;
-    let c_top = match top1 {
-        Some(t) => cost.query_cost(q, &IndexConfig::from_indexes([Index::single(t)]))?,
-        None => cost.query_cost(q, &IndexConfig::empty())?,
+    let c_mid = finite_cost(cost.name(), cost.query_cost(q, &mid_cfg)?)?;
+    let top_cfg = match top1 {
+        Some(t) => IndexConfig::from_indexes([Index::single(t)]),
+        None => IndexConfig::empty(),
     };
+    let c_top = finite_cost(cost.name(), cost.query_cost(q, &top_cfg)?)?;
     Ok(c_mid < c_top)
 }
 
@@ -218,6 +219,27 @@ mod tests {
             !passes_toxicity_filter(&cost, &q, &seg.mid[..2.min(seg.mid.len())], Some(top1))
                 .unwrap()
         );
+    }
+
+    #[test]
+    fn invalid_toxicity_filter_costs_are_typed_errors() {
+        use crate::testing::{assert_non_finite, BadCosts, Seam, BAD_COSTS};
+        let (sim, seg) = setup();
+        let schema = sim.database().schema();
+        let top1 = seg.top[0];
+        let q = pipa_sim::QueryBuilder::new()
+            .filter(schema, pipa_sim::Predicate::eq(top1, 0.3))
+            .aggregate(pipa_sim::Aggregate::CountStar)
+            .build(schema)
+            .unwrap();
+        for bad in BAD_COSTS {
+            // The mid configuration's cost, then the top index's.
+            for ok in 0..2 {
+                let cost = BadCosts::new(&sim, Seam::Query, ok, bad);
+                let got = passes_toxicity_filter(&cost, &q, &seg.mid[..1], Some(top1));
+                assert_non_finite(got, bad, &format!("toxicity cost {ok}"));
+            }
+        }
     }
 
     #[test]

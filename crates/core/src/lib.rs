@@ -65,6 +65,8 @@ pub mod probe;
 pub mod report;
 pub mod runner;
 pub mod stream;
+#[cfg(test)]
+mod testing;
 pub mod traffic;
 
 pub use defense::{CanaryGuard, ProvenanceFilter};

@@ -18,7 +18,7 @@
 //!   observations move the distribution.
 
 use crate::preference::IndexingPreference;
-use pipa_cost::{CostBackend, CostResult};
+use pipa_cost::{finite_cost, CostBackend, CostResult};
 use pipa_ia::IndexAdvisor;
 use pipa_qgen::QueryGenerator;
 use pipa_sim::{ColumnId, IndexConfig, Workload};
@@ -134,7 +134,8 @@ pub fn probe(
         // scoring warmed during `recommend`.
         let rec: IndexConfig = advisor.recommend(cost, &pw)?;
         let costs = cost.batch_workload_cost(&pw, &[IndexConfig::empty(), rec.clone()])?;
-        let (base, with) = (costs[0], costs[1]);
+        let base = finite_cost(cost.name(), costs[0])?;
+        let with = finite_cost(cost.name(), costs[1])?;
         let benefit = if base > 0.0 {
             ((base - with) / base).max(0.0)
         } else {
@@ -271,8 +272,11 @@ pub fn indexability_prior(cost: &dyn CostBackend) -> CostResult<Vec<f64>> {
         // Single-table equality probes: the simulator backend answers
         // them from the benefit matrix (one row per column, shared with
         // later phases).
-        let base = cost.query_cost(&q, &IndexConfig::empty())?;
-        let with = cost.query_cost(&q, &IndexConfig::from_indexes([Index::single(c)]))?;
+        let base = finite_cost(cost.name(), cost.query_cost(&q, &IndexConfig::empty())?)?;
+        let with = finite_cost(
+            cost.name(),
+            cost.query_cost(&q, &IndexConfig::from_indexes([Index::single(c)]))?,
+        )?;
         out.push((base - with).max(0.0));
     }
     Ok(out)
@@ -315,6 +319,7 @@ fn sample_columns<R: Rng>(mu: &[f64], k: usize, rng: &mut R) -> Vec<ColumnId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{assert_non_finite, BadCosts, Seam, BAD_COSTS};
     use pipa_ia::{AutoAdminGreedy, SpeedPreset};
     use pipa_qgen::StGenerator;
     use pipa_workload::Benchmark;
@@ -415,5 +420,40 @@ mod tests {
         let res = probe(advisor.as_mut(), &cost, &mut generator, &cfg).unwrap();
         assert_eq!(res.mu.len(), 61);
         assert!(res.epochs_run >= 1);
+    }
+
+    #[test]
+    fn invalid_probe_batch_costs_are_typed_errors() {
+        let (sim, _) = setup();
+        for bad in BAD_COSTS {
+            // The empty-config cost, then the recommendation's.
+            for ok in 0..2 {
+                let cost = BadCosts::new(&sim, Seam::Batch, ok, bad);
+                let cfg = ProbeConfig {
+                    epochs: 2,
+                    queries_per_epoch: 4,
+                    ..Default::default()
+                };
+                let got = probe(
+                    &mut AutoAdminGreedy::new(4),
+                    &cost,
+                    &mut StGenerator::new(3),
+                    &cfg,
+                );
+                assert_non_finite(got, bad, &format!("probe batch cost {ok}"));
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_indexability_prior_costs_are_typed_errors() {
+        let (sim, _) = setup();
+        for bad in BAD_COSTS {
+            // The first column's base cost, then its indexed cost.
+            for ok in 0..2 {
+                let cost = BadCosts::new(&sim, Seam::Query, ok, bad);
+                assert_non_finite(indexability_prior(&cost), bad, &format!("prior cost {ok}"));
+            }
+        }
     }
 }

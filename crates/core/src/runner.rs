@@ -11,8 +11,9 @@
 //!   seed with [`derive_seed`] (a SplitMix64 mix, the same finalizer
 //!   `rand` uses for `seed_from_u64`), so no cell reads another cell's
 //!   stream and work-stealing order cannot leak into the numbers.
-//! * **No shared mutable state** beyond memoization caches whose values
-//!   are pure functions of their keys (see `pipa_sim::CostCache`).
+//! * **No shared mutable state** beyond the what-if memo, the benefit
+//!   matrix, whose cells and shapes are pure functions of their keys
+//!   (see `pipa_sim::BenefitMatrix`).
 //!
 //! Together these guarantee `--jobs 1` and `--jobs N` produce
 //! bit-identical artifacts — verified by `tests/determinism.rs` and

@@ -16,7 +16,7 @@
 
 use crate::backend::{CostBackend, CostSession};
 use crate::error::{CostError, CostResult};
-use pipa_sim::cost::cache::{fingerprint_config, fingerprint_query};
+use pipa_sim::cost::matrix::{fingerprint_config, fingerprint_query};
 use pipa_sim::cost::Catalog;
 use pipa_sim::{ColumnStats, Index, IndexConfig, Query, Schema, TableStats, Workload};
 use std::collections::BTreeMap;

@@ -217,7 +217,7 @@ impl ClearBoxAdvisor for DqnAdvisor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pipa_cost::{CostEngine, SimBackend};
     use pipa_workload::Benchmark;
@@ -322,9 +322,11 @@ mod tests {
 
     /// Where a [`Faulty`] backend misbehaves.
     #[derive(Clone, Copy, Debug, PartialEq)]
-    enum Seam {
+    pub(crate) enum Seam {
         /// `workload_cost`: an environment's base cost.
         Base,
+        /// `session_total`: a session's starting total.
+        Total,
         /// `session_preview_add`: a single-column benefit.
         Preview,
         /// `session_add`: an episode step.
@@ -334,8 +336,8 @@ mod tests {
     /// A simulator backend that misbehaves at one seam after `ok` good
     /// answers there: it fails with `Unsupported` (`bad` is `None`) or
     /// answers the cost `bad`.
-    struct Faulty {
-        inner: SimBackend,
+    pub(crate) struct Faulty {
+        pub(crate) inner: SimBackend,
         seam: Seam,
         ok: usize,
         bad: Option<f64>,
@@ -343,7 +345,7 @@ mod tests {
     }
 
     impl Faulty {
-        fn new(inner: SimBackend, seam: Seam, ok: usize, bad: Option<f64>) -> Self {
+        pub(crate) fn new(inner: SimBackend, seam: Seam, ok: usize, bad: Option<f64>) -> Self {
             Faulty {
                 inner,
                 seam,
@@ -388,7 +390,8 @@ mod tests {
             self.inner.session_begin(w)
         }
         fn session_total(&self, w: &Workload, s: &pipa_cost::CostSession) -> CostResult<f64> {
-            self.inner.session_total(w, s)
+            let good = self.inner.session_total(w, s);
+            self.answer(Seam::Total, "session_total", good)
         }
         fn session_preview_add(
             &self,
@@ -425,7 +428,11 @@ mod tests {
     }
 
     /// Asserts `result` is the `NonFinite` error for `bad`.
-    fn assert_non_finite<T: std::fmt::Debug>(result: CostResult<T>, bad: f64, what: &str) {
+    pub(crate) fn assert_non_finite<T: std::fmt::Debug>(
+        result: CostResult<T>,
+        bad: f64,
+        what: &str,
+    ) {
         match result {
             Err(pipa_cost::CostError::NonFinite { backend, value }) => {
                 assert_eq!(backend, "faulty", "{what}");

@@ -13,7 +13,7 @@
 //! the AD score is always zero") — a property the integration tests pin.
 
 use crate::advisor::IndexAdvisor;
-use pipa_cost::{CostBackend, CostResult};
+use pipa_cost::{finite_cost, CostBackend, CostResult};
 use pipa_sim::{ConfigDelta, Index, IndexConfig, Workload};
 
 /// AutoAdmin-style greedy index selection.
@@ -53,7 +53,7 @@ impl IndexAdvisor for AutoAdminGreedy {
         // each candidate trial is a single-index delta preview against
         // the committed prefix (bit-identical to full re-costing).
         let mut session = cost.session_begin(workload)?;
-        let mut current = cost.session_total(workload, &session)?;
+        let mut current = finite_cost(cost.name(), cost.session_total(workload, &session)?)?;
         for _ in 0..self.budget {
             let mut best: Option<(f64, Index)> = None;
             for &c in &candidates {
@@ -63,7 +63,10 @@ impl IndexAdvisor for AutoAdminGreedy {
                 }
                 let mut trial = cfg.clone();
                 trial.add(idx.clone());
-                let trial_cost = cost.session_preview_add(workload, &session, &trial, &idx)?;
+                let trial_cost = finite_cost(
+                    cost.name(),
+                    cost.session_preview_add(workload, &session, &trial, &idx)?,
+                )?;
                 if trial_cost < current && best.as_ref().map(|b| trial_cost < b.0).unwrap_or(true) {
                     best = Some((trial_cost, idx));
                 }
@@ -131,8 +134,10 @@ impl IndexAdvisor for DropHeuristic {
             // benefit matrix (bit-identical to full re-costing).
             let mut best: Option<(f64, Index)> = None;
             for idx in cfg.indexes().to_vec() {
-                let trial_cost =
-                    cost.delta_workload_cost(workload, &cfg, &ConfigDelta::Remove(idx.clone()))?;
+                let trial_cost = finite_cost(
+                    cost.name(),
+                    cost.delta_workload_cost(workload, &cfg, &ConfigDelta::Remove(idx.clone()))?,
+                )?;
                 if best.as_ref().map(|b| trial_cost < b.0).unwrap_or(true) {
                     best = Some((trial_cost, idx));
                 }
@@ -245,5 +250,23 @@ mod tests {
         let bg = engine.workload_benefit(&w, &g).unwrap();
         let bd = engine.workload_benefit(&w, &d).unwrap();
         assert!(bg >= bd - 0.05, "greedy {bg} drop {bd}");
+    }
+
+    #[test]
+    fn invalid_costs_at_the_seam_are_typed_errors() {
+        use crate::dqn::tests::{assert_non_finite, Faulty, Seam};
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let (sim, w) = setup();
+            let total = Faulty::new(sim, Seam::Total, 0, Some(bad));
+            let got = AutoAdminGreedy::new(3).recommend(&total, &w);
+            assert_non_finite(got, bad, "AutoAdmin session total");
+            let preview = Faulty::new(total.inner, Seam::Preview, 2, Some(bad));
+            let got = AutoAdminGreedy::new(3).recommend(&preview, &w);
+            assert_non_finite(got, bad, "AutoAdmin preview");
+            // `delta_workload_cost` reaches the stub's `workload_cost`.
+            let delta = Faulty::new(preview.inner, Seam::Base, 1, Some(bad));
+            let got = DropHeuristic::new(2).recommend(&delta, &w);
+            assert_non_finite(got, bad, "Drop delta");
+        }
     }
 }

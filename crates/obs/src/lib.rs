@@ -26,8 +26,8 @@
 //!
 //! Each experiment cell runs entirely on one thread, so the recorder is
 //! thread-local: [`record_cell`] installs it, the instrumented code calls
-//! the free functions ([`phase`], [`emit`], [`count`], [`count_unique`],
-//! [`metric`], [`timer`]) without carrying a handle, and the finished
+//! the free functions ([`phase`], [`emit`], [`count`], [`metric`],
+//! [`timer`]) without carrying a handle, and the finished
 //! [`CellTrace`] is returned to the caller. The parallel runner buffers
 //! one `CellTrace` per cell and flushes them **in input order**, which is
 //! what makes the concatenated stream independent of thread scheduling.
@@ -54,7 +54,6 @@ pub mod sink;
 
 pub use event::{Event, Value};
 pub use recorder::{
-    count, count_unique, emit, is_recording, metric, phase, record_cell, timer, CellCtx, CellTrace,
-    Timer,
+    count, emit, is_recording, metric, phase, record_cell, timer, CellCtx, CellTrace, Timer,
 };
 pub use sink::{JsonlSink, MemorySink, NoopSink, Sink, TraceOutputs};

@@ -12,7 +12,7 @@
 
 use crate::event::{Event, Value};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -64,9 +64,6 @@ struct Recorder {
     /// Counters accumulated during the current phase, flushed as
     /// `counter` events on the next phase change (BTreeMap ⇒ name order).
     counters: BTreeMap<&'static str, u64>,
-    /// Distinct-key counters (e.g. distinct what-if `(query, config)`
-    /// pairs); flushed as `counter` events with a `distinct` marker.
-    uniques: BTreeMap<&'static str, HashSet<u128>>,
 }
 
 impl Recorder {
@@ -76,7 +73,6 @@ impl Recorder {
             phase: "setup",
             out: CellTrace::default(),
             counters: BTreeMap::new(),
-            uniques: BTreeMap::new(),
         }
     }
 
@@ -85,14 +81,6 @@ impl Recorder {
             let line = Event::new("counter")
                 .field("name", name)
                 .field("value", value)
-                .render(&self.ctx, self.phase);
-            self.out.trace.push(line);
-        }
-        for (name, keys) in std::mem::take(&mut self.uniques) {
-            let line = Event::new("counter")
-                .field("name", name)
-                .field("value", keys.len() as u64)
-                .field("distinct", true)
                 .render(&self.ctx, self.phase);
             self.out.trace.push(line);
         }
@@ -148,17 +136,6 @@ pub fn metric(ev: Event) {
 pub fn count(name: &'static str, n: u64) {
     with_recorder(|rec| {
         *rec.counters.entry(name).or_insert(0) += n;
-    });
-}
-
-/// Record `key` into a named distinct-key counter; the flushed value is
-/// the number of *distinct* keys seen in the phase. The what-if
-/// instrumentation uses this to expose the memoizable repeat rate of
-/// cost lookups per cell — a per-cell, scheduling-independent stand-in
-/// for the process-global cache hit rate.
-pub fn count_unique(name: &'static str, key: u128) {
-    with_recorder(|rec| {
-        rec.uniques.entry(name).or_default().insert(key);
     });
 }
 
@@ -231,9 +208,6 @@ mod tests {
         let ((), trace) = record_cell(true, CellCtx::new(7).field("run", 0u64), || {
             phase("probe");
             count("whatif_lookups", 2);
-            count_unique("whatif_distinct", 1);
-            count_unique("whatif_distinct", 1);
-            count_unique("whatif_distinct", 9);
             emit(Event::new("probe_epoch").field("epoch", 1u64));
             phase("measure");
             count("whatif_lookups", 5);
@@ -259,17 +233,12 @@ mod tests {
             t.trace[2].contains("\"name\":\"whatif_lookups\"")
                 && t.trace[2].contains("\"value\":2")
         );
+        assert!(t.trace[3].contains("\"event\":\"phase_start\"") && t.trace[3].contains("measure"));
         assert!(
-            t.trace[3].contains("\"name\":\"whatif_distinct\"")
-                && t.trace[3].contains("\"value\":2")
-                && t.trace[3].contains("\"distinct\":true")
+            t.trace[4].contains("\"name\":\"whatif_lookups\"")
+                && t.trace[4].contains("\"value\":5")
         );
-        assert!(t.trace[4].contains("\"event\":\"phase_start\"") && t.trace[4].contains("measure"));
-        assert!(
-            t.trace[5].contains("\"name\":\"whatif_lookups\"")
-                && t.trace[5].contains("\"value\":5")
-        );
-        assert_eq!(t.trace.len(), 6);
+        assert_eq!(t.trace.len(), 5);
         // Metrics channel: the explicit metric plus the timer.
         assert_eq!(t.metrics.len(), 2);
         assert!(t.metrics[0].contains("\"event\":\"note\""));

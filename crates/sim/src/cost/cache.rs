@@ -1,459 +1,300 @@
-//! Thread-safe what-if cost cache.
+//! The benefit matrix's store, the simulator's one what-if cache: sharded
+//! memo maps for the matrix's `(query, index)` cells and its query
+//! shapes, the cell hit/miss counters, and one byte budget over
+//! everything resident.
 //!
-//! Every advisor training run, probing epoch, and injection search issues
-//! the same `c(q, d, I)` what-if calls over and over — across epochs,
-//! across runs of one experiment cell, and across cells of a grid. The
-//! cost model is pure (a function of the catalog, query, and index
-//! configuration), so repeated probes are pure waste. This module
-//! memoizes them behind a sharded `RwLock` map keyed on 128-bit
-//! structural fingerprints of the query and configuration.
-//!
-//! Concurrency: reads take a shard read-lock; misses compute *outside*
-//! any lock and then take the shard write-lock to publish. Two threads
-//! may race to compute the same entry, but the cost model is
-//! deterministic, so both compute the identical value and the insert is
-//! idempotent — correctness never depends on who wins.
-//!
-//! Determinism: a cache hit returns a previously computed `f64`
-//! bit-for-bit, so cached and uncached runs produce identical results
-//! (see `DESIGN.md`, "Determinism guarantees").
-//!
-//! Capacity: by default the cache is unbounded (the paper-scale grids
-//! fit comfortably). [`CostCache::set_capacity`] bounds residency for
-//! million-query streams; eviction is CLOCK/second-chance per shard
-//! (hits set a reference bit under the read lock, the insert path
-//! sweeps a clock hand over the shard's slots). Eviction affects
-//! *presence only* — the cost model is pure, so a re-miss recomputes
-//! the bit-identical value and every capacity (including 0) returns
-//! costs bit-identical to the unbounded cache
-//! (`tests/scale_properties.rs` pins this).
+//! Every value held here is a pure function of its key (the cost model
+//! is deterministic), so misses compute outside locks, a racing insert of
+//! the same key is idempotent, and whatever the budget's compactor drops
+//! recomputes bit-identically on the next touch. What is keyed, and how
+//! cells fold into costs, is [`super::matrix`]'s business.
 
-use crate::index::IndexConfig;
-use crate::predicate::PredOp;
-use crate::query::{Aggregate, Query};
+use super::matrix::{Fingerprint, MatrixStats, QueryShape};
+use super::model::{JoinPlan, JoinStep};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::RwLock;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Number of independently locked shards. A power of two so the shard
-/// pick is a mask; 16 keeps contention negligible at the thread counts
-/// the experiment runner uses without bloating an idle `Database`.
+/// Number of independently locked shards per family. A power of two so
+/// the shard pick is a mask; 16 keeps contention negligible at the thread
+/// counts the experiment runner uses without bloating an idle `Database`.
 const SHARDS: usize = 16;
 
-/// A 128-bit structural fingerprint (two independent FNV-1a streams).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Fingerprint {
-    a: u64,
-    b: u64,
-}
+/// Approximate resident footprint of one matrix cell: the 32-byte
+/// `(Fingerprint, Fingerprint)` key, the 8-byte cost, and amortized
+/// hash-table bucket overhead. Used for the `matrix_bytes` accounting —
+/// an estimate, deliberately conservative rather than allocator-exact,
+/// so the byte budget bounds real memory.
+pub(super) const CELL_BYTES: usize = 48;
 
-impl Fingerprint {
-    /// The fingerprint as one 128-bit value (observability keys).
-    pub fn to_u128(self) -> u128 {
-        (u128::from(self.a) << 64) | u128::from(self.b)
-    }
-}
+/// Approximate resident footprint of one shape entry before its join
+/// plan: the 16-byte key, the shape, and amortized bucket overhead
+/// (conservative like [`CELL_BYTES`]).
+pub(super) const SHAPE_BYTES: usize = 64;
 
-/// Incremental FNV-1a × 2 hasher over canonical byte encodings.
-struct Fnv2 {
-    a: u64,
-    b: u64,
-}
-
-impl Fnv2 {
-    fn new() -> Self {
-        // Standard FNV-1a offset for stream A; an arbitrary odd constant
-        // (pi fraction) decorrelates stream B.
-        Fnv2 {
-            a: 0xcbf2_9ce4_8422_2325,
-            b: 0x2437_54c8_10f8_6cb5,
-        }
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &x in bytes {
-            self.a = (self.a ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_01b3);
-            self.b = (self.b ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_0197);
-        }
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.write(&v.to_bits().to_le_bytes());
-    }
-
-    fn finish(self) -> Fingerprint {
-        Fingerprint {
-            a: self.a,
-            b: self.b,
-        }
-    }
-}
-
-/// Structural fingerprint of a query: every field that can influence its
-/// cost, tagged and length-prefixed so distinct structures cannot
-/// collide by concatenation.
-pub fn fingerprint_query(q: &Query) -> Fingerprint {
-    let mut h = Fnv2::new();
-    h.u32(q.tables.len() as u32);
-    for t in &q.tables {
-        h.u32(t.0);
-    }
-    h.u32(q.joins.len() as u32);
-    for j in &q.joins {
-        h.u32(j.left.0);
-        h.u32(j.right.0);
-    }
-    h.u32(q.predicates.len() as u32);
-    for p in &q.predicates {
-        h.u32(p.col.0);
-        match &p.op {
-            PredOp::Eq(v) => {
-                h.u32(1);
-                h.f64(*v);
-            }
-            PredOp::Le(v) => {
-                h.u32(2);
-                h.f64(*v);
-            }
-            PredOp::Ge(v) => {
-                h.u32(3);
-                h.f64(*v);
-            }
-            PredOp::Between(lo, hi) => {
-                h.u32(4);
-                h.f64(*lo);
-                h.f64(*hi);
-            }
-            PredOp::In(vs) => {
-                h.u32(5);
-                h.u32(vs.len() as u32);
-                for v in vs {
-                    h.f64(*v);
+impl QueryShape {
+    /// Approximate resident bytes of this shape's entry: [`SHAPE_BYTES`]
+    /// plus, for a join shape, its `Arc<JoinPlan>` allocation (the two
+    /// reference counts, the plan and its steps).
+    pub(super) fn approx_bytes(&self) -> usize {
+        SHAPE_BYTES
+            + match self {
+                QueryShape::JoinDecomposable { plan } => {
+                    2 * std::mem::size_of::<usize>()
+                        + std::mem::size_of::<JoinPlan>()
+                        + plan.steps.capacity() * std::mem::size_of::<JoinStep>()
                 }
+                _ => 0,
             }
-        }
     }
-    h.u32(q.projection.len() as u32);
-    for c in &q.projection {
-        h.u32(c.0);
-    }
-    h.u32(q.aggregates.len() as u32);
-    for a in &q.aggregates {
-        match a {
-            Aggregate::CountStar => h.u32(0xffff_ffff),
-            Aggregate::Sum(c) => {
-                h.u32(1);
-                h.u32(c.0);
-            }
-            Aggregate::Avg(c) => {
-                h.u32(2);
-                h.u32(c.0);
-            }
-            Aggregate::Min(c) => {
-                h.u32(3);
-                h.u32(c.0);
-            }
-            Aggregate::Max(c) => {
-                h.u32(4);
-                h.u32(c.0);
-            }
-        }
-    }
-    h.u32(q.group_by.len() as u32);
-    for c in &q.group_by {
-        h.u32(c.0);
-    }
-    h.u32(q.order_by.len() as u32);
-    for c in &q.order_by {
-        h.u32(c.0);
-    }
-    h.u64(q.limit.map_or(u64::MAX, |l| l.wrapping_add(1)));
-    h.finish()
 }
 
-/// Structural fingerprint of a single index (its column list). Keys the
-/// per-(query, index) benefit matrix the same way [`fingerprint_config`]
-/// keys the per-(query, config) cost cache.
-pub fn fingerprint_index(idx: &crate::index::Index) -> Fingerprint {
-    let mut h = Fnv2::new();
-    h.u32(idx.columns.len() as u32);
-    for c in &idx.columns {
-        h.u32(c.0);
-    }
-    h.finish()
+/// Read-lock a shard. The maps hold pure, fully written values, so a
+/// lock poisoned by a panicking holder still guards valid data.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Structural fingerprint of an index configuration (order-sensitive:
-/// the cost model is order-insensitive, so keying on insertion order
-/// only costs duplicate entries, never correctness).
-pub fn fingerprint_config(cfg: &IndexConfig) -> Fingerprint {
-    let mut h = Fnv2::new();
-    h.u32(cfg.len() as u32);
-    for idx in cfg.indexes() {
-        h.u32(idx.columns.len() as u32);
-        for c in &idx.columns {
-            h.u32(c.0);
-        }
-    }
-    h.finish()
+/// Write-lock a shard (see [`read`] on poisoning).
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Hit/miss counters and current size of a [`CostCache`], as returned by
-/// [`CostCache::stats`].
+fn shards<K, V>() -> Vec<RwLock<HashMap<K, V>>> {
+    (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect()
+}
+
+/// One family of `(query, index)` cells.
+type CellShards = Vec<RwLock<HashMap<(Fingerprint, Fingerprint), f64>>>;
+
+/// The two cell families. An index on a join key owns a cell in *both*
+/// under the same `(query, index)` key, so they are kept apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to the cost model.
-    pub misses: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Entries displaced by the CLOCK sweep (0 while unbounded).
-    pub evictions: u64,
-    /// Configured capacity bound (`usize::MAX` = unbounded).
-    pub capacity: usize,
+pub(crate) enum Cells {
+    /// Raw access cost of scanning the query's table through the index.
+    Access,
+    /// Nested-loop probe cost of the index into its step of a join.
+    NestedLoop,
 }
 
-impl CacheStats {
-    /// Hits as a fraction of all lookups (0 when no lookups happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-type Key = (Fingerprint, Fingerprint);
-
-/// One resident cache entry. The reference bit is atomic so a *read*
-/// lock suffices to mark recency on the hit path.
-struct Slot {
-    key: Key,
-    value: f64,
-    referenced: AtomicBool,
-}
-
-/// One shard: a key → slot-index map over a slot arena swept by a CLOCK
-/// hand. Unbounded shards never sweep (the arena only grows).
-#[derive(Default)]
-struct Shard {
-    map: HashMap<Key, usize>,
-    slots: Vec<Slot>,
-    hand: usize,
-}
-
-impl Shard {
-    /// Pick a victim by second chance (referenced slots get their bit
-    /// cleared and are passed over; a full sweep therefore always
-    /// terminates), unlink it from the map, and return its index for
-    /// reuse. Caller guarantees the arena is non-empty.
-    fn evict_one(&mut self) -> usize {
-        loop {
-            let i = self.hand;
-            self.hand = (self.hand + 1) % self.slots.len();
-            if self.slots[i].referenced.swap(false, Ordering::Relaxed) {
-                continue;
-            }
-            self.map.remove(&self.slots[i].key);
-            return i;
-        }
-    }
-
-    /// Shrink residency to `cap` entries, evicting by CLOCK. Returns the
-    /// number of entries dropped.
-    fn trim(&mut self, cap: usize) -> u64 {
-        let mut dropped = 0;
-        while self.slots.len() > cap {
-            let i = self.evict_one();
-            self.slots.swap_remove(i);
-            if i < self.slots.len() {
-                self.map.insert(self.slots[i].key, i);
-            }
-            if self.hand >= self.slots.len() {
-                self.hand = 0;
-            }
-            dropped += 1;
-        }
-        dropped
-    }
-}
-
-/// A sharded, thread-safe `(query, config) → cost` memo table with
-/// optional CLOCK-bounded residency.
-pub struct CostCache {
-    shards: Vec<RwLock<Shard>>,
+/// Sharded `RwLock` maps for the matrix's cells and shapes under one
+/// optional byte budget.
+pub(crate) struct MatrixCache {
+    /// Query fingerprint → shape, sharded by the fingerprint's low bits.
+    shapes: Vec<RwLock<HashMap<Fingerprint, QueryShape>>>,
+    /// [`Cells::Access`] cells.
+    entries: CellShards,
+    /// [`Cells::NestedLoop`] cells.
+    nl_entries: CellShards,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
-    /// Total capacity bound across shards; `usize::MAX` = unbounded.
-    capacity: AtomicUsize,
-    enabled: AtomicBool,
+    /// Approximate resident bytes of cells and shapes, changed only under
+    /// the write lock of the shard that gained or lost them, so the
+    /// budget check is one atomic load, not 48 shard locks.
+    bytes: AtomicUsize,
+    /// High-water mark of `bytes`.
+    peak_bytes: AtomicUsize,
+    /// Approximate byte budget; `usize::MAX` = unbounded (default).
+    byte_budget: AtomicUsize,
+    /// Next shard the rotating compactor clears (mod `3 × SHARDS`).
+    compact_cursor: AtomicUsize,
+    compactions: AtomicU64,
 }
 
-impl Default for CostCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CostCache {
-    /// An empty, enabled, unbounded cache.
-    pub fn new() -> Self {
-        CostCache {
-            shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
+impl MatrixCache {
+    /// An empty, unbudgeted cache.
+    pub(crate) fn new() -> Self {
+        MatrixCache {
+            shapes: shards(),
+            entries: shards(),
+            nl_entries: shards(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            capacity: AtomicUsize::new(usize::MAX),
-            enabled: AtomicBool::new(true),
+            bytes: AtomicUsize::new(0),
+            peak_bytes: AtomicUsize::new(0),
+            byte_budget: AtomicUsize::new(usize::MAX),
+            compact_cursor: AtomicUsize::new(0),
+            compactions: AtomicU64::new(0),
         }
     }
 
-    /// Enable or disable memoization (lookups bypass the map when
-    /// disabled; existing entries are kept). Used by benchmarks to
-    /// measure cold-path cost.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+    /// Approximate resident footprint in bytes, cells and shapes.
+    fn approx_bytes(&self) -> usize {
+        self.bytes.load(Ordering::Relaxed)
     }
 
-    /// Whether memoization is currently enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+    /// Bound the footprint (`usize::MAX` = unbounded); see
+    /// [`super::BenefitMatrix::set_byte_budget`].
+    pub(crate) fn set_byte_budget(&self, bytes: usize) {
+        self.byte_budget.store(bytes, Ordering::Relaxed);
+        if self.approx_bytes() > bytes {
+            self.compact(bytes);
+        }
     }
 
-    /// Bound residency to `capacity` total entries (`usize::MAX` =
-    /// unbounded, the default; `0` = store nothing). Shards each hold up
-    /// to `capacity / SHARDS` (rounded up) entries, evicting by CLOCK
-    /// when full; a shrinking bound trims immediately. Eviction affects
-    /// presence only — every capacity returns bit-identical costs.
-    pub fn set_capacity(&self, capacity: usize) {
-        self.capacity.store(capacity, Ordering::Relaxed);
-        let cap = Self::per_shard(capacity);
-        for s in &self.shards {
-            let dropped = s.write().expect("cache shard poisoned").trim(cap);
-            if dropped > 0 {
-                self.evictions.fetch_add(dropped, Ordering::Relaxed);
-                pipa_obs::count("whatif_cache_evict", dropped);
+    /// `added` fresh bytes landed in a shard and were counted under its
+    /// lock, bringing the footprint to `total`: raise the high-water mark
+    /// and run the compactor if the budget is exceeded.
+    fn note_insert(&self, total: usize, added: usize) {
+        self.peak_bytes.fetch_max(total, Ordering::Relaxed);
+        let budget = self.byte_budget.load(Ordering::Relaxed);
+        if budget != usize::MAX {
+            pipa_obs::count("matrix_bytes", added as u64);
+            if total > budget {
+                self.compact(budget);
             }
         }
     }
 
-    fn per_shard(capacity: usize) -> usize {
-        if capacity == usize::MAX {
-            usize::MAX
-        } else {
-            capacity.div_ceil(SHARDS)
-        }
-    }
-
-    /// Look up `(q, cfg)`, computing and publishing via `compute` on a
-    /// miss. `compute` runs outside all locks.
-    pub fn get_or_compute(
-        &self,
-        q: Fingerprint,
-        cfg: Fingerprint,
-        compute: impl FnOnce() -> f64,
-    ) -> f64 {
-        if !self.is_enabled() {
-            return compute();
-        }
-        let key = (q, cfg);
-        let shard = &self.shards[(q.a ^ cfg.a) as usize & (SHARDS - 1)];
-        {
-            let s = shard.read().expect("cache shard poisoned");
-            if let Some(&i) = s.map.get(&key) {
-                let slot = &s.slots[i];
-                slot.referenced.store(true, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return slot.value;
+    /// Clear shards in rotation (access shards, then nested-loop shards,
+    /// then shape shards) until the footprint is back under `budget` or
+    /// every shard was swept once.
+    fn compact(&self, budget: usize) {
+        for _ in 0..(3 * SHARDS) {
+            if self.approx_bytes() <= budget {
+                break;
             }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = compute();
-        let cap = Self::per_shard(self.capacity.load(Ordering::Relaxed));
-        if cap == 0 {
-            return v;
-        }
-        let mut s = shard.write().expect("cache shard poisoned");
-        if let Some(&i) = s.map.get(&key) {
-            // A racing thread published first; the model is pure, so its
-            // value is bit-identical to ours.
-            return s.slots[i].value;
-        }
-        let i = if s.slots.len() < cap {
-            s.slots.push(Slot {
-                key,
-                value: v,
-                referenced: AtomicBool::new(false),
-            });
-            s.slots.len() - 1
-        } else {
-            let i = s.evict_one();
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            pipa_obs::count("whatif_cache_evict", 1);
-            s.slots[i] = Slot {
-                key,
-                value: v,
-                referenced: AtomicBool::new(false),
+            let k = self.compact_cursor.fetch_add(1, Ordering::Relaxed) % (3 * SHARDS);
+            let dropped = if k < 2 * SHARDS {
+                let family = if k < SHARDS {
+                    &self.entries
+                } else {
+                    &self.nl_entries
+                };
+                let mut w = write(&family[k % SHARDS]);
+                let n = w.len() * CELL_BYTES;
+                *w = HashMap::new();
+                self.bytes.fetch_sub(n, Ordering::Relaxed);
+                n
+            } else {
+                let mut w = write(&self.shapes[k % SHARDS]);
+                let n = w.values().map(QueryShape::approx_bytes).sum();
+                *w = HashMap::new();
+                self.bytes.fetch_sub(n, Ordering::Relaxed);
+                n
             };
-            i
-        };
-        s.map.insert(key, i);
-        v
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.read().expect("cache shard poisoned").map.len())
-                .sum(),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            capacity: self.capacity.load(Ordering::Relaxed),
+            if dropped > 0 {
+                self.compactions.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
-    /// Drop all entries and zero the counters (the capacity bound and
-    /// enabled flag persist).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            let mut s = s.write().expect("cache shard poisoned");
-            s.map.clear();
-            s.slots.clear();
-            s.hand = 0;
+    /// Drop all cells and shapes and zero the counters (the budget
+    /// stays).
+    pub(crate) fn clear(&self) {
+        for s in &self.shapes {
+            write(s).clear();
+        }
+        for s in self.entries.iter().chain(&self.nl_entries) {
+            write(s).clear();
         }
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+        self.bytes.store(0, Ordering::Relaxed);
+        self.peak_bytes.store(0, Ordering::Relaxed);
+        self.compactions.store(0, Ordering::Relaxed);
+    }
+
+    /// Counter snapshot of what the cache sees; the per-query
+    /// evaluation counts are the matrix's and read 0 here.
+    pub(crate) fn stats(&self) -> MatrixStats {
+        let len = |family: &CellShards| -> usize { family.iter().map(|s| read(s).len()).sum() };
+        MatrixStats {
+            matrix_evals: 0,
+            join_evals: 0,
+            full_fallbacks: 0,
+            delta_evals: 0,
+            entry_hits: self.hits.load(Ordering::Relaxed),
+            entry_misses: self.misses.load(Ordering::Relaxed),
+            entries: len(&self.entries),
+            nl_entries: len(&self.nl_entries),
+            shapes: self.shapes.iter().map(|s| read(s).len()).sum(),
+            approx_bytes: self.approx_bytes(),
+            peak_bytes: self.peak_bytes.load(Ordering::Relaxed),
+            compactions: self.compactions.load(Ordering::Relaxed),
+            byte_budget: self.byte_budget.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The cost held in every resident access cell, in no particular
+    /// order.
+    pub(crate) fn access_costs(&self) -> Vec<f64> {
+        self.entries
+            .iter()
+            .flat_map(|s| read(s).values().copied().collect::<Vec<_>>())
+            .collect()
+    }
+
+    /// The shape memoized for `qf`, classified by `classify` on a miss.
+    /// The classification runs outside any lock.
+    pub(crate) fn shape(
+        &self,
+        qf: Fingerprint,
+        classify: impl FnOnce() -> QueryShape,
+    ) -> QueryShape {
+        let shard = &self.shapes[qf.low() as usize & (SHARDS - 1)];
+        if let Some(s) = read(shard).get(&qf) {
+            return s.clone();
+        }
+        let s = classify();
+        let added = s.approx_bytes();
+        let fresh = write(shard).insert(qf, s.clone()).is_none().then(|| {
+            // Counted under the shard's lock, like the compactor's
+            // subtraction, so the two never interleave.
+            self.bytes.fetch_add(added, Ordering::Relaxed) + added
+        });
+        if let Some(total) = fresh {
+            self.note_insert(total, added);
+        }
+        s
+    }
+
+    /// The cell at `key` in `family`, computed by `compute` on a miss.
+    /// The compute runs outside any lock; a racing insert of the same
+    /// pure value is idempotent.
+    pub(crate) fn cell(
+        &self,
+        family: Cells,
+        key: (Fingerprint, Fingerprint),
+        compute: impl FnOnce() -> f64,
+    ) -> f64 {
+        let family = match family {
+            Cells::Access => &self.entries,
+            Cells::NestedLoop => &self.nl_entries,
+        };
+        let shard = &family[(key.0.low() ^ key.1.low()) as usize & (SHARDS - 1)];
+        if let Some(&v) = read(shard).get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return v;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let v = compute();
+        let fresh = write(shard)
+            .insert(key, v)
+            .is_none()
+            .then(|| self.bytes.fetch_add(CELL_BYTES, Ordering::Relaxed) + CELL_BYTES);
+        if let Some(total) = fresh {
+            self.note_insert(total, CELL_BYTES);
+        }
+        v
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::matrix::{fingerprint_index, fingerprint_query};
     use super::*;
-    use crate::index::Index;
-    use crate::schema::ColumnId;
+    use crate::db::Database;
+    use crate::index::{Index, IndexConfig};
+    use crate::predicate::Predicate;
+    use crate::query::Query;
+    use crate::schema::{ColumnId, DataType, Schema, TableId};
 
     fn q(frac: f64) -> Query {
         Query {
-            tables: vec![crate::schema::TableId(0)],
+            tables: vec![TableId(0)],
             joins: vec![],
-            predicates: vec![crate::predicate::Predicate::eq(ColumnId(0), frac)],
+            predicates: vec![Predicate::eq(ColumnId(0), frac)],
             projection: vec![ColumnId(0)],
             aggregates: vec![],
             group_by: vec![],
@@ -462,155 +303,114 @@ mod tests {
         }
     }
 
-    #[test]
-    fn distinct_structures_get_distinct_fingerprints() {
-        let a = fingerprint_query(&q(0.25));
-        let b = fingerprint_query(&q(0.75));
-        assert_ne!(a, b);
-        let c1 = fingerprint_config(&IndexConfig::empty());
-        let c2 = fingerprint_config(&IndexConfig::from_indexes([Index::single(ColumnId(1))]));
-        assert_ne!(c1, c2);
-    }
-
-    #[test]
-    fn fingerprints_are_stable() {
-        assert_eq!(fingerprint_query(&q(0.5)), fingerprint_query(&q(0.5)));
+    /// The cell key of `q(frac)` and a single-column index on column 0.
+    fn key(frac: f64) -> (Fingerprint, Fingerprint) {
+        (
+            fingerprint_query(&q(frac)),
+            fingerprint_index(&Index::single(ColumnId(0))),
+        )
     }
 
     #[test]
     fn hit_returns_cached_value_and_counts() {
-        let cache = CostCache::new();
-        let qf = fingerprint_query(&q(0.5));
-        let cf = fingerprint_config(&IndexConfig::empty());
-        let first = cache.get_or_compute(qf, cf, || 42.0);
-        let second = cache.get_or_compute(qf, cf, || panic!("must hit"));
+        let cache = MatrixCache::new();
+        let k = key(0.5);
+        let first = cache.cell(Cells::Access, k, || 42.0);
+        let second = cache.cell(Cells::Access, k, || panic!("must hit"));
         assert_eq!(first, 42.0);
         assert_eq!(second, 42.0);
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!((s.entry_hits, s.entry_misses, s.entries), (1, 1, 1));
+        // The same key in the other family is a different cell.
+        assert_eq!(cache.cell(Cells::NestedLoop, k, || 7.0), 7.0);
+        let s = cache.stats();
+        assert_eq!(
+            (s.entry_hits, s.entry_misses, s.entries, s.nl_entries),
+            (1, 2, 1, 1)
+        );
+        assert_eq!(s.approx_bytes, 2 * CELL_BYTES);
     }
 
     #[test]
     fn disabled_cache_always_computes() {
-        let cache = CostCache::new();
-        cache.set_enabled(false);
-        let qf = fingerprint_query(&q(0.5));
-        let cf = fingerprint_config(&IndexConfig::empty());
-        assert_eq!(cache.get_or_compute(qf, cf, || 1.0), 1.0);
-        assert_eq!(cache.get_or_compute(qf, cf, || 2.0), 2.0);
-        assert_eq!(cache.stats().entries, 0);
+        let mut schema = Schema::new();
+        schema.add_table("t", 100_000, &[("a", DataType::Int), ("b", DataType::Int)]);
+        let db = Database::builder(schema).build();
+        let q = q(0.5);
+        let cfg = IndexConfig::from_indexes([Index::single(ColumnId(0))]);
+        let want = db.scalar_query_cost(&q, &cfg);
+        db.set_whatif_matrix_enabled(false);
+        for _ in 0..2 {
+            assert_eq!(db.estimated_query_cost(&q, &cfg).to_bits(), want.to_bits());
+        }
+        // Both answers came from the model: nothing was looked up or kept.
+        let s = db.whatif_matrix_stats();
+        assert_eq!((s.entry_hits, s.entry_misses), (0, 0));
+        assert_eq!((s.entries, s.shapes, s.approx_bytes), (0, 0, 0));
+        // Switched back on, the same estimate is memoized.
+        db.set_whatif_matrix_enabled(true);
+        assert_eq!(db.estimated_query_cost(&q, &cfg).to_bits(), want.to_bits());
+        let s = db.whatif_matrix_stats();
+        assert_eq!((s.entry_misses, s.entries, s.shapes), (1, 1, 1));
     }
 
     #[test]
     fn clear_resets_everything() {
-        let cache = CostCache::new();
-        let qf = fingerprint_query(&q(0.5));
-        let cf = fingerprint_config(&IndexConfig::empty());
-        let _ = cache.get_or_compute(qf, cf, || 1.0);
+        let cache = MatrixCache::new();
+        cache.set_byte_budget(CELL_BYTES);
+        let _ = cache.shape(key(0.5).0, || QueryShape::Trivial);
+        let _ = cache.cell(Cells::Access, key(0.5), || 1.0);
+        let _ = cache.cell(Cells::NestedLoop, key(0.5), || 2.0);
+        let _ = cache.cell(Cells::Access, key(0.5), || 1.0);
+        assert!(cache.stats().compactions > 0);
         cache.clear();
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0));
+        assert_eq!((s.entry_hits, s.entry_misses, s.compactions), (0, 0, 0));
+        assert_eq!((s.entries, s.nl_entries, s.shapes), (0, 0, 0));
+        assert_eq!((s.approx_bytes, s.peak_bytes), (0, 0));
+        assert_eq!(s.byte_budget, CELL_BYTES, "the budget outlives a clear");
     }
 
     #[test]
     fn bounded_cache_evicts_but_never_changes_values() {
-        let cache = CostCache::new();
-        cache.set_capacity(16); // 1 slot per shard
-        let qs: Vec<Fingerprint> = (0..200)
-            .map(|i| fingerprint_query(&q(i as f64 / 200.0)))
-            .collect();
-        let cf = fingerprint_config(&IndexConfig::empty());
-        // Two passes over 200 distinct keys through ≤16 slots: values
-        // must stay bit-identical to the pure model on every lookup.
+        let cache = MatrixCache::new();
+        let budget = 16 * CELL_BYTES;
+        cache.set_byte_budget(budget);
+        let keys: Vec<_> = (0..200).map(|i| key(i as f64 / 200.0)).collect();
+        // Two passes over 200 distinct keys through ≤16 cells: values
+        // must stay bit-identical to the computed ones on every lookup.
         for pass in 0..2 {
-            for (i, &qf) in qs.iter().enumerate() {
-                let v = cache.get_or_compute(qf, cf, || i as f64 * 1.5);
+            for (i, &k) in keys.iter().enumerate() {
+                let v = cache.cell(Cells::Access, k, || i as f64 * 1.5);
                 assert_eq!(v, i as f64 * 1.5, "pass {pass} key {i}");
             }
         }
         let s = cache.stats();
-        assert!(s.entries <= 16, "resident {} > capacity", s.entries);
-        assert!(s.evictions > 0, "200 keys through 16 slots must evict");
-        assert_eq!(s.capacity, 16);
-        assert_eq!(s.hits + s.misses, 400);
+        assert!(s.entries <= 16, "resident {} > budget", s.entries);
+        assert!(s.approx_bytes <= budget);
+        assert_eq!(s.approx_bytes, s.entries * CELL_BYTES);
+        assert!(s.compactions > 0, "200 keys through 16 cells must compact");
+        assert_eq!(s.byte_budget, budget);
+        assert_eq!(s.entry_hits + s.entry_misses, 400);
     }
 
     #[test]
     fn zero_capacity_stores_nothing_and_capacity_one_works() {
-        let cf = fingerprint_config(&IndexConfig::empty());
-        let cache = CostCache::new();
-        cache.set_capacity(0);
-        let qf = fingerprint_query(&q(0.5));
-        assert_eq!(cache.get_or_compute(qf, cf, || 7.0), 7.0);
-        assert_eq!(cache.get_or_compute(qf, cf, || 7.0), 7.0);
-        assert_eq!(cache.stats().entries, 0);
-        let one = CostCache::new();
-        one.set_capacity(1);
-        for i in 0..50 {
-            let qf = fingerprint_query(&q(i as f64 / 50.0));
-            assert_eq!(one.get_or_compute(qf, cf, || i as f64), i as f64);
-        }
-        assert!(one.stats().entries <= SHARDS, "per-shard cap is 1");
-    }
-
-    #[test]
-    fn second_chance_prefers_hot_entries() {
-        let cache = CostCache::new();
-        // 2 slots per shard: enough room for the clock to pass over a
-        // referenced hot entry and land on an unreferenced cold one.
-        cache.set_capacity(32);
-        let hot = fingerprint_query(&q(0.001));
-        let cf = fingerprint_config(&IndexConfig::empty());
-        let _ = cache.get_or_compute(hot, cf, || 1.0);
-        let mut hot_hits = 0;
-        for i in 0..100 {
-            // Re-touch the hot key (sets its reference bit), then insert
-            // a cold key that may land in the same shard.
-            let v = cache.get_or_compute(hot, cf, || f64::NAN);
-            assert_eq!(v, 1.0, "hot entry round {i}");
-            hot_hits += 1;
-            let cold = fingerprint_query(&q(0.002 + i as f64 / 1000.0));
-            let _ = cache.get_or_compute(cold, cf, || 2.0);
-        }
-        assert_eq!(hot_hits, 100);
-        // The referenced bit must have spared the hot entry every round:
-        // its 100 re-touches were all hits (else get_or_compute would
-        // have returned NAN's compute above and the assert_eq failed).
-    }
-
-    #[test]
-    fn shrinking_capacity_trims_immediately() {
-        let cache = CostCache::new();
-        let cf = fingerprint_config(&IndexConfig::empty());
-        for i in 0..100 {
-            let qf = fingerprint_query(&q(i as f64 / 100.0));
-            let _ = cache.get_or_compute(qf, cf, || i as f64);
-        }
-        assert_eq!(cache.stats().entries, 100);
-        cache.set_capacity(32);
+        let cache = MatrixCache::new();
+        cache.set_byte_budget(0);
+        let k = key(0.5);
+        assert_eq!(cache.cell(Cells::Access, k, || 7.0), 7.0);
+        assert_eq!(cache.cell(Cells::Access, k, || 7.0), 7.0);
         let s = cache.stats();
-        assert!(s.entries <= 32, "trim left {} resident", s.entries);
-        assert!(s.evictions >= 68);
-    }
-
-    #[test]
-    fn concurrent_access_is_consistent() {
-        let cache = CostCache::new();
-        let qs: Vec<Fingerprint> = (0..64)
-            .map(|i| fingerprint_query(&q(i as f64 / 64.0)))
-            .collect();
-        let cf = fingerprint_config(&IndexConfig::empty());
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for (i, &qf) in qs.iter().enumerate() {
-                        let v = cache.get_or_compute(qf, cf, || i as f64);
-                        assert_eq!(v, i as f64);
-                    }
-                });
-            }
-        });
-        assert_eq!(cache.stats().entries, 64);
+        assert_eq!((s.entries, s.approx_bytes, s.entry_misses), (0, 0, 2));
+        let one = MatrixCache::new();
+        one.set_byte_budget(CELL_BYTES);
+        for i in 0..50 {
+            let k = key(i as f64 / 50.0);
+            assert_eq!(one.cell(Cells::Access, k, || i as f64), i as f64);
+        }
+        let s = one.stats();
+        assert!(s.entries <= 1, "a one-cell budget keeps {}", s.entries);
+        assert_eq!(s.entry_misses, 50);
     }
 }

@@ -1,11 +1,12 @@
-//! Incremental what-if evaluation: the per-(query, index) benefit matrix.
+//! Incremental what-if evaluation: the per-(query, index) benefit matrix,
+//! the simulator's one what-if memo.
 //!
 //! Every advisor action loop evaluates thousands of index configurations
 //! that differ by a single index. Full re-costing treats each
 //! configuration as opaque, paying `O(|W| · |I|)` model work per
-//! evaluation; the per-(query, config) [`super::CostCache`] removes exact
-//! repeats but still stores the combinatorial `(query, config)` space.
-//! This module exploits the cost model's structure instead:
+//! evaluation, and memoizing whole `(query, config)` costs would store
+//! the combinatorial `(query, config)` space. This module exploits the
+//! cost model's structure instead:
 //!
 //! * For a **single-table query** the model's plan is
 //!   `surcharges(min(seq_scan, index_scan(i) for i in config))` where the
@@ -26,8 +27,7 @@
 //!   re-costs only the step whose table the index touches.
 //! * Only **genuinely non-decomposable** shapes — a table scanned twice
 //!   in one query (raw self-join), where `(query, index)` cell keys
-//!   would collide across steps — take the full-model fallback,
-//!   memoized by the [`super::CostCache`].
+//!   would collide across steps — call the full model, uncached.
 //!
 //! Equality contract: matrix answers are **bit-identical** to the scalar
 //! model. Both paths call the same crate-internal `table_access` /
@@ -40,29 +40,194 @@
 //! never occupy a cell. `tests/whatif_differential.rs` pins this with
 //! proptest-generated workloads and edit sequences.
 //!
-//! Concurrency mirrors [`super::CostCache`]: sharded `RwLock` maps,
-//! misses compute outside locks, racy inserts are idempotent because the
-//! model is pure.
+//! Keys are 128-bit structural fingerprints (two FNV-1a streams) of the
+//! query and the index. Cells and memoized query shapes live in the
+//! sharded `RwLock` maps of the `cost::cache` module: misses compute
+//! outside locks, and racy inserts are idempotent because the model is
+//! pure. An optional byte budget ([`BenefitMatrix::set_byte_budget`])
+//! covers everything the matrix stores, cells and shapes alike; whatever
+//! the compactor drops recomputes bit-identically on the next touch.
 
-use super::cache::{fingerprint_index, Fingerprint};
+use super::cache::{Cells, MatrixCache};
 use super::model::{AnalyticalCostModel, JoinPlan, JoinStep, JoinStepState, TableAccess};
 use super::Catalog;
 use crate::index::{Index, IndexConfig};
-use crate::query::Query;
+use crate::predicate::PredOp;
+use crate::query::{Aggregate, Query};
 use crate::schema::{ColumnId, TableId};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// Shard count (power of two, same rationale as the cost cache).
-const SHARDS: usize = 16;
+/// A 128-bit structural fingerprint (two independent FNV-1a streams).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Fingerprint {
+    a: u64,
+    b: u64,
+}
 
-/// Approximate resident footprint of one matrix cell: the 32-byte
-/// `(Fingerprint, Fingerprint)` key, the 8-byte cost, and amortized
-/// hash-table bucket overhead. Used for the `matrix_bytes` accounting —
-/// an estimate, deliberately conservative rather than allocator-exact,
-/// so the byte budget bounds real memory.
-const CELL_BYTES: usize = 48;
+impl Fingerprint {
+    /// The fingerprint as one 128-bit value (observability keys).
+    pub fn to_u128(self) -> u128 {
+        (u128::from(self.a) << 64) | u128::from(self.b)
+    }
+
+    /// The low stream, whose low bits pick a cache shard.
+    pub(super) fn low(self) -> u64 {
+        self.b
+    }
+}
+
+/// Incremental FNV-1a × 2 hasher over canonical byte encodings.
+struct Fnv2 {
+    a: u64,
+    b: u64,
+}
+
+impl Fnv2 {
+    fn new() -> Self {
+        // Standard FNV-1a offset for stream A; an arbitrary odd constant
+        // (pi fraction) decorrelates stream B.
+        Fnv2 {
+            a: 0xcbf2_9ce4_8422_2325,
+            b: 0x2437_54c8_10f8_6cb5,
+        }
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &x in bytes {
+            self.a = (self.a ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_01b3);
+            self.b = (self.b ^ u64::from(x)).wrapping_mul(0x0000_0100_0000_0197);
+        }
+    }
+
+    fn u32(&mut self, v: u32) {
+        self.write(&v.to_le_bytes());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.write(&v.to_bits().to_le_bytes());
+    }
+
+    fn finish(self) -> Fingerprint {
+        Fingerprint {
+            a: self.a,
+            b: self.b,
+        }
+    }
+}
+
+/// Structural fingerprint of a query: every field that can influence its
+/// cost, tagged and length-prefixed so distinct structures cannot
+/// collide by concatenation.
+pub fn fingerprint_query(q: &Query) -> Fingerprint {
+    let mut h = Fnv2::new();
+    h.u32(q.tables.len() as u32);
+    for t in &q.tables {
+        h.u32(t.0);
+    }
+    h.u32(q.joins.len() as u32);
+    for j in &q.joins {
+        h.u32(j.left.0);
+        h.u32(j.right.0);
+    }
+    h.u32(q.predicates.len() as u32);
+    for p in &q.predicates {
+        h.u32(p.col.0);
+        match &p.op {
+            PredOp::Eq(v) => {
+                h.u32(1);
+                h.f64(*v);
+            }
+            PredOp::Le(v) => {
+                h.u32(2);
+                h.f64(*v);
+            }
+            PredOp::Ge(v) => {
+                h.u32(3);
+                h.f64(*v);
+            }
+            PredOp::Between(lo, hi) => {
+                h.u32(4);
+                h.f64(*lo);
+                h.f64(*hi);
+            }
+            PredOp::In(vs) => {
+                h.u32(5);
+                h.u32(vs.len() as u32);
+                for v in vs {
+                    h.f64(*v);
+                }
+            }
+        }
+    }
+    h.u32(q.projection.len() as u32);
+    for c in &q.projection {
+        h.u32(c.0);
+    }
+    h.u32(q.aggregates.len() as u32);
+    for a in &q.aggregates {
+        match a {
+            Aggregate::CountStar => h.u32(0xffff_ffff),
+            Aggregate::Sum(c) => {
+                h.u32(1);
+                h.u32(c.0);
+            }
+            Aggregate::Avg(c) => {
+                h.u32(2);
+                h.u32(c.0);
+            }
+            Aggregate::Min(c) => {
+                h.u32(3);
+                h.u32(c.0);
+            }
+            Aggregate::Max(c) => {
+                h.u32(4);
+                h.u32(c.0);
+            }
+        }
+    }
+    h.u32(q.group_by.len() as u32);
+    for c in &q.group_by {
+        h.u32(c.0);
+    }
+    h.u32(q.order_by.len() as u32);
+    for c in &q.order_by {
+        h.u32(c.0);
+    }
+    h.u64(q.limit.map_or(u64::MAX, |l| l.wrapping_add(1)));
+    h.finish()
+}
+
+/// Structural fingerprint of a single index (its column list): the
+/// index half of every cell key.
+pub fn fingerprint_index(idx: &Index) -> Fingerprint {
+    let mut h = Fnv2::new();
+    h.u32(idx.columns.len() as u32);
+    for c in &idx.columns {
+        h.u32(c.0);
+    }
+    h.finish()
+}
+
+/// Structural fingerprint of an index configuration (order-sensitive).
+/// The matrix never keys on whole configurations; this is the config
+/// half of a recorded what-if tape's `(query, config)` key
+/// (`pipa_cost::Tape`), kept here beside the hasher it shares.
+pub fn fingerprint_config(cfg: &IndexConfig) -> Fingerprint {
+    let mut h = Fnv2::new();
+    h.u32(cfg.len() as u32);
+    for idx in cfg.indexes() {
+        h.u32(idx.columns.len() as u32);
+        for c in &idx.columns {
+            h.u32(c.0);
+        }
+    }
+    h.finish()
+}
 
 /// How a query's cost depends on the index configuration.
 ///
@@ -131,10 +296,10 @@ pub struct MatrixStats {
     pub entries: usize,
     /// `(query, index)` nested-loop cells currently resident.
     pub nl_entries: usize,
-    /// Query shapes classified so far.
+    /// Query shapes currently resident.
     pub shapes: usize,
-    /// Approximate resident cell footprint in bytes
-    /// (`(entries + nl_entries) × 48`).
+    /// Approximate resident footprint in bytes: `(entries + nl_entries)
+    /// × 48` plus every resident shape's entry and join plan.
     pub approx_bytes: usize,
     /// High-water mark of [`Self::approx_bytes`] since the last clear.
     pub peak_bytes: usize,
@@ -159,6 +324,17 @@ impl MatrixStats {
             0.0
         } else {
             self.full_fallbacks as f64 / total as f64
+        }
+    }
+
+    /// Cell lookups answered from the resident matrix as a fraction of
+    /// all cell lookups (0 when none happened).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.entry_hits + self.entry_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.entry_hits as f64 / total as f64
         }
     }
 
@@ -286,39 +462,23 @@ impl IncrementalEval {
 }
 
 /// The per-(query, index) benefit matrix with shape classification and
-/// counters. Owned by [`crate::db::Database`] next to its
-/// [`super::CostCache`].
+/// counters. Owned by [`crate::db::Database`]; its cells and shapes live
+/// in a `MatrixCache`.
 pub struct BenefitMatrix {
-    /// Query fingerprint → shape (lazily classified).
-    shapes: RwLock<HashMap<Fingerprint, QueryShape>>,
-    /// `(query, index)` → raw access cost, for applicable indexes only
-    /// (an inapplicable one is answered `+∞` without a cell). For
+    /// Query shapes (lazily classified) and the two families of
+    /// `(query, index)` cells: raw access costs, for applicable indexes
+    /// only (an inapplicable one is answered `+∞` without a cell), and
+    /// index nested-loop probe costs into the step the index's table
+    /// identifies, for that step's fixed outer cardinality. For
     /// join-decomposable queries the index's table resolves which plan
-    /// step the cell belongs to (tables are distinct by shape
+    /// step a cell belongs to (tables are distinct by shape
     /// classification, so the key is unambiguous).
-    entries: Vec<RwLock<HashMap<(Fingerprint, Fingerprint), f64>>>,
-    /// `(query, index)` → index nested-loop probe cost into the step the
-    /// index's table identifies, for that step's fixed outer
-    /// cardinality. Kept separate from `entries` because an index on a
-    /// join key owns cells in *both* families under the same key.
-    nl_entries: Vec<RwLock<HashMap<(Fingerprint, Fingerprint), f64>>>,
+    cache: MatrixCache,
     enabled: AtomicBool,
     matrix_evals: AtomicU64,
     join_evals: AtomicU64,
     full_fallbacks: AtomicU64,
     delta_evals: AtomicU64,
-    entry_hits: AtomicU64,
-    entry_misses: AtomicU64,
-    /// Resident cell count across both families (maintained on insert so
-    /// the byte check is one atomic load, not 32 shard locks).
-    cells: AtomicUsize,
-    /// High-water mark of `cells × CELL_BYTES`.
-    peak_bytes: AtomicUsize,
-    /// Approximate byte budget; `usize::MAX` = unbounded (default).
-    byte_budget: AtomicUsize,
-    /// Next shard the rotating compactor clears (mod `2 × SHARDS`).
-    compact_cursor: AtomicUsize,
-    compactions: AtomicU64,
 }
 
 impl Default for BenefitMatrix {
@@ -331,89 +491,32 @@ impl BenefitMatrix {
     /// An empty, enabled matrix.
     pub fn new() -> Self {
         BenefitMatrix {
-            shapes: RwLock::new(HashMap::new()),
-            entries: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            nl_entries: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            cache: MatrixCache::new(),
             enabled: AtomicBool::new(true),
             matrix_evals: AtomicU64::new(0),
             join_evals: AtomicU64::new(0),
             full_fallbacks: AtomicU64::new(0),
             delta_evals: AtomicU64::new(0),
-            entry_hits: AtomicU64::new(0),
-            entry_misses: AtomicU64::new(0),
-            cells: AtomicUsize::new(0),
-            peak_bytes: AtomicUsize::new(0),
-            byte_budget: AtomicUsize::new(usize::MAX),
-            compact_cursor: AtomicUsize::new(0),
-            compactions: AtomicU64::new(0),
         }
     }
 
-    /// Approximate resident cell footprint in bytes.
-    pub fn approx_bytes(&self) -> usize {
-        self.cells.load(Ordering::Relaxed) * CELL_BYTES
-    }
-
-    /// Bound the matrix's approximate cell footprint (`usize::MAX` =
-    /// unbounded, the default). When an insert pushes the footprint past
-    /// the budget, the compactor clears whole cell shards in rotation
-    /// until back under; cleared cells recompute bit-identically on the
-    /// next touch, so the budget trades recompute work for memory, never
-    /// correctness. Shape classifications are tiny (one per distinct
-    /// query) and are not subject to the budget.
+    /// Bound the matrix's approximate footprint (`usize::MAX` =
+    /// unbounded, the default). The budget covers everything the matrix
+    /// stores: access and nested-loop cells, and each query's memoized
+    /// shape with its join plan. When an insert pushes the footprint past
+    /// the budget, the compactor clears whole shards in rotation until
+    /// back under; cleared cells recompute and cleared shapes reclassify
+    /// bit-identically on the next touch, and open sessions keep their
+    /// own `Arc<JoinPlan>`, so the budget trades recompute work for
+    /// memory, never correctness.
     pub fn set_byte_budget(&self, bytes: usize) {
-        self.byte_budget.store(bytes, Ordering::Relaxed);
-        if self.approx_bytes() > bytes {
-            self.compact(bytes);
-        }
+        self.cache.set_byte_budget(bytes);
     }
 
-    /// One fresh cell landed in a shard: maintain the footprint
-    /// accounting and run the compactor if the budget is exceeded.
-    fn note_insert(&self) {
-        let cells = self.cells.fetch_add(1, Ordering::Relaxed) + 1;
-        let bytes = cells * CELL_BYTES;
-        self.peak_bytes.fetch_max(bytes, Ordering::Relaxed);
-        let budget = self.byte_budget.load(Ordering::Relaxed);
-        if budget != usize::MAX {
-            pipa_obs::count("matrix_bytes", CELL_BYTES as u64);
-            if bytes > budget {
-                self.compact(budget);
-            }
-        }
-    }
-
-    /// Clear cell shards in rotation (access shards `0..SHARDS`, then
-    /// nested-loop shards) until the footprint is back under `budget` or
-    /// every shard was swept once.
-    fn compact(&self, budget: usize) {
-        for _ in 0..(2 * SHARDS) {
-            if self.approx_bytes() <= budget {
-                break;
-            }
-            let k = self.compact_cursor.fetch_add(1, Ordering::Relaxed) % (2 * SHARDS);
-            let shard = if k < SHARDS {
-                &self.entries[k]
-            } else {
-                &self.nl_entries[k - SHARDS]
-            };
-            let dropped = {
-                let mut w = shard.write().expect("matrix shard poisoned");
-                let n = w.len();
-                w.clear();
-                w.shrink_to_fit();
-                n
-            };
-            if dropped > 0 {
-                self.cells.fetch_sub(dropped, Ordering::Relaxed);
-                self.compactions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Enable or disable the matrix (evaluations route to the full model
-    /// when disabled; resident cells are kept). Benchmarks use this to
-    /// measure the scalar path; results are identical either way.
+    /// Enable or disable the matrix (evaluations call the full model,
+    /// uncached, when disabled; resident cells are kept). Benchmarks and
+    /// the differential suites use this to reach the scalar reference;
+    /// results are identical either way.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -425,19 +528,11 @@ impl BenefitMatrix {
 
     /// Drop all cells and shapes and zero the counters.
     pub fn clear(&self) {
-        self.shapes.write().expect("matrix shapes poisoned").clear();
-        for s in self.entries.iter().chain(&self.nl_entries) {
-            s.write().expect("matrix shard poisoned").clear();
-        }
+        self.cache.clear();
         self.matrix_evals.store(0, Ordering::Relaxed);
         self.join_evals.store(0, Ordering::Relaxed);
         self.full_fallbacks.store(0, Ordering::Relaxed);
         self.delta_evals.store(0, Ordering::Relaxed);
-        self.entry_hits.store(0, Ordering::Relaxed);
-        self.entry_misses.store(0, Ordering::Relaxed);
-        self.cells.store(0, Ordering::Relaxed);
-        self.peak_bytes.store(0, Ordering::Relaxed);
-        self.compactions.store(0, Ordering::Relaxed);
     }
 
     /// Counter snapshot.
@@ -447,36 +542,14 @@ impl BenefitMatrix {
             join_evals: self.join_evals.load(Ordering::Relaxed),
             full_fallbacks: self.full_fallbacks.load(Ordering::Relaxed),
             delta_evals: self.delta_evals.load(Ordering::Relaxed),
-            entry_hits: self.entry_hits.load(Ordering::Relaxed),
-            entry_misses: self.entry_misses.load(Ordering::Relaxed),
-            entries: self
-                .entries
-                .iter()
-                .map(|s| s.read().expect("matrix shard poisoned").len())
-                .sum(),
-            nl_entries: self
-                .nl_entries
-                .iter()
-                .map(|s| s.read().expect("matrix shard poisoned").len())
-                .sum(),
-            shapes: self.shapes.read().expect("matrix shapes poisoned").len(),
-            approx_bytes: self.approx_bytes(),
-            peak_bytes: self.peak_bytes.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            byte_budget: self.byte_budget.load(Ordering::Relaxed),
+            ..self.cache.stats()
         }
     }
 
     /// The cost held in every resident access cell, in no particular
     /// order.
     pub(crate) fn access_costs(&self) -> Vec<f64> {
-        self.entries
-            .iter()
-            .flat_map(|s| {
-                let r = s.read().expect("matrix shard poisoned");
-                r.values().copied().collect::<Vec<_>>()
-            })
-            .collect()
+        self.cache.access_costs()
     }
 
     /// One per-query evaluation was answered from the matrix.
@@ -507,39 +580,32 @@ impl BenefitMatrix {
         q: &Query,
         qf: Fingerprint,
     ) -> QueryShape {
-        if let Some(s) = self.shapes.read().expect("matrix shapes poisoned").get(&qf) {
-            return s.clone();
-        }
-        let s = if q.tables.is_empty() {
-            QueryShape::Trivial
-        } else if q.tables.len() == 1 {
-            let acc = model.table_access(cat, q, q.tables[0]);
-            QueryShape::Decomposable {
-                table: acc.table,
-                seq_cost: acc.seq_cost,
-                rows_out: acc.rows_out,
+        self.cache.shape(qf, || {
+            if q.tables.is_empty() {
+                QueryShape::Trivial
+            } else if q.tables.len() == 1 {
+                let acc = model.table_access(cat, q, q.tables[0]);
+                QueryShape::Decomposable {
+                    table: acc.table,
+                    seq_cost: acc.seq_cost,
+                    rows_out: acc.rows_out,
+                }
+            } else if q
+                .tables
+                .iter()
+                .enumerate()
+                .any(|(i, t)| q.tables[..i].contains(t))
+            {
+                // A table scanned twice: `(query, index)` cell keys can't
+                // tell the two steps apart, so only the full model is
+                // correct.
+                QueryShape::JoinCoupled
+            } else {
+                QueryShape::JoinDecomposable {
+                    plan: Arc::new(model.join_plan(cat, q)),
+                }
             }
-        } else if q
-            .tables
-            .iter()
-            .enumerate()
-            .any(|(i, t)| q.tables[..i].contains(t))
-        {
-            // A table scanned twice: `(query, index)` cell keys can't
-            // tell the two steps apart, so only the full model is
-            // correct.
-            QueryShape::JoinCoupled
-        } else {
-            QueryShape::JoinDecomposable {
-                plan: Arc::new(model.join_plan(cat, q)),
-            }
-        };
-        self.shapes
-            .write()
-            .expect("matrix shapes poisoned")
-            .entry(qf)
-            .or_insert(s)
-            .clone()
+        })
     }
 
     /// One matrix cell: the raw access cost of scanning the query's
@@ -561,28 +627,12 @@ impl BenefitMatrix {
         if !model.index_applies(cat, key.q, key.table, index) {
             return f64::INFINITY;
         }
-        let cell_key = (key.qf, idxf);
-        let shard = &self.entries
-            [(key.qf.to_u128() as u64 ^ idxf.to_u128() as u64) as usize & (SHARDS - 1)];
-        if let Some(&v) = shard.read().expect("matrix shard poisoned").get(&cell_key) {
-            self.entry_hits.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        self.entry_misses.fetch_add(1, Ordering::Relaxed);
-        let a = acc.get_or_insert_with(|| model.table_access(cat, key.q, key.table));
-        let v = model
-            .index_access_cost(cat, a, index)
-            .unwrap_or(f64::INFINITY);
-        let inserted = {
-            let mut w = shard.write().expect("matrix shard poisoned");
-            let before = w.len();
-            w.entry(cell_key).or_insert(v);
-            w.len() > before
-        };
-        if inserted {
-            self.note_insert();
-        }
-        v
+        self.cache.cell(Cells::Access, (key.qf, idxf), || {
+            let a = acc.get_or_insert_with(|| model.table_access(cat, key.q, key.table));
+            model
+                .index_access_cost(cat, a, index)
+                .unwrap_or(f64::INFINITY)
+        })
     }
 
     /// `min(seq_cost, matrix row entries for the keyed indexes)` — the
@@ -638,25 +688,9 @@ impl BenefitMatrix {
         index: &Index,
         col: ColumnId,
     ) -> f64 {
-        let cell_key = (qf, idxf);
-        let shard =
-            &self.nl_entries[(qf.to_u128() as u64 ^ idxf.to_u128() as u64) as usize & (SHARDS - 1)];
-        if let Some(&v) = shard.read().expect("matrix shard poisoned").get(&cell_key) {
-            self.entry_hits.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        self.entry_misses.fetch_add(1, Ordering::Relaxed);
-        let v = model.index_nl_cost(cat, step.table, index, col, step.outer_rows);
-        let inserted = {
-            let mut w = shard.write().expect("matrix shard poisoned");
-            let before = w.len();
-            w.entry(cell_key).or_insert(v);
-            w.len() > before
-        };
-        if inserted {
-            self.note_insert();
-        }
-        v
+        self.cache.cell(Cells::NestedLoop, (qf, idxf), || {
+            model.index_nl_cost(cat, step.table, index, col, step.outer_rows)
+        })
     }
 
     /// Per-step [`JoinStepState`]s of a decomposed join under the keyed
@@ -822,8 +856,8 @@ pub(crate) fn keyed_indexes(cfg: &IndexConfig) -> Vec<(Fingerprint, &Index)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::cache::fingerprint_query;
-    use crate::cost::{CostModel, PAGE_SIZE};
+    use crate::cost::cache::{CELL_BYTES, SHAPE_BYTES};
+    use crate::cost::PAGE_SIZE;
     use crate::predicate::Predicate;
     use crate::query::QueryBuilder;
     use crate::schema::{ColumnId, DataType, Schema};
@@ -1143,8 +1177,88 @@ mod tests {
             assert_eq!(got.to_bits(), want.to_bits());
         }
         let s = m.stats();
-        assert_eq!((s.entries, s.approx_bytes, s.peak_bytes), (0, 0, 0));
+        // The query's shape is the only resident entry.
+        assert_eq!(s.entries, 0);
+        assert_eq!((s.approx_bytes, s.peak_bytes), (SHAPE_BYTES, SHAPE_BYTES));
         assert_eq!(s.entry_hits + s.entry_misses, 0, "no lookup was made");
+    }
+
+    /// Queries over both tables, each filtering every column of its
+    /// table, so every single-column index of that table owns a cell.
+    fn sweep_queries(fx: &Fixture) -> Vec<Query> {
+        let mut qs = Vec::new();
+        for (i, v) in [0.1, 0.3, 0.5, 0.7].into_iter().enumerate() {
+            let mut b = QueryBuilder::new();
+            for c in ["f_id", "f_dim", "f_price"] {
+                b = b.filter(&fx.schema, Predicate::le(fx.col(c), v));
+            }
+            qs.push(b.select(fx.col("f_price")).build(&fx.schema).unwrap());
+            let mut b = QueryBuilder::new();
+            for c in ["d_id", "d_cat"] {
+                b = b.filter(&fx.schema, Predicate::eq(fx.col(c), v + i as f64 / 100.0));
+            }
+            qs.push(b.select(fx.col("d_cat")).build(&fx.schema).unwrap());
+        }
+        qs
+    }
+
+    #[test]
+    fn concurrent_access_is_consistent() {
+        let fx = Fixture::new();
+        let model = AnalyticalCostModel::new();
+        let m = BenefitMatrix::new();
+        let qs = sweep_queries(&fx);
+        let cfg = IndexConfig::from_indexes(
+            ["f_id", "f_dim", "f_price", "d_id", "d_cat"].map(|c| Index::single(fx.col(c))),
+        );
+        let want: Vec<u64> = qs
+            .iter()
+            .map(|q| model.query_cost(fx.cat(), q, &cfg).to_bits())
+            .collect();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for (q, w) in qs.iter().zip(&want) {
+                        let got = eval_decomposable(&m, &model, fx.cat(), q, &cfg);
+                        assert_eq!(got.to_bits(), *w);
+                    }
+                });
+            }
+        });
+        // Racing inserts of one key count once: the tracked footprint is
+        // exactly what is resident.
+        let s = m.stats();
+        assert_eq!((s.shapes, s.entries), (qs.len(), 4 * 3 + 4 * 2));
+        assert_eq!(
+            s.approx_bytes,
+            s.entries * CELL_BYTES + s.shapes * SHAPE_BYTES
+        );
+    }
+
+    #[test]
+    fn shrinking_budget_compacts_immediately() {
+        let fx = Fixture::new();
+        let model = AnalyticalCostModel::new();
+        let m = BenefitMatrix::new();
+        let cfg = IndexConfig::from_indexes(
+            ["f_id", "f_dim", "f_price", "d_id", "d_cat"].map(|c| Index::single(fx.col(c))),
+        );
+        for q in &sweep_queries(&fx) {
+            let _ = eval_decomposable(&m, &model, fx.cat(), q, &cfg);
+        }
+        let full = m.stats().approx_bytes;
+        m.set_byte_budget(full / 3);
+        let s = m.stats();
+        assert!(
+            s.approx_bytes <= full / 3,
+            "{} B after shrinking",
+            s.approx_bytes
+        );
+        assert!(s.compactions > 0);
+        assert_eq!(
+            s.approx_bytes,
+            (s.entries + s.nl_entries) * CELL_BYTES + s.shapes * SHAPE_BYTES
+        );
     }
 
     #[test]
@@ -1188,7 +1302,7 @@ mod tests {
         let m = BenefitMatrix::new();
         // Budget of 4 cells' worth: a stream of distinct queries ×
         // indexes must trigger rotating shard clears.
-        m.set_byte_budget(4 * super::CELL_BYTES);
+        m.set_byte_budget(4 * CELL_BYTES);
         let cols = ["f_id", "f_dim", "f_price"];
         let mut scalars = Vec::new();
         for round in 0..3 {
@@ -1215,13 +1329,15 @@ mod tests {
         }
         let s = m.stats();
         assert!(s.compactions > 0, "budget must have forced compactions");
+        // One entry of slack: the largest one here is a single-table
+        // shape.
         assert!(
-            s.approx_bytes <= 4 * super::CELL_BYTES + super::CELL_BYTES,
-            "footprint {} over budget",
-            s.approx_bytes
+            s.peak_bytes <= 4 * CELL_BYTES + SHAPE_BYTES,
+            "footprint peaked at {} over budget",
+            s.peak_bytes
         );
         assert!(s.peak_bytes >= s.approx_bytes);
-        assert_eq!(s.byte_budget, 4 * super::CELL_BYTES);
+        assert_eq!(s.byte_budget, 4 * CELL_BYTES);
     }
 
     #[test]
@@ -1239,9 +1355,111 @@ mod tests {
         let s = m.stats();
         assert_eq!(s.compactions, 0);
         assert_eq!(s.byte_budget, usize::MAX);
+        // Cells plus one single-table shape, which holds no join plan.
+        assert_eq!(s.shapes, 1);
         assert_eq!(
             s.approx_bytes,
-            (s.entries + s.nl_entries) * super::CELL_BYTES
+            (s.entries + s.nl_entries) * CELL_BYTES + SHAPE_BYTES
+        );
+        assert_eq!(s.peak_bytes, s.approx_bytes);
+    }
+
+    #[test]
+    fn compacted_join_shape_reclassifies_and_open_sessions_keep_their_plan() {
+        let fx = Fixture::new();
+        let model = AnalyticalCostModel::new();
+        let m = BenefitMatrix::new();
+        let q = QueryBuilder::new()
+            .join(&fx.schema, fx.col("f_dim"), fx.col("d_id"))
+            .filter(&fx.schema, Predicate::eq(fx.col("d_cat"), 0.5))
+            .select(fx.col("f_price"))
+            .build(&fx.schema)
+            .unwrap();
+        let qf = fingerprint_query(&q);
+        let shape = m.shape(&model, fx.cat(), &q, qf);
+        let QueryShape::JoinDecomposable { plan } = shape.clone() else {
+            panic!("expected join-decomposable shape");
+        };
+        // The shape's bytes, plan included, are on the books.
+        let s = m.stats();
+        assert_eq!((s.shapes, s.approx_bytes), (1, shape.approx_bytes()));
+        assert!(shape.approx_bytes() > SHAPE_BYTES + plan.steps.len() * 8);
+
+        // A session opened before the clear holds the plan and its
+        // empty-config per-step minima.
+        let mut steps: Vec<JoinStepState> = plan
+            .steps
+            .iter()
+            .map(|s| JoinStepState {
+                raw: s.seq_cost,
+                nl: f64::INFINITY,
+            })
+            .collect();
+        // Budget 0: the compactor clears every shard, the shape included,
+        // and every later insert is cleared again.
+        m.set_byte_budget(0);
+        let s = m.stats();
+        assert_eq!((s.shapes, s.approx_bytes), (0, 0));
+        assert!(s.compactions > 0);
+
+        // The dropped shape reclassifies to an equal shape (a new plan).
+        let again = m.shape(&model, fx.cat(), &q, qf);
+        assert_eq!(again, shape);
+        let QueryShape::JoinDecomposable { plan: rebuilt } = &again else {
+            panic!("expected join-decomposable shape");
+        };
+        assert!(!Arc::ptr_eq(&plan, rebuilt), "the shape was rebuilt");
+
+        // The open session previews and commits bit-identically to the
+        // scalar model on its own plan.
+        let mut cfg = IndexConfig::empty();
+        for col in ["f_dim", "d_cat"] {
+            let idx = Index::single(fx.col(col));
+            let idxf = fingerprint_index(&idx);
+            cfg.add(idx.clone());
+            let want = model.query_cost(fx.cat(), &q, &cfg);
+            let preview = m.join_preview_add(&model, fx.cat(), &q, qf, &plan, &steps, idxf, &idx);
+            m.join_apply_add(&model, fx.cat(), &q, qf, &plan, &mut steps, idxf, &idx);
+            let commit = model.join_cost_from_steps(&q, &plan, &steps);
+            assert_eq!(preview.to_bits(), want.to_bits(), "preview +{col}");
+            assert_eq!(commit.to_bits(), want.to_bits(), "commit +{col}");
+        }
+        assert!(m.stats().approx_bytes == 0, "budget 0 keeps nothing");
+    }
+
+    fn point(frac: f64) -> Query {
+        Query {
+            tables: vec![TableId(0)],
+            joins: vec![],
+            predicates: vec![Predicate::eq(ColumnId(0), frac)],
+            projection: vec![ColumnId(0)],
+            aggregates: vec![],
+            group_by: vec![],
+            order_by: vec![],
+            limit: None,
+        }
+    }
+
+    #[test]
+    fn distinct_structures_get_distinct_fingerprints() {
+        assert_ne!(
+            fingerprint_query(&point(0.25)),
+            fingerprint_query(&point(0.75))
+        );
+        let c1 = fingerprint_config(&IndexConfig::empty());
+        let c2 = fingerprint_config(&IndexConfig::from_indexes([Index::single(ColumnId(1))]));
+        assert_ne!(c1, c2);
+        assert_ne!(
+            fingerprint_index(&Index::single(ColumnId(1))),
+            fingerprint_index(&Index::single(ColumnId(2)))
+        );
+    }
+
+    #[test]
+    fn fingerprints_are_stable() {
+        assert_eq!(
+            fingerprint_query(&point(0.5)),
+            fingerprint_query(&point(0.5))
         );
     }
 

@@ -2,23 +2,20 @@
 //! (hypothetical index) interface every index advisor consumes.
 //!
 //! The advisors in `pipa-ia` and the PIPA framework in `pipa-core` never
-//! look inside this module; they only call [`CostModel::query_cost`] /
-//! [`WhatIf`] helpers, exactly as the paper's components only issue
-//! `c(W, d, I)` requests to PostgreSQL's hypothetical-index extension.
+//! look inside this module; they only issue `c(W, d, I)` requests through
+//! [`crate::db::Database`] (behind the `pipa-cost` seam), exactly as the
+//! paper's components only issue them to PostgreSQL's hypothetical-index
+//! extension.
 
-pub mod cache;
+mod cache;
 pub mod matrix;
 pub(crate) mod model;
 
-pub use cache::{CacheStats, CostCache};
 pub use matrix::{BenefitMatrix, ConfigDelta, IncrementalEval, MatrixStats};
 pub use model::AnalyticalCostModel;
 
-use crate::index::IndexConfig;
-use crate::query::Query;
 use crate::schema::{ColumnId, Schema, TableId};
 use crate::stats::{ColumnStats, TableStats};
-use crate::workload::Workload;
 
 /// Simulated page size in bytes (PostgreSQL default).
 pub const PAGE_SIZE: u64 = 8192;
@@ -76,81 +73,5 @@ impl<'a> Catalog<'a> {
     /// Column statistics lookup.
     pub fn column(&self, c: ColumnId) -> &'a ColumnStats {
         &self.column_stats[c.0 as usize]
-    }
-}
-
-/// A cost model maps `(query, index configuration)` to an abstract cost.
-/// Lower is better. Units are PostgreSQL-style "page fetch equivalents".
-pub trait CostModel {
-    /// Estimated cost of one query under a (possibly hypothetical) index
-    /// configuration.
-    fn query_cost(&self, cat: Catalog<'_>, query: &Query, config: &IndexConfig) -> f64;
-
-    /// Frequency-weighted cost of a workload.
-    fn workload_cost(&self, cat: Catalog<'_>, workload: &Workload, config: &IndexConfig) -> f64 {
-        workload
-            .iter()
-            .map(|wq| wq.frequency as f64 * self.query_cost(cat, &wq.query, config))
-            .sum()
-    }
-}
-
-/// Convenience helpers over a [`CostModel`]: the what-if interface.
-pub struct WhatIf<'a, M: CostModel> {
-    cat: Catalog<'a>,
-    model: &'a M,
-}
-
-impl<'a, M: CostModel> WhatIf<'a, M> {
-    /// Wrap a model and catalog.
-    pub fn new(cat: Catalog<'a>, model: &'a M) -> Self {
-        WhatIf { cat, model }
-    }
-
-    /// `c(q, d, I)`.
-    pub fn query_cost(&self, q: &Query, cfg: &IndexConfig) -> f64 {
-        self.model.query_cost(self.cat, q, cfg)
-    }
-
-    /// `c(W, d, I)`.
-    pub fn workload_cost(&self, w: &Workload, cfg: &IndexConfig) -> f64 {
-        self.model.workload_cost(self.cat, w, cfg)
-    }
-
-    /// Relative cost reduction of `cfg` over the empty configuration for a
-    /// query: `1 - c(q,d,I)/c(q,d,∅)`. This is the reward most learned IAs
-    /// optimize (paper Eq. 7 numerator).
-    pub fn query_benefit(&self, q: &Query, cfg: &IndexConfig) -> f64 {
-        let base = self.query_cost(q, &IndexConfig::empty());
-        if base <= 0.0 {
-            return 0.0;
-        }
-        1.0 - self.query_cost(q, cfg) / base
-    }
-
-    /// Relative cost reduction for a whole workload.
-    pub fn workload_benefit(&self, w: &Workload, cfg: &IndexConfig) -> f64 {
-        let base = self.workload_cost(w, &IndexConfig::empty());
-        if base <= 0.0 {
-            return 0.0;
-        }
-        1.0 - self.workload_cost(w, cfg) / base
-    }
-
-    /// Among `candidates`, the single index with the lowest query cost
-    /// (ties: first). Returns `None` for an empty candidate list.
-    pub fn best_single_index(
-        &self,
-        q: &Query,
-        candidates: &[crate::index::Index],
-    ) -> Option<crate::index::Index> {
-        candidates
-            .iter()
-            .map(|i| {
-                let cfg = IndexConfig::from_indexes([i.clone()]);
-                (self.query_cost(q, &cfg), i)
-            })
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .map(|(_, i)| i.clone())
     }
 }

@@ -18,11 +18,12 @@
 //! index benefit must scale with selectivity. The tests pin those
 //! properties down.
 
-use super::{Catalog, CostModel, CostParams};
+use super::{Catalog, CostParams};
 use crate::index::{Index, IndexConfig};
 use crate::predicate::Predicate;
 use crate::query::Query;
 use crate::schema::{ColumnId, TableId};
+use crate::workload::Workload;
 
 /// Fraction of heap fetches an index-only scan still pays (visibility map
 /// misses).
@@ -333,7 +334,7 @@ impl AnalyticalCostModel {
 
     /// EXPLAIN-style access-path summary: for each table of the query,
     /// which path the model would choose under `cfg` and at what cost.
-    /// (Join strategy selection happens inside [`CostModel::query_cost`];
+    /// (Join strategy selection happens inside [`Self::query_cost`];
     /// this view covers the per-table decisions that index advisors act
     /// on.)
     pub fn explain(&self, cat: Catalog<'_>, q: &Query, cfg: &IndexConfig) -> String {
@@ -411,7 +412,7 @@ impl AnalyticalCostModel {
     /// result-cardinality chain.
     ///
     /// This is the *only* implementation of the join-order heuristic in
-    /// the workspace; [`CostModel::query_cost`] and the benefit matrix
+    /// the workspace; [`Self::query_cost`] and the benefit matrix
     /// both consume its output, so they cannot drift.
     pub(crate) fn join_plan(&self, cat: Catalog<'_>, q: &Query) -> JoinPlan {
         debug_assert!(q.tables.len() >= 2, "join_plan needs a multi-table query");
@@ -573,10 +574,11 @@ impl AnalyticalCostModel {
         }
         self.apply_surcharges(q, total, plan.result_rows)
     }
-}
 
-impl CostModel for AnalyticalCostModel {
-    fn query_cost(&self, cat: Catalog<'_>, q: &Query, cfg: &IndexConfig) -> f64 {
+    /// Estimated cost of one query under a (possibly hypothetical) index
+    /// configuration: `c(q, d, I)`, in PostgreSQL-style "page fetch
+    /// equivalents" (lower is better).
+    pub fn query_cost(&self, cat: Catalog<'_>, q: &Query, cfg: &IndexConfig) -> f64 {
         if q.tables.is_empty() {
             return 0.0;
         }
@@ -596,12 +598,26 @@ impl CostModel for AnalyticalCostModel {
             .collect();
         self.join_cost_from_steps(q, &plan, &states)
     }
+
+    /// Frequency-weighted cost of a workload: `c(W, d, I)`, summed in
+    /// workload order.
+    pub fn workload_cost(
+        &self,
+        cat: Catalog<'_>,
+        workload: &Workload,
+        config: &IndexConfig,
+    ) -> f64 {
+        workload
+            .iter()
+            .map(|wq| wq.frequency as f64 * self.query_cost(cat, &wq.query, config))
+            .sum()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{WhatIf, PAGE_SIZE};
+    use crate::cost::PAGE_SIZE;
     use crate::query::QueryBuilder;
     use crate::schema::{DataType, Schema};
     use crate::stats::{ColumnStats, TableStats};
@@ -722,18 +738,14 @@ mod tests {
     fn benefit_scales_with_selectivity() {
         let fx = Fixture::new();
         let m = AnalyticalCostModel::new();
-        let wi = WhatIf::new(fx.cat(), &m);
+        // `1 - c(q,d,I)/c(q,d,∅)`: the reward most learned IAs optimize.
+        let benefit = |q: &Query, col: &str| {
+            let cfg = IndexConfig::from_indexes([Index::single(fx.col(col))]);
+            1.0 - m.query_cost(fx.cat(), q, &cfg) / m.query_cost(fx.cat(), q, &IndexConfig::empty())
+        };
         // High-NDV column (very selective eq) vs low-NDV column.
-        let q_hi = point_query(&fx, "f_id");
-        let q_lo = point_query(&fx, "f_qty");
-        let b_hi = wi.query_benefit(
-            &q_hi,
-            &IndexConfig::from_indexes([Index::single(fx.col("f_id"))]),
-        );
-        let b_lo = wi.query_benefit(
-            &q_lo,
-            &IndexConfig::from_indexes([Index::single(fx.col("f_qty"))]),
-        );
+        let b_hi = benefit(&point_query(&fx, "f_id"), "f_id");
+        let b_lo = benefit(&point_query(&fx, "f_qty"), "f_qty");
         assert!(b_hi > b_lo, "b_hi={b_hi} b_lo={b_lo}");
         assert!(b_hi > 0.9);
     }
@@ -881,14 +893,21 @@ mod tests {
     fn best_single_index_picks_the_filter_column() {
         let fx = Fixture::new();
         let m = AnalyticalCostModel::new();
-        let wi = WhatIf::new(fx.cat(), &m);
         let q = point_query(&fx, "f_id");
-        let cands = vec![
+        let cands = [
             Index::single(fx.col("f_qty")),
             Index::single(fx.col("f_id")),
             Index::single(fx.col("f_price")),
         ];
-        let best = wi.best_single_index(&q, &cands).unwrap();
+        // The single index with the lowest query cost (ties: first).
+        let best = cands
+            .iter()
+            .min_by(|a, b| {
+                let cost =
+                    |i: &Index| m.query_cost(fx.cat(), &q, &IndexConfig::from_indexes([i.clone()]));
+                cost(a).total_cmp(&cost(b))
+            })
+            .unwrap();
         assert_eq!(best.leading(), fx.col("f_id"));
     }
 }

@@ -1,13 +1,20 @@
 //! The `Database` facade: schema + statistics + (optionally) materialized
 //! data, exposing exactly the interface the paper assumes of the DBMS:
 //! estimated costs via hypothetical indexes, and actual execution costs.
+//!
+//! Estimates go through one memo, the byte-budgetable benefit matrix
+//! ([`BenefitMatrix`]). Its switch and its byte budget are the only
+//! settable what-if values; with the matrix off every estimate is the
+//! plain analytical model, uncached.
 
-use crate::cost::cache::{fingerprint_config, fingerprint_index, fingerprint_query, Fingerprint};
-use crate::cost::matrix::{keyed_indexes, EvalState, QueryKey, QueryShape, QueryState};
+use crate::cost::matrix::{
+    fingerprint_index, fingerprint_query, keyed_indexes, EvalState, Fingerprint, QueryKey,
+    QueryShape, QueryState,
+};
 use crate::cost::model::JoinStepState;
 use crate::cost::{
-    AnalyticalCostModel, BenefitMatrix, CacheStats, Catalog, ConfigDelta, CostCache, CostModel,
-    IncrementalEval, MatrixStats, PAGE_SIZE,
+    AnalyticalCostModel, BenefitMatrix, Catalog, ConfigDelta, IncrementalEval, MatrixStats,
+    PAGE_SIZE,
 };
 use crate::datagen::generate_table;
 use crate::error::{SimError, SimResult};
@@ -31,10 +38,8 @@ pub struct Database {
     /// Physical indexes are config-independent; cache them per definition
     /// and share them with every execution.
     phys_cache: Mutex<HashMap<Index, Arc<PhysicalIndex>>>,
-    /// Memoized what-if costs; the model is pure so entries never go stale.
-    whatif_cache: CostCache,
     /// Per-(query, index) benefit matrix for incremental what-if
-    /// evaluation; join-coupled queries fall back to `whatif_cache`.
+    /// evaluation; join-coupled queries call the full model.
     whatif_matrix: BenefitMatrix,
     scale: f64,
 }
@@ -96,11 +101,11 @@ impl Database {
     /// per-(query, index) benefit matrix, join queries over distinct
     /// tables from the decomposed join plan (per-step access and
     /// nested-loop cells over the config-independent skeleton), and only
-    /// genuinely non-decomposable shapes — a table scanned twice — fall
-    /// back to the full analytical model memoized by the thread-safe
-    /// [`CostCache`] (as do all calls with the matrix disabled). Every
-    /// path is bit-identical (pinned by `tests/whatif_differential.rs`),
-    /// so the dispatch choice never changes results.
+    /// genuinely non-decomposable shapes — a table scanned twice — call
+    /// the full analytical model, uncached (as do all calls with the
+    /// matrix disabled). Every path is bit-identical (pinned by
+    /// `tests/whatif_differential.rs`), so the dispatch choice never
+    /// changes results.
     pub fn estimated_query_cost(&self, q: &Query, cfg: &IndexConfig) -> f64 {
         if !self.whatif_matrix.is_enabled() {
             return self.scalar_query_cost(q, cfg);
@@ -121,60 +126,30 @@ impl Database {
             .sum()
     }
 
-    /// The pre-matrix scalar path: full analytical model, memoized by the
-    /// what-if cache. This is the reference implementation the benefit
-    /// matrix must stay bit-identical to; it is public (but hidden) so
-    /// the differential test suite can compare against it directly.
+    /// The scalar reference: the full analytical model, uncached. The
+    /// benefit matrix must stay bit-identical to it; it is public (but
+    /// hidden) so the differential suites can compare against it
+    /// directly.
     #[doc(hidden)]
     pub fn scalar_query_cost(&self, q: &Query, cfg: &IndexConfig) -> f64 {
-        let cf = fingerprint_config(cfg);
-        let qf = fingerprint_query(q);
-        record_whatif(qf, cf);
-        self.whatif_cache
-            .get_or_compute(qf, cf, || self.model.query_cost(self.catalog(), q, cfg))
+        self.model.query_cost(self.catalog(), q, cfg)
     }
 
-    /// Scalar-path workload cost (frequency-weighted sum of memoized
-    /// per-query [`Self::scalar_query_cost`] terms). See
-    /// [`Self::scalar_query_cost`] for why this stays public.
+    /// Scalar-reference workload cost: the frequency-weighted sum, in
+    /// workload order, of [`Self::scalar_query_cost`] terms.
     #[doc(hidden)]
     pub fn scalar_workload_cost(&self, w: &Workload, cfg: &IndexConfig) -> f64 {
-        let cf = fingerprint_config(cfg);
-        w.iter()
-            .map(|wq| {
-                let qf = fingerprint_query(&wq.query);
-                record_whatif(qf, cf);
-                wq.frequency as f64
-                    * self.whatif_cache.get_or_compute(qf, cf, || {
-                        self.model.query_cost(self.catalog(), &wq.query, cfg)
-                    })
-            })
-            .sum()
+        self.model.workload_cost(self.catalog(), w, cfg)
     }
 
-    /// Hit/miss counters of the what-if cost cache.
+    /// Always zero: the what-if cost cache these counted is gone, and the
+    /// benefit matrix reports through [`Self::whatif_matrix_stats`]. Kept
+    /// only because the end-to-end benchmark still reads it; the next
+    /// change to that benchmark drops its `sim.cache_*` metrics and this
+    /// stub with them.
+    #[doc(hidden)]
     pub fn whatif_cache_stats(&self) -> CacheStats {
-        self.whatif_cache.stats()
-    }
-
-    /// Enable or disable what-if memoization (benchmarks use this to
-    /// measure the uncached path; results are identical either way).
-    pub fn set_whatif_cache_enabled(&self, on: bool) {
-        self.whatif_cache.set_enabled(on);
-    }
-
-    /// Bound the what-if cache's residency to `capacity` entries
-    /// (`usize::MAX` = unbounded, the default; `0` = store nothing).
-    /// Eviction is CLOCK/second-chance per shard and affects presence
-    /// only — the cost model is pure, so any capacity returns costs
-    /// bit-identical to the unbounded cache.
-    pub fn set_whatif_cache_capacity(&self, capacity: usize) {
-        self.whatif_cache.set_capacity(capacity);
-    }
-
-    /// Drop all memoized what-if costs and zero the counters.
-    pub fn clear_whatif_cache(&self) {
-        self.whatif_cache.clear();
+        CacheStats { hits: 0, misses: 0 }
     }
 
     // ---- Incremental what-if evaluation (the benefit matrix) ----------
@@ -283,8 +258,7 @@ impl Database {
     /// one matrix-cell probe per decomposable query that scans `idx`'s
     /// table; every other matrix-backed query keeps its stored cost.
     /// `cfg_after` must be the session's configuration with `idx` added
-    /// (join-coupled entries re-cost against it in full, through the
-    /// what-if cache).
+    /// (join-coupled entries re-cost against it with the full model).
     pub fn whatif_eval_preview_add(
         &self,
         w: &Workload,
@@ -422,22 +396,19 @@ impl Database {
         self.whatif_matrix.access_costs()
     }
 
-    /// Enable or disable the benefit matrix (evaluations route to the
-    /// full model when disabled; results are identical either way).
-    /// Benchmarks use this to measure the scalar path.
+    /// Enable or disable the benefit matrix (evaluations call the full
+    /// model, uncached, when disabled; results are identical either way).
+    /// The whatif bench's scalar baselines and the differential suites
+    /// use this to reach the scalar reference.
     pub fn set_whatif_matrix_enabled(&self, on: bool) {
         self.whatif_matrix.set_enabled(on);
     }
 
-    /// Whether the benefit matrix is enabled.
-    pub fn whatif_matrix_enabled(&self) -> bool {
-        self.whatif_matrix.is_enabled()
-    }
-
-    /// Bound the benefit matrix's approximate cell footprint in bytes
-    /// (`usize::MAX` = unbounded, the default). Over-budget inserts
-    /// trigger rotating shard-clear compaction; cleared cells recompute
-    /// bit-identically on the next touch.
+    /// Bound the benefit matrix's approximate footprint in bytes, cells
+    /// and memoized query shapes alike (`usize::MAX` = unbounded, the
+    /// default). Over-budget inserts trigger rotating shard-clear
+    /// compaction; whatever it drops recomputes bit-identically on the
+    /// next touch.
     pub fn set_whatif_matrix_byte_budget(&self, bytes: usize) {
         self.whatif_matrix.set_byte_budget(bytes);
     }
@@ -660,24 +631,19 @@ impl DatabaseBuilder {
             model: AnalyticalCostModel::new(),
             storage,
             phys_cache: Mutex::new(HashMap::new()),
-            whatif_cache: CostCache::new(),
             whatif_matrix: BenefitMatrix::new(),
             scale: self.scale,
         }
     }
 }
 
-/// Observability taps for one what-if lookup. The raw lookup count plus
-/// the number of *distinct* `(query, config)` pairs give each recorded
-/// cell its own memoizable-repeat-rate, independent of which thread
-/// happened to warm the process-global [`CostCache`] first — so the
-/// deterministic trace channel never sees scheduling effects.
-fn record_whatif(qf: crate::cost::cache::Fingerprint, cf: crate::cost::cache::Fingerprint) {
-    pipa_obs::count("whatif_lookups", 1);
-    pipa_obs::count_unique(
-        "whatif_distinct",
-        qf.to_u128() ^ cf.to_u128().rotate_left(64),
-    );
+/// What [`Database::whatif_cache_stats`] returns: always zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub misses: u64,
 }
 
 /// Default column statistics derived from types alone: keys (`*_id`,

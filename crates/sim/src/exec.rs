@@ -605,7 +605,7 @@ pub fn build_physical(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{AnalyticalCostModel, CostModel};
+    use crate::cost::AnalyticalCostModel;
     use crate::datagen::generate_table;
     use crate::query::QueryBuilder;
     use crate::schema::{DataType, Schema};

@@ -39,8 +39,7 @@ pub mod value;
 pub mod workload;
 
 pub use cost::{
-    AnalyticalCostModel, BenefitMatrix, CacheStats, ConfigDelta, CostCache, CostModel, CostParams,
-    IncrementalEval, MatrixStats, WhatIf,
+    AnalyticalCostModel, BenefitMatrix, ConfigDelta, CostParams, IncrementalEval, MatrixStats,
 };
 pub use db::{Database, DatabaseBuilder};
 pub use error::{SimError, SimResult};

@@ -89,17 +89,20 @@ WHATIF_BENCH_SMOKE=1 cargo bench -q -p pipa-bench --bench whatif >/dev/null
 
 echo "== scale bench smoke =="
 # Shrunk Zipf/diurnal stream through the scale bench harness: asserts
-# the bounded cache's bit-identity against the unbounded replay, that
-# the matrix byte budget compacts without changing a cost bit, the tape
-# round trip + size guard, and the hot>=cold economics ordering; smoke
-# mode skips the committed artifact.
+# that the stream leg's byte-budgeted matrix (a budget taken from the
+# day's own unbudgeted footprint) compacts, stays within its budget and
+# returns the unbudgeted day's cost bits, that the config sweep's budget
+# compacts without changing a cost bit, the tape round trip + size
+# guard, and the hot>=cold economics ordering; smoke mode skips the
+# committed artifact.
 SCALE_BENCH_SMOKE=1 cargo bench -q -p pipa-bench --bench scale >/dev/null
 
 echo "== doc-link lint =="
 # Prose docs must not reference cost entry points that no longer exist:
 # the PR-5/PR-6 unification removed the matrix_* pair (dispatch is
-# internal to estimated_*) and JoinCoupled no longer covers plain joins.
-if grep -rnE 'matrix_query_cost|matrix_workload_cost' \
+# internal to estimated_*) and JoinCoupled no longer covers plain joins;
+# the benefit matrix replaced the CLOCK cost cache and its setters.
+if grep -rnE 'matrix_query_cost|matrix_workload_cost|CostCache|set_whatif_cache_|clear_whatif_cache' \
         README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md; then
     echo "doc-link lint: stale cost entry-point references found above" >&2
     exit 1
@@ -108,9 +111,9 @@ fi
 echo "== cargo doc (RUSTDOCFLAGS=-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${PKGS[@]}"
 
-echo "== rustfmt check (pipa-nn, pipa-sim, pipa-obs, pipa-ia, pipa-cost, pipa-core, pipa-workload) =="
+echo "== rustfmt check (pipa-nn, pipa-sim, pipa-obs, pipa-ia, pipa-cost, pipa-core, pipa-workload, pipa-bench) =="
 # These crates are rustfmt-clean; keep them so. The others are not yet.
-cargo fmt -p pipa-nn -p pipa-sim -p pipa-obs -p pipa-ia -p pipa-cost -p pipa-core -p pipa-workload -- --check
+cargo fmt -p pipa-nn -p pipa-sim -p pipa-obs -p pipa-ia -p pipa-cost -p pipa-core -p pipa-workload -p pipa-bench -- --check
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --all-targets -q "${PKGS[@]}" -- -D warnings

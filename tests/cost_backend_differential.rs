@@ -30,12 +30,11 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// A scalar-reference database: matrix off, what-if cache off, so every
-/// direct call walks the full analytical model from scratch.
+/// A scalar-reference database: matrix off, so every direct call walks
+/// the full analytical model from scratch, uncached.
 fn scalar_reference(bench: Benchmark) -> Database {
     let db = bench.database(1.0, None);
     db.set_whatif_matrix_enabled(false);
-    db.set_whatif_cache_enabled(false);
     db
 }
 

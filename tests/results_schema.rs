@@ -359,19 +359,28 @@ fn bench_stream_artifact_meets_the_arms_race_floors() {
 
 #[test]
 fn bench_scale_artifact_meets_the_skewed_traffic_floors() {
-    // The skewed-traffic PR: the committed artifact must show a >= 1M
-    // query Zipf/diurnal stream at SF 100 under a capacity-bounded
-    // what-if cache that (a) actually evicted, (b) beat the uniform
-    // baseline's hit rate (skew is the premise), and (c) returned
-    // bit-identical costs to the unbounded re-run; the byte-budgeted
-    // matrix must have compacted while staying at its budget (one-cell
-    // overshoot allowed per shard); the streamed tape and its size
-    // guard must both have fired; and hot-aligned traffic must price
-    // the attack at least as high as cold-aligned (exchange argument).
+    // The skewed-traffic PR, restated over the benefit matrix once it
+    // became the one what-if memo: the committed artifact must show a
+    // >= 1M query Zipf/diurnal stream at SF 100 through the matrix under
+    // a byte budget below the day's own footprint that (a) actually
+    // compacted, (b) gave Zipf a higher cell-hit rate than the uniform
+    // baseline (skew is the premise), and (c) returned bit-identical
+    // costs to the unbudgeted day; the budgeted config sweep must have
+    // compacted while staying at its budget; the streamed tape and its
+    // size guard must both have fired; and hot-aligned traffic must
+    // price the attack at least as high as cold-aligned (exchange
+    // argument).
     let path = results_dir().join("BENCH_scale.json");
     let text = fs::read_to_string(&path).expect("results/BENCH_scale.json is committed");
     let keys = top_level_keys(&text).unwrap();
-    for required in ["scale_factor", "stream", "matrix", "tape", "economics"] {
+    for required in [
+        "cores_available",
+        "scale_factor",
+        "stream",
+        "matrix",
+        "tape",
+        "economics",
+    ] {
         assert!(
             keys.iter().any(|k| k == required),
             "BENCH_scale.json: missing top-level {required:?} (has {keys:?})"
@@ -382,53 +391,60 @@ fn bench_scale_artifact_meets_the_skewed_traffic_floors() {
         "a smoke run must never be committed as the artifact"
     );
     assert_eq!(num_field(&text, "scale_factor"), 100.0);
+    assert!(num_field(&text, "cores_available") >= 1.0);
 
-    // Stream leg: >= 1M queries through a cache bounded far below the
-    // distinct pool, with skew paying for itself.
-    let queries = num_field(&text, "queries");
+    // Stream leg (serialized before the matrix leg, so its fields come
+    // first): >= 1M queries through a matrix budgeted below the day's
+    // footprint, with skew paying for itself.
+    let stream = text.split("\"stream\":").nth(1).expect("stream leg");
+    let queries = num_field(stream, "queries");
     assert!(queries >= 1_000_000.0, "queries = {queries} < 1M");
-    let capacity = num_field(&text, "cache_capacity");
-    let pool = num_field(&text, "distinct_pool_per_window");
+    let footprint = num_field(stream, "footprint_bytes");
+    let budget = num_field(stream, "byte_budget");
     assert!(
-        capacity < pool,
-        "capacity {capacity} must be under the distinct pool {pool} or nothing evicts"
+        budget > 0.0 && budget < footprint,
+        "stream budget {budget} must be under the day's footprint {footprint} or nothing compacts"
     );
-    let resident = num_field(&text, "entries_resident");
+    let resident = num_field(stream, "resident_bytes");
     assert!(
-        resident <= capacity,
-        "entries_resident {resident} over capacity {capacity}"
+        resident <= budget,
+        "resident_bytes {resident} over the stream budget {budget}"
     );
-    assert!(num_field(&text, "evictions") > 0.0, "no evictions recorded");
-    let hit_zipf = num_field(&text, "hit_rate_zipf");
-    let hit_uniform = num_field(&text, "hit_rate_uniform");
+    assert!(
+        num_field(stream, "compactions") > 0.0,
+        "no compactions recorded"
+    );
+    let hit_zipf = num_field(stream, "hit_rate_zipf");
+    let hit_uniform = num_field(stream, "hit_rate_uniform");
     assert!(
         hit_zipf > hit_uniform,
-        "Zipf hit rate {hit_zipf} must beat uniform {hit_uniform} at equal capacity"
+        "Zipf hit rate {hit_zipf} must beat uniform {hit_uniform} at equal budget"
     );
-    let qps = num_field(&text, "throughput_qps");
+    let qps = num_field(stream, "throughput_qps");
     assert!(qps.is_finite() && qps > 0.0, "throughput_qps = {qps}");
-    let peak_load = num_field(&text, "peak_window_load");
-    let trough_load = num_field(&text, "trough_window_load");
+    let peak_load = num_field(stream, "peak_window_load");
+    let trough_load = num_field(stream, "trough_window_load");
     assert!(
         peak_load > trough_load,
         "the diurnal curve must show: peak {peak_load} vs trough {trough_load}"
     );
     assert!(
-        text.contains("\"bounded_bits_identical\": true"),
-        "the bounded cache must be proven bit-identical to unbounded"
+        stream.contains("\"bounded_bits_identical\": true"),
+        "the budgeted day must be proven bit-identical to the unbudgeted one"
     );
 
     // Matrix leg: the tracked footprint stayed at the budget and the
     // rotating compactor actually ran.
-    let budget = num_field(&text, "byte_budget");
-    let peak = num_field(&text, "peak_bytes");
+    let matrix = text.split("\"matrix\":").nth(1).expect("matrix leg");
+    let budget = num_field(matrix, "byte_budget");
+    let peak = num_field(matrix, "peak_bytes");
     assert!(budget > 0.0, "byte_budget = {budget}");
     assert!(
         peak <= budget + 48.0 * 16.0,
         "peak_bytes {peak} overshot budget {budget} by more than a shard's insert slack"
     );
     assert!(
-        num_field(&text, "compactions") > 0.0,
+        num_field(matrix, "compactions") > 0.0,
         "the budget never forced a compaction — the leg proved nothing"
     );
 

@@ -4,8 +4,8 @@
 //! incremental eval sessions must be **bit-identical** (`f64::to_bits`)
 //! to a scalar full recompute through `estimated_workload_cost` — on
 //! proptest-generated TPC-H/TPC-DS workloads, under arbitrary
-//! index-config edit sequences, and on both cache-cold and cache-warm
-//! paths. Any divergence, even in the last ulp, is a bug: advisors make
+//! index-config edit sequences, and on both matrix-cold and
+//! matrix-warm paths. Any divergence, even in the last ulp, is a bug: advisors make
 //! strict `<` comparisons on these numbers, so "close enough" can flip
 //! a recommendation.
 
@@ -22,13 +22,12 @@ fn tpch() -> Database {
     Benchmark::TpcH.database(1.0, None)
 }
 
-/// A scalar-reference database: matrix off, what-if cache off. Every
-/// call walks the full analytical model from scratch (the "cold scalar
+/// A scalar-reference database: matrix off, so every call walks the
+/// full analytical model from scratch, uncached (the "cold scalar
 /// recompute" all incremental paths are measured against).
 fn scalar_reference(bench: Benchmark) -> Database {
     let db = bench.database(1.0, None);
     db.set_whatif_matrix_enabled(false);
-    db.set_whatif_cache_enabled(false);
     db
 }
 
@@ -372,9 +371,10 @@ proptest! {
         );
     }
 
-    /// The what-if cache must be value-transparent: the matrix path with
-    /// the cache cold, warm, and disabled all agree with the scalar
-    /// reference on join-heavy workloads.
+    /// The what-if memo must be value-transparent: the matrix cold, warm,
+    /// and under a zero byte budget (every cell and shape dropped as soon
+    /// as it is stored) all agree with the scalar reference on
+    /// join-heavy workloads.
     #[test]
     fn cache_cold_and_warm_paths_agree(
         tmpl in 0usize..8,
@@ -391,14 +391,14 @@ proptest! {
         let cfg = IndexConfig::from_indexes([build_index(&db, &cols)]);
 
         let reference = scalar.estimated_workload_cost(&w, &cfg);
-        let cold = db.estimated_workload_cost(&w, &cfg); // cache+matrix cold
-        let warm = db.estimated_workload_cost(&w, &cfg); // both warm
-        db.set_whatif_cache_enabled(false);
+        let cold = db.estimated_workload_cost(&w, &cfg);
+        let warm = db.estimated_workload_cost(&w, &cfg);
+        db.set_whatif_matrix_byte_budget(0);
         let uncached = db.estimated_workload_cost(&w, &cfg);
-        db.set_whatif_cache_enabled(true);
-        assert_bits("fallback cold", reference, cold);
-        assert_bits("fallback warm", reference, warm);
-        assert_bits("fallback uncached", reference, uncached);
+        prop_assert_eq!(db.whatif_matrix_stats().approx_bytes, 0);
+        assert_bits("matrix cold", reference, cold);
+        assert_bits("matrix warm", reference, warm);
+        assert_bits("zero budget", reference, uncached);
     }
 }
 
