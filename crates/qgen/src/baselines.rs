@@ -110,7 +110,12 @@ impl QueryGenerator for StGenerator {
         targets: &[ColumnId],
         reward: f64,
     ) -> CostResult<Option<Query>> {
-        Ok(build_st_query(cost.catalog().schema, targets, reward, &mut self.rng))
+        Ok(build_st_query(
+            cost.catalog().schema,
+            targets,
+            reward,
+            &mut self.rng,
+        ))
     }
 }
 

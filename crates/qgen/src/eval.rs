@@ -172,8 +172,8 @@ mod tests {
     fn st_has_perfect_gac_and_decent_iac() {
         let cost = cost();
         let mut g = StGenerator::new(1);
-        let q = evaluate_generator(&mut g, &cost, 60, 3, &mut ChaCha8Rng::seed_from_u64(2))
-            .unwrap();
+        let q =
+            evaluate_generator(&mut g, &cost, 60, 3, &mut ChaCha8Rng::seed_from_u64(2)).unwrap();
         assert!((q.gac - 1.0).abs() < 1e-9, "ST GAC {}", q.gac);
         assert!(q.iac > 0.3, "ST IAC {}", q.iac);
         assert!(q.distinct > 0.0 && q.distinct <= 1.0);
@@ -196,8 +196,8 @@ mod tests {
         // Random queries rarely hit three requested columns.
         let cost = cost();
         let mut g = FsmGenerator::new(9);
-        let q = evaluate_generator(&mut g, &cost, 60, 3, &mut ChaCha8Rng::seed_from_u64(4))
-            .unwrap();
+        let q =
+            evaluate_generator(&mut g, &cost, 60, 3, &mut ChaCha8Rng::seed_from_u64(4)).unwrap();
         assert!(q.iac < 0.2, "FSM IAC {}", q.iac);
     }
 

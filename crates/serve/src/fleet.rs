@@ -118,9 +118,9 @@ fn materialize(spec: &TenantSpec, seed: CellSeed) -> TenantRuntime {
         .build_with(BuildCtx::new(spec.preset, seed.get()))
         .unwrap_or_else(|e| Box::new(UnresolvedAdvisor(e)));
     let backend = match &spec.backend {
-        BackendSpec::Sim => OwnedBackend::Sim(SimBackend::new(
-            spec.benchmark.database(spec.scale, None),
-        )),
+        BackendSpec::Sim => {
+            OwnedBackend::Sim(SimBackend::new(spec.benchmark.database(spec.scale, None)))
+        }
         BackendSpec::SimRecording => OwnedBackend::Recording(
             SimBackend::new(spec.benchmark.database(spec.scale, None)),
             Tape::default(),
@@ -232,8 +232,11 @@ fn exec_session(
                 .workload_cost(workload, &recommended)
                 .map_err(|e| e.to_string())?;
             let schema = cost.catalog().schema;
-            let indexes: Vec<String> =
-                recommended.indexes().iter().map(|i| i.name(schema)).collect();
+            let indexes: Vec<String> = recommended
+                .indexes()
+                .iter()
+                .map(|i| i.name(schema))
+                .collect();
             Ok(SessionReport::Recommend { indexes, cost: c })
         }
         SessionRequest::Stress {
@@ -288,9 +291,14 @@ fn run_session(
     let (result, trace) = record_cell(trace_active, ctx, || {
         pipa_obs::phase("session");
         let body = catch_unwind(AssertUnwindSafe(|| match backend {
-            OwnedBackend::Sim(sim) => {
-                exec_session(&request, &*sim, advisor.as_mut(), workload, cfg, session_seed)
-            }
+            OwnedBackend::Sim(sim) => exec_session(
+                &request,
+                &*sim,
+                advisor.as_mut(),
+                workload,
+                cfg,
+                session_seed,
+            ),
             OwnedBackend::Recording(sim, tape) => {
                 let recorder = RecordingBackend::new(&*sim);
                 let r = exec_session(

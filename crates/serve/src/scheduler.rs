@@ -94,7 +94,11 @@ where
     R: Send,
     F: Fn(&mut T, usize) -> Result<R, String> + Sync,
 {
-    assert_eq!(tenants.len(), sessions.len(), "one session count per tenant");
+    assert_eq!(
+        tenants.len(),
+        sessions.len(),
+        "one session count per tenant"
+    );
     let workers = if workers == 0 {
         pipa_core::runner::default_jobs()
     } else {
@@ -202,7 +206,9 @@ mod tests {
     }
 
     fn run(workers: usize, n_tenants: usize, n_sessions: usize) -> Vec<TenantOutcome<String>> {
-        let tenants: Vec<Counter> = (0..n_tenants).map(|id| Counter { id, log: vec![] }).collect();
+        let tenants: Vec<Counter> = (0..n_tenants)
+            .map(|id| Counter { id, log: vec![] })
+            .collect();
         let (tenants, outcomes) = run_tenants(
             workers,
             tenants,
@@ -213,7 +219,11 @@ mod tests {
             },
         );
         for t in &tenants {
-            assert_eq!(t.log, (0..n_sessions).collect::<Vec<_>>(), "in-order sessions");
+            assert_eq!(
+                t.log,
+                (0..n_sessions).collect::<Vec<_>>(),
+                "in-order sessions"
+            );
         }
         outcomes
     }
@@ -288,8 +298,7 @@ mod tests {
         // workers than work maximize the odds of hitting that window.
         for round in 0..200usize {
             let n = 1 + round % 3;
-            let (_, outcomes) =
-                run_tenants(8, vec![0usize; n], &vec![1; n], |_, s| Ok(s));
+            let (_, outcomes) = run_tenants(8, vec![0usize; n], &vec![1; n], |_, s| Ok(s));
             assert_eq!(outcomes.len(), n, "round {round}");
         }
     }

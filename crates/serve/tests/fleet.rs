@@ -3,9 +3,7 @@
 //! traces, record→replay bit-equality, and failure isolation.
 
 use pipa_obs::{MemorySink, TraceOutputs};
-use pipa_serve::{
-    BackendSpec, FleetSpec, InjectorKind, SessionRequest, TenantSpec,
-};
+use pipa_serve::{BackendSpec, FleetSpec, InjectorKind, SessionRequest, TenantSpec};
 use pipa_workload::Benchmark;
 
 /// A small mixed fleet: TPC-H and TPC-DS tenants, what-if traffic plus a
@@ -48,7 +46,10 @@ fn fleet_report_and_trace_are_worker_count_invariant() {
     assert!(base.report.whatif_evals() > 0);
     for workers in [2, 8] {
         let (run, trace) = traced_run(&mixed_fleet(workers));
-        assert_eq!(run.report, base.report, "report drifted at workers={workers}");
+        assert_eq!(
+            run.report, base.report,
+            "report drifted at workers={workers}"
+        );
         assert_eq!(trace, base_trace, "trace drifted at workers={workers}");
     }
     // The timing channel has the right shape even though its values are
@@ -96,7 +97,10 @@ fn mixed_target_fleet_is_worker_count_invariant() {
     assert_eq!(base.report.tenants[2].backend, "learned");
     for workers in [2, 8] {
         let (run, trace) = traced_run(&mixed(workers));
-        assert_eq!(run.report, base.report, "report drifted at workers={workers}");
+        assert_eq!(
+            run.report, base.report,
+            "report drifted at workers={workers}"
+        );
         assert_eq!(trace, base_trace, "trace drifted at workers={workers}");
     }
 }
@@ -134,16 +138,16 @@ fn recorded_fleet_replays_bit_exactly_without_a_simulator() {
     let mut replay = FleetSpec::new(7).workers(8);
     let rec = record(BackendSpec::Sim); // roster template for names/sessions
     for (tenant, tape) in rec.tenants.iter().zip(tapes) {
-        replay = replay.tenant(
-            tenant
-                .clone()
-                .backend(BackendSpec::Replay(tape)),
-        );
+        replay = replay.tenant(tenant.clone().backend(BackendSpec::Replay(tape)));
     }
     let replayed = replay.run(&TraceOutputs::disabled());
     assert_eq!(replayed.report.degraded_tenants(), 0);
     for (r, b) in replayed.report.tenants.iter().zip(&recorded.report.tenants) {
-        assert_eq!(r.sessions, b.sessions, "tenant {} drifted in replay", r.tenant);
+        assert_eq!(
+            r.sessions, b.sessions,
+            "tenant {} drifted in replay",
+            r.tenant
+        );
         assert_eq!(r.backend, "replay");
     }
 }
@@ -203,7 +207,10 @@ fn a_poisoned_tenants_cost_error_never_perturbs_siblings() {
     );
     for workers in [1, 8] {
         let (_, trace) = traced_run(&poisoned_spec(workers));
-        assert_eq!(trace, poisoned_trace, "degraded trace drifted at workers={workers}");
+        assert_eq!(
+            trace, poisoned_trace,
+            "degraded trace drifted at workers={workers}"
+        );
     }
 }
 
@@ -263,8 +270,14 @@ fn a_panicking_session_keeps_its_partial_trace() {
     // degraded trace included.
     for workers in [1, 8] {
         let (rerun, retrace) = traced_run(&chaotic(workers));
-        assert_eq!(rerun.report, run.report, "report drifted at workers={workers}");
-        assert_eq!(retrace, trace, "degraded trace drifted at workers={workers}");
+        assert_eq!(
+            rerun.report, run.report,
+            "report drifted at workers={workers}"
+        );
+        assert_eq!(
+            retrace, trace,
+            "degraded trace drifted at workers={workers}"
+        );
     }
 }
 

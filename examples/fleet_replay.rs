@@ -40,12 +40,7 @@ fn main() {
     println!("phase 1: recording fleet (simulator + tape)...");
     let recorded = fleet(&|_| BackendSpec::SimRecording).run(&TraceOutputs::disabled());
     assert_eq!(recorded.report.degraded_tenants(), 0);
-    let entries: usize = recorded
-        .tapes
-        .iter()
-        .flatten()
-        .map(|t| t.est_len())
-        .sum();
+    let entries: usize = recorded.tapes.iter().flatten().map(|t| t.est_len()).sum();
     println!(
         "  {} sessions, {} tape entries captured in {:.1} ms",
         recorded.report.completed_sessions(),
@@ -58,10 +53,9 @@ fn main() {
     // degrade the tenant rather than fabricate a cost.
     println!("phase 2: replay fleet (tape only, simulator-free)...");
     let tapes = recorded.tapes;
-    let replayed = fleet(&|i| {
-        BackendSpec::Replay(tapes[i].clone().expect("recording tenants produce tapes"))
-    })
-    .run(&TraceOutputs::disabled());
+    let replayed =
+        fleet(&|i| BackendSpec::Replay(tapes[i].clone().expect("recording tenants produce tapes")))
+            .run(&TraceOutputs::disabled());
     assert_eq!(replayed.report.degraded_tenants(), 0);
     println!(
         "  {} sessions replayed in {:.1} ms",
@@ -72,7 +66,11 @@ fn main() {
     // The deterministic payloads are identical, bit for bit — only the
     // backend label differs.
     for (r, b) in replayed.report.tenants.iter().zip(&recorded.report.tenants) {
-        assert_eq!(r.sessions, b.sessions, "tenant {} drifted in replay", r.tenant);
+        assert_eq!(
+            r.sessions, b.sessions,
+            "tenant {} drifted in replay",
+            r.tenant
+        );
     }
     let per_session =
         replayed.timing.wall_nanos as f64 / 1e3 / replayed.report.completed_sessions() as f64;

@@ -16,20 +16,28 @@
 //! cargo run --release --example multi_tenant_attack
 //! ```
 
+use pipa::ia::{AdvisorKind, TrajectoryMode};
 use pipa::obs::TraceOutputs;
 use pipa::serve::{
     BackendSpec, FleetSpec, InjectorKind, SessionReport, SessionRequest, TenantSpec,
 };
-use pipa::ia::{AdvisorKind, TrajectoryMode};
 use pipa::workload::Benchmark;
 
 fn main() {
     // The roster: honest tenants on their own benchmarks and advisors,
     // each serving a morning of what-if traffic plus a recommendation.
     let honest = [
-        ("acme", Benchmark::TpcH, AdvisorKind::DbaBandit(TrajectoryMode::Best)),
+        (
+            "acme",
+            Benchmark::TpcH,
+            AdvisorKind::DbaBandit(TrajectoryMode::Best),
+        ),
         ("globex", Benchmark::TpcDs, AdvisorKind::Swirl),
-        ("initech", Benchmark::TpcH, AdvisorKind::Dqn(TrajectoryMode::Best)),
+        (
+            "initech",
+            Benchmark::TpcH,
+            AdvisorKind::Dqn(TrajectoryMode::Best),
+        ),
     ];
     let mut fleet = FleetSpec::new(7).workers(0);
     for (name, benchmark, advisor) in honest {
@@ -43,12 +51,12 @@ fn main() {
     // Mallory attacks *her own* advisor with PIPA (N̂ = 18, §6.1) — in
     // the shared-advisor world of the paper this injection would poison
     // everyone's recommendations.
-    fleet = fleet.tenant(
-        TenantSpec::new("mallory", Benchmark::TpcH).session(SessionRequest::Stress {
+    fleet = fleet.tenant(TenantSpec::new("mallory", Benchmark::TpcH).session(
+        SessionRequest::Stress {
             injector: InjectorKind::Pipa,
             injection_size: 18,
-        }),
-    );
+        },
+    ));
     // And one tenant whose recorded tape is corrupt (empty): every
     // lookup misses, the tenant degrades, the fleet keeps serving.
     fleet = fleet.tenant(
@@ -65,7 +73,10 @@ fn main() {
     let run = fleet.run(&TraceOutputs::disabled());
 
     for tenant in &run.report.tenants {
-        println!("tenant {:12} [{} / {}]", tenant.tenant, tenant.advisor, tenant.backend);
+        println!(
+            "tenant {:12} [{} / {}]",
+            tenant.tenant, tenant.advisor, tenant.backend
+        );
         for (s, session) in tenant.sessions.iter().enumerate() {
             match session {
                 SessionReport::WhatIf {

@@ -61,15 +61,13 @@ fn main() {
         .iter()
         .filter_map(|name| {
             cost.database().schema().columns().iter().find_map(|c| {
-                name.ends_with(&c.name).then(|| pipa::sim::Index::single(c.id))
+                name.ends_with(&c.name)
+                    .then(|| pipa::sim::Index::single(c.id))
             })
         })
         .collect();
     use pipa::cost::CostBackend;
-    print!(
-        "{}",
-        cost.explain(sample, &clean_cfg).expect("explain")
-    );
+    print!("{}", cost.explain(sample, &clean_cfg).expect("explain"));
 
     if outcome.toxic {
         println!(

@@ -60,7 +60,9 @@ fn main() {
         econ.templates,
         econ.ad_uniform
     );
-    let pop = Popularity::Zipf { exponent: econ.exponent };
+    let pop = Popularity::Zipf {
+        exponent: econ.exponent,
+    };
     for (rank, (t, r)) in hit.iter().enumerate() {
         println!(
             "  template {t:>2}: per-query degradation {:+.3}  \

@@ -24,9 +24,9 @@
 
 pub use pipa_core as core;
 pub use pipa_cost as cost;
-pub use pipa_obs as obs;
 pub use pipa_ia as ia;
 pub use pipa_nn as nn;
+pub use pipa_obs as obs;
 pub use pipa_qgen as qgen;
 pub use pipa_serve as serve;
 pub use pipa_sim as sim;

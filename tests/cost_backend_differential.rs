@@ -16,10 +16,10 @@
 //!    that tape must reproduce the full stress-test grid bit-for-bit
 //!    with no simulator behind it.
 
-use pipa::cost::{CostBackend, RecordingBackend, ReplayBackend, SimBackend, Tape};
 use pipa::core::experiment::{build_db, run_grid, CellConfig, GridSpec, InjectorKind};
 use pipa::core::harness::StressOutcome;
 use pipa::core::GridCell;
+use pipa::cost::{CostBackend, RecordingBackend, ReplayBackend, SimBackend, Tape};
 use pipa::ia::{AdvisorKind, AutoAdminGreedy, IndexAdvisor, SpeedPreset, TrajectoryMode};
 use pipa::sim::{
     Aggregate, ColumnId, ConfigDelta, Database, Index, IndexConfig, Predicate, QueryBuilder,
@@ -50,7 +50,9 @@ fn mk_pred(col: ColumnId, kind: u8, a: f64, b: f64) -> Predicate {
 /// Single-table query snapped onto the anchor column's table.
 fn build_query(db: &Database, anchor: u32, preds: &[(u32, u8, f64, f64)]) -> pipa::sim::Query {
     let schema = db.schema();
-    let table = schema.column(ColumnId(anchor % schema.num_columns() as u32)).table;
+    let table = schema
+        .column(ColumnId(anchor % schema.num_columns() as u32))
+        .table;
     let cols: Vec<ColumnId> = (0..schema.num_columns() as u32)
         .map(ColumnId)
         .filter(|&c| schema.column(c).table == table)
@@ -170,7 +172,10 @@ fn all_templates_of_both_benchmarks_match_direct_through_the_trait() {
         let mut rng = ChaCha8Rng::seed_from_u64(47);
         let mut w = Workload::new();
         for t in bench.default_templates() {
-            w.push(t.instantiate(cost.database().schema(), &mut rng).unwrap(), 2);
+            w.push(
+                t.instantiate(cost.database().schema(), &mut rng).unwrap(),
+                2,
+            );
         }
         let configs: Vec<IndexConfig> = w
             .candidate_columns()

@@ -41,8 +41,8 @@ fn guarded_retrain(
     let cfg = cfg();
     let cost = build_db(&cfg);
     let normal = normal_workload(&cfg, seed);
-    let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-        .build_with(BuildCtx::new(cfg.preset, seed));
+    let mut advisor =
+        AdvisorKind::DbaBandit(TrajectoryMode::Best).build_with(BuildCtx::new(cfg.preset, seed));
     advisor.train(&cost, &normal).expect("training succeeds");
     let mut inj = make_injector(injector, &cfg, CellSeed::raw(seed));
     let injection = inj

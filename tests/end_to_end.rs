@@ -23,8 +23,15 @@ fn every_advisor_survives_the_full_pipeline() {
     let db = build_db(&cfg);
     let normal = normal_workload(&cfg, 11);
     for kind in AdvisorKind::all() {
-        let out = run_cell(&db, &normal, kind, InjectorKind::Pipa, &cfg, CellSeed::raw(11))
-            .expect("stress test against the simulator backend");
+        let out = run_cell(
+            &db,
+            &normal,
+            kind,
+            InjectorKind::Pipa,
+            &cfg,
+            CellSeed::raw(11),
+        )
+        .expect("stress test against the simulator backend");
         assert!(out.baseline_cost > 0.0, "{}", kind.label());
         assert!(out.poisoned_cost > 0.0, "{}", kind.label());
         assert!(!out.baseline_indexes.is_empty(), "{}", kind.label());
@@ -180,9 +187,8 @@ fn tpcds_materializes_and_executes() {
         .normal(&mut rand_chacha::ChaCha8Rng::seed_from_u64(5))
         .unwrap();
     // Execute a handful of queries for real.
-    let subset = pipa::sim::Workload::from_queries(
-        w.entries().iter().take(6).map(|e| (e.query.clone(), 1)),
-    );
+    let subset =
+        pipa::sim::Workload::from_queries(w.entries().iter().take(6).map(|e| (e.query.clone(), 1)));
     let cost = db
         .actual_workload_cost(&subset, &pipa::sim::IndexConfig::empty())
         .unwrap();

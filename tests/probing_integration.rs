@@ -4,9 +4,9 @@
 
 use pipa::core::preference::{oracle_preference, segment, SegmentConfig};
 use pipa::core::probe::{probe, ProbeConfig};
+use pipa::cost::SimBackend;
 use pipa::ia::{AdvisorKind, BuildCtx, IndexAdvisor, SpeedPreset, TrajectoryMode};
 use pipa::qgen::StGenerator;
-use pipa::cost::SimBackend;
 use pipa::sim::Workload;
 use pipa::workload::Benchmark;
 use rand::SeedableRng;
@@ -41,7 +41,11 @@ fn probing_recovers_the_victims_top_preference() {
     };
     let res = probe(as_ia(advisor.as_mut()), &db, &mut generator, &cfg).expect("probe");
     // The probed top segment should intersect the victim's actual picks.
-    let seg = segment(&res.preference, db.database().schema(), &SegmentConfig::default());
+    let seg = segment(
+        &res.preference,
+        db.database().schema(),
+        &SegmentConfig::default(),
+    );
     let overlap = seg
         .top
         .iter()

@@ -310,11 +310,20 @@ fn bench_stream_artifact_meets_the_arms_race_floors() {
     }
     // Both adaptive attacker families and both online defenses must be
     // in the sweep, plus the undefended/unattacked controls.
-    for label in ["\"none\"", "spread-", "burst-", "\"canary\"", "\"provenance\""] {
+    for label in [
+        "\"none\"",
+        "spread-",
+        "burst-",
+        "\"canary\"",
+        "\"provenance\"",
+    ] {
         assert!(text.contains(label), "grid missing {label} column");
     }
     let cells = num_field(&text, "grid_cells");
-    assert!(cells >= 16.0, "grid_cells = {cells} should cover a real sweep");
+    assert!(
+        cells >= 16.0,
+        "grid_cells = {cells} should cover a real sweep"
+    );
     let windows = num_field(&text, "windows_per_stream");
     assert!(windows >= 4.0, "windows_per_stream = {windows}");
     // The undefended column must actually be under attack, and the best
@@ -333,7 +342,10 @@ fn bench_stream_artifact_meets_the_arms_race_floors() {
     // (non-smoke) run.
     for cell in ["scenario_spread_none", "scenario_spread_canary"] {
         let ns = num_field(&text, cell);
-        assert!(ns.is_finite() && ns > 0.0, "median_scenario_ns.{cell} = {ns}");
+        assert!(
+            ns.is_finite() && ns > 0.0,
+            "median_scenario_ns.{cell} = {ns}"
+        );
     }
     let qps = num_field(&text, "whatif_qps");
     assert!(qps.is_finite() && qps > 0.0, "whatif_qps = {qps}");
@@ -453,7 +465,10 @@ fn bench_scale_artifact_meets_the_skewed_traffic_floors() {
         num_field(&text, "bytes_streamed") > 0.0,
         "tape_bytes_streamed must be positive"
     );
-    assert!(text.contains("\"round_trip_ok\": true"), "tape round trip failed");
+    assert!(
+        text.contains("\"round_trip_ok\": true"),
+        "tape round trip failed"
+    );
     assert!(
         text.contains("\"guard_trips\": true"),
         "the size guard must be shown to trip on an undersized limit"

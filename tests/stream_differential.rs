@@ -72,7 +72,9 @@ fn no_drift_end_only_stream_is_bit_identical_to_the_static_pipeline() {
             cell_seed,
         )
         .expect("stream runs");
-        let projected = stream.as_stress_outcome().expect("attacked stream projects");
+        let projected = stream
+            .as_stress_outcome()
+            .expect("attacked stream projects");
 
         // Fresh database for the static side so memoization warmth can't
         // mask (or cause) a difference.
@@ -82,7 +84,10 @@ fn no_drift_end_only_stream_is_bit_identical_to_the_static_pipeline() {
         // Bit-exact on every field (StressOutcome's PartialEq compares
         // the f64 costs exactly), and byte-identical as JSON — the form
         // the results artifacts take.
-        assert_eq!(projected, expected, "stream/static drifted for {injector:?}");
+        assert_eq!(
+            projected, expected,
+            "stream/static drifted for {injector:?}"
+        );
         assert_eq!(
             serde_json::to_string_pretty(&projected).unwrap(),
             serde_json::to_string_pretty(&expected).unwrap(),
@@ -118,7 +123,10 @@ fn the_differential_cell_reports_the_static_call_shape() {
     assert_eq!(w.deployed_cost, stream.baseline_cost);
     assert_eq!(w.clean_cost, stream.baseline_cost);
     assert_eq!(w.post_retrain_cost, Some(stream.final_cost));
-    assert_eq!(stream.first_attack_seed, Some(derive_seed(cell_seed.get(), 1)));
+    assert_eq!(
+        stream.first_attack_seed,
+        Some(derive_seed(cell_seed.get(), 1))
+    );
 }
 
 #[test]

@@ -7,9 +7,7 @@
 //! enum, this file could not compile or these cells would fail to build
 //! their advisor.
 
-use pipa_core::experiment::{
-    build_db, normal_workload, run_cell, CellConfig, InjectorKind,
-};
+use pipa_core::experiment::{build_db, normal_workload, run_cell, CellConfig, InjectorKind};
 use pipa_core::CellSeed;
 use pipa_cost::{CostBackend, CostError, CostResult};
 use pipa_ia::{
@@ -125,7 +123,9 @@ fn an_unknown_kind_degrades_only_its_own_tenant() {
                 .advisor(AdvisorSpec::new("no-such-kind"))
                 .session(SessionRequest::Recommend),
         )
-        .tenant(TenantSpec::new("ok", Benchmark::TpcH).session(SessionRequest::WhatIf { configs: 2 }))
+        .tenant(
+            TenantSpec::new("ok", Benchmark::TpcH).session(SessionRequest::WhatIf { configs: 2 }),
+        )
         .run(&pipa_obs::TraceOutputs::disabled());
     assert_eq!(run.report.degraded_tenants(), 1);
     let ghost = &run.report.tenants[0];
@@ -135,7 +135,10 @@ fn an_unknown_kind_degrades_only_its_own_tenant() {
         "degradation must name the unknown kind (got {msg})"
     );
     let ok = &run.report.tenants[1];
-    assert!(ok.degraded.is_none(), "the sibling tenant must be untouched");
+    assert!(
+        ok.degraded.is_none(),
+        "the sibling tenant must be untouched"
+    );
     assert_eq!(ok.sessions.len(), 1);
 }
 
