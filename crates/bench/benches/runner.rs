@@ -13,7 +13,7 @@
 
 use pipa_core::experiment::{build_db, CellConfig, GridSpec, InjectorKind};
 use pipa_core::run_grid;
-use pipa_ia::{AdvisorKind, SpeedPreset, TrajectoryMode};
+use pipa_ia::{AdvisorSpec, SpeedPreset};
 use pipa_workload::Benchmark;
 use serde::Serialize;
 use std::hint::black_box;
@@ -40,10 +40,7 @@ fn grid() -> (CellConfig, GridSpec) {
     cfg.probe_epochs = 2;
     cfg.injection_size = 4;
     let spec = GridSpec::new(
-        vec![
-            AdvisorKind::DbaBandit(TrajectoryMode::Best),
-            AdvisorKind::Swirl,
-        ],
+        vec![AdvisorSpec::new("dbabandit"), AdvisorSpec::new("swirl")],
         vec![InjectorKind::Fsm, InjectorKind::Pipa],
         1,
         7,

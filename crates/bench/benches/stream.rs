@@ -30,7 +30,7 @@ use pipa_core::stream::{
     StreamGridSpec, StreamOutcome, StreamSpec,
 };
 use pipa_core::CellSeed;
-use pipa_ia::{AdvisorKind, SpeedPreset, TrajectoryMode};
+use pipa_ia::{AdvisorSpec, SpeedPreset};
 use pipa_workload::{Benchmark, DriftSchedule};
 use serde::Serialize;
 use std::hint::black_box;
@@ -149,10 +149,10 @@ fn main() {
     let mut c = bench.criterion(10);
 
     let cfg = cell_config();
-    let advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best);
+    let advisor = AdvisorSpec::new("dbabandit");
     let (windows, budget, runs) = if smoke { (2, 2, 1) } else { (6, 6, 2) };
     let grid = StreamGridSpec {
-        advisor: advisor.into(),
+        advisor: advisor.clone(),
         attackers: if smoke {
             vec![
                 AttackerStrategy::None,
@@ -204,8 +204,14 @@ fn main() {
     eprintln!("[setup] building the simulator database...");
     let db = build_db(&cfg);
     let seed = CellSeed::derive(grid.root_seed, 0);
-    let reference = run_stream(&db, &cfg, advisor, &scenario(DefensePolicy::None), seed)
-        .expect("reference scenario runs");
+    let reference = run_stream(
+        &db,
+        &cfg,
+        advisor.clone(),
+        &scenario(DefensePolicy::None),
+        seed,
+    )
+    .expect("reference scenario runs");
     let scenario_evals = reference.cost_evals;
     for (id, defense) in [
         ("scenario_spread_none", DefensePolicy::None),
@@ -217,7 +223,8 @@ fn main() {
         let spec = scenario(defense);
         c.bench_function(&format!("stream/{id}"), |b| {
             b.iter(|| {
-                let out = run_stream(&db, &cfg, advisor, &spec, seed).expect("scenario runs");
+                let out =
+                    run_stream(&db, &cfg, advisor.clone(), &spec, seed).expect("scenario runs");
                 black_box(out.final_cost)
             })
         });

@@ -114,15 +114,16 @@ fn bench_nn(c: &mut Criterion) {
 
 fn bench_probing_epoch(c: &mut Criterion) {
     use pipa_core::probe::{probe, ProbeConfig};
-    use pipa_ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
+    use pipa_ia::{AdvisorSpec, BuildCtx, SpeedPreset};
     let cost = pipa_cost::SimBackend::new(Benchmark::TpcH.database(1.0, None));
     let gen = WorkloadGenerator::new(
         Benchmark::TpcH.schema(),
         Benchmark::TpcH.default_templates(),
     );
     let w = gen.normal(&mut ChaCha8Rng::seed_from_u64(7)).unwrap();
-    let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-        .build_with(BuildCtx::new(SpeedPreset::Test, 7));
+    let mut advisor = AdvisorSpec::new("dbabandit")
+        .build_with(BuildCtx::new(SpeedPreset::Test, 7))
+        .expect("built-in advisor kind");
     advisor.train(&cost, &w).expect("train");
     c.bench_function("pipa/probe_2_epochs", |b| {
         b.iter_batched(

@@ -35,7 +35,7 @@
 
 use criterion::Criterion;
 use pipa_cost::CostBackend;
-use pipa_ia::{AdvisorKind, AutoAdminGreedy, BuildCtx, IndexAdvisor, SpeedPreset, TrajectoryMode};
+use pipa_ia::{AdvisorSpec, AutoAdminGreedy, BuildCtx, IndexAdvisor, SpeedPreset};
 use pipa_sim::{
     Aggregate, ColumnId, Database, Index, IndexConfig, Predicate, QueryBuilder, Workload,
 };
@@ -229,8 +229,9 @@ fn main() {
         c.bench_function(name, |b| {
             b.iter(|| {
                 cost.database().clear_whatif_matrix();
-                let mut adv = AdvisorKind::Dqn(TrajectoryMode::Best)
-                    .build_with(BuildCtx::new(SpeedPreset::Test, 7));
+                let mut adv = AdvisorSpec::new("dqn")
+                    .build_with(BuildCtx::new(SpeedPreset::Test, 7))
+                    .expect("built-in advisor kind");
                 adv.train(&cost, &single).expect("train");
                 black_box(adv.budget())
             })

@@ -19,7 +19,7 @@ use pipa_core::metrics::Stats;
 use pipa_core::par_map_traced;
 use pipa_core::report::{render_table, ExperimentArtifact};
 use pipa_core::stream::DefensePolicy;
-use pipa_ia::{AdvisorKind, BuildCtx, TrajectoryMode};
+use pipa_ia::{AdvisorSpec, BuildCtx};
 use pipa_obs::CellCtx;
 use serde::Serialize;
 
@@ -36,9 +36,9 @@ fn main() {
     let cfg = args.cell_config();
     let db = build_db(&cfg);
     let victims = [
-        AdvisorKind::Dqn(TrajectoryMode::Best),
-        AdvisorKind::DbaBandit(TrajectoryMode::Best),
-        AdvisorKind::Swirl,
+        AdvisorSpec::new("dqn"),
+        AdvisorSpec::new("dbabandit"),
+        AdvisorSpec::new("swirl"),
     ];
     // The screen is the default filter against `W` alone: a one-shot
     // stress test has no history to slide.
@@ -78,7 +78,9 @@ fn main() {
                 |_, run| {
                     let seed = args.cell_seed(run);
                     let normal = normal_workload(&cfg, seed.get());
-                    let mut advisor = victim.build_with(BuildCtx::new(cfg.preset, seed.get()));
+                    let mut advisor = victim
+                        .build_with(BuildCtx::new(cfg.preset, seed.get()))
+                        .expect("built-in advisor kind");
                     let mut injector = make_injector(InjectorKind::Pipa, &cfg, seed);
                     StressTest::new(&db, &normal)
                         .injection_size(cfg.injection_size)

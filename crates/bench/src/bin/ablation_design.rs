@@ -17,7 +17,7 @@ use pipa_core::harness::StressTest;
 use pipa_core::metrics::Stats;
 use pipa_core::report::{render_table, ExperimentArtifact};
 use pipa_core::{par_map_traced, InjectConfig, ProbeConfig, TargetedInjector};
-use pipa_ia::{AdvisorKind, BuildCtx, TrajectoryMode};
+use pipa_ia::{AdvisorSpec, BuildCtx};
 use pipa_obs::{CellCtx, TraceOutputs};
 use serde::Serialize;
 
@@ -43,7 +43,7 @@ fn run_variant(
     backend: &GenBackend,
     variant: Variant,
 ) -> Stats {
-    let victim = AdvisorKind::Dqn(TrajectoryMode::Best);
+    let victim = AdvisorSpec::new("dqn");
     let runs: Vec<u64> = (0..args.runs as u64).collect();
     let ads = par_map_traced(
         args.jobs,
@@ -57,7 +57,9 @@ fn run_variant(
         |_, run| {
             let seed = args.cell_seed(run);
             let normal = normal_workload(cfg, seed.get());
-            let mut advisor = victim.build_with(BuildCtx::new(cfg.preset, seed.get()));
+            let mut advisor = victim
+                .build_with(BuildCtx::new(cfg.preset, seed.get()))
+                .expect("built-in advisor kind");
             let mut injector = TargetedInjector::pipa(backend.generator(seed.get()));
             injector.probe_cfg = ProbeConfig {
                 epochs: cfg.probe_epochs,

@@ -19,7 +19,7 @@ use pipa_core::par_map_traced;
 use pipa_core::preference::SegmentConfig;
 use pipa_core::report::{render_table, ExperimentArtifact};
 use pipa_core::TargetedInjector;
-use pipa_ia::{AdvisorKind, BuildCtx, TrajectoryMode};
+use pipa_ia::{AdvisorSpec, BuildCtx};
 use pipa_obs::{CellCtx, TraceOutputs};
 use serde::Serialize;
 
@@ -40,7 +40,7 @@ fn run_with_segment(
     x: f64,
     seg: SegmentConfig,
 ) -> Stats {
-    let victim = AdvisorKind::Dqn(TrajectoryMode::Best);
+    let victim = AdvisorSpec::new("dqn");
     let runs: Vec<u64> = (0..args.runs as u64).collect();
     let ads = par_map_traced(
         args.jobs,
@@ -55,7 +55,9 @@ fn run_with_segment(
         |_, run| {
             let seed = args.cell_seed(run);
             let normal = normal_workload(cfg, seed.get());
-            let mut advisor = victim.build_with(BuildCtx::new(cfg.preset, seed.get()));
+            let mut advisor = victim
+                .build_with(BuildCtx::new(cfg.preset, seed.get()))
+                .expect("built-in advisor kind");
             // Rebuild the PIPA injector with the custom segmentation.
             let mut injector = TargetedInjector::pipa(cfg.backend.generator(seed.get()));
             injector.probe_cfg = pipa_core::ProbeConfig {

@@ -15,7 +15,7 @@ use pipa_core::experiment::{build_db, normal_workload, run_cell, CellConfig, Inj
 use pipa_core::metrics::Stats;
 use pipa_core::par_map_traced;
 use pipa_core::report::{render_table, ExperimentArtifact};
-use pipa_ia::{AdvisorKind, TrajectoryMode};
+use pipa_ia::AdvisorSpec;
 use pipa_obs::CellCtx;
 use serde::Serialize;
 
@@ -40,7 +40,7 @@ fn main() {
         args.runs
     );
 
-    let victims = [AdvisorKind::Dqn(TrajectoryMode::Best), AdvisorKind::Swirl];
+    let victims = [AdvisorSpec::new("dqn"), AdvisorSpec::new("swirl")];
     let epoch_cfgs: Vec<CellConfig> = EPOCHS
         .iter()
         .map(|&p| {
@@ -49,10 +49,11 @@ fn main() {
             c
         })
         .collect();
-    let grid: Vec<(AdvisorKind, usize, u64)> = victims
+    let grid: Vec<(AdvisorSpec, usize, u64)> = victims
         .iter()
-        .flat_map(|&v| {
-            (0..EPOCHS.len()).flat_map(move |pi| (0..args.runs as u64).map(move |r| (v, pi, r)))
+        .flat_map(|v| {
+            (0..EPOCHS.len())
+                .flat_map(move |pi| (0..args.runs as u64).map(move |r| (v.clone(), pi, r)))
         })
         .collect();
     let out = args.trace_outputs();
@@ -60,11 +61,11 @@ fn main() {
         args.jobs,
         grid,
         &out,
-        |_, &(victim, pi, run)| {
-            CellCtx::new(args.cell_seed(run).get())
+        |_, (victim, pi, run)| {
+            CellCtx::new(args.cell_seed(*run).get())
                 .field("advisor", victim.label())
-                .field("probe_epochs", EPOCHS[pi])
-                .field("run", run)
+                .field("probe_epochs", EPOCHS[*pi])
+                .field("run", *run)
         },
         |_, (victim, pi, run)| {
             let seed = args.cell_seed(run);
@@ -72,7 +73,7 @@ fn main() {
             let out = run_cell(
                 &db,
                 &normal,
-                victim,
+                victim.clone(),
                 InjectorKind::Pipa,
                 &epoch_cfgs[pi],
                 seed,

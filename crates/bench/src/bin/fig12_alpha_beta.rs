@@ -22,7 +22,7 @@ use pipa_core::preference::{segment, SegmentConfig};
 use pipa_core::probe::{probe, ProbeConfig};
 use pipa_core::report::{render_table, ExperimentArtifact};
 use pipa_core::TargetedInjector;
-use pipa_ia::{AdvisorKind, BuildCtx, TrajectoryMode};
+use pipa_ia::{AdvisorSpec, BuildCtx};
 use pipa_obs::CellCtx;
 use serde::Serialize;
 
@@ -48,7 +48,7 @@ fn main() {
     let args = ExpArgs::parse(5);
     let cfg = args.cell_config();
     let db = build_db(&cfg);
-    let victim = AdvisorKind::Dqn(TrajectoryMode::Best);
+    let victim = AdvisorSpec::new("dqn");
     let l = db.database().schema().num_columns();
 
     // Panel (a): α sweep via full stress tests.
@@ -70,7 +70,9 @@ fn main() {
         |_, (ai, run)| {
             let seed = args.cell_seed(run);
             let normal = normal_workload(&cfg, seed.get());
-            let mut advisor = victim.build_with(BuildCtx::new(cfg.preset, seed.get()));
+            let mut advisor = victim
+                .build_with(BuildCtx::new(cfg.preset, seed.get()))
+                .expect("built-in advisor kind");
             let mut injector = TargetedInjector::pipa(cfg.backend.generator(seed.get()));
             injector.probe_cfg = ProbeConfig {
                 epochs: cfg.probe_epochs,
@@ -133,7 +135,9 @@ fn main() {
             let beta_i = BETA_IS[bi];
             let seed = args.cell_seed(run);
             let normal = normal_workload(&cfg, seed.get());
-            let mut advisor = victim.build_with(BuildCtx::new(cfg.preset, seed.get()));
+            let mut advisor = victim
+                .build_with(BuildCtx::new(cfg.preset, seed.get()))
+                .expect("built-in advisor kind");
             update(advisor.as_mut(), &db, &normal, Update::Train).expect("train");
             let reference = {
                 let mut gen = cfg.backend.generator(seed.get());

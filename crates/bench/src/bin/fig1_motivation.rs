@@ -16,14 +16,14 @@ use pipa_core::experiment::{build_db, normal_workload, run_cell, InjectorKind};
 use pipa_core::metrics::Stats;
 use pipa_core::par_map_traced;
 use pipa_core::report::{render_table, ExperimentArtifact};
-use pipa_ia::{AdvisorKind, TrajectoryMode};
+use pipa_ia::AdvisorSpec;
 use pipa_obs::CellCtx;
 
 fn main() {
     let args = ExpArgs::parse(3);
     let cfg = args.cell_config();
     let db = build_db(&cfg);
-    let victim = AdvisorKind::Dqn(TrajectoryMode::Best);
+    let victim = AdvisorSpec::new("dqn");
 
     // Small injection: ~10% of the normal workload's query count (the
     // cost mass of 18 normal queries dwarfs a couple of injected ones;
@@ -52,7 +52,7 @@ fn main() {
             let normal = normal_workload(&cfg, seed.get());
             (
                 kind,
-                run_cell(&db, &normal, victim, kind, &cell_cfg, seed)
+                run_cell(&db, &normal, victim.clone(), kind, &cell_cfg, seed)
                     .expect("stress test against the simulator backend")
                     .ad,
             )

@@ -17,7 +17,7 @@ use pipa_bench::cli::ExpArgs;
 use pipa_core::experiment::{build_db, run_grid_traced, GridSpec, InjectorKind};
 use pipa_core::metrics::Stats;
 use pipa_core::report::{format_stats, render_table, ExperimentArtifact};
-use pipa_ia::AdvisorKind;
+use pipa_ia::AdvisorSpec;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -45,7 +45,7 @@ fn main() {
     // One grid over the full cross product; cells run on `--jobs` workers
     // and come back in spec order with per-run derived seeds.
     let spec = GridSpec::new(
-        AdvisorKind::all(),
+        AdvisorSpec::paper_variants(),
         InjectorKind::all(),
         args.runs as u64,
         args.seed,
@@ -56,13 +56,12 @@ fn main() {
     out.flush();
 
     let mut cells: Vec<Cell> = Vec::new();
-    for advisor in AdvisorKind::all() {
+    for advisor in AdvisorSpec::paper_variants() {
         let mut rows = Vec::new();
         for injector in InjectorKind::all() {
-            let spec = pipa_ia::AdvisorSpec::from(advisor);
             let ads: Vec<f64> = outcomes
                 .iter()
-                .filter(|(c, _)| c.advisor == spec && c.injector == injector)
+                .filter(|(c, _)| c.advisor == advisor && c.injector == injector)
                 .map(|(_, o)| o.ad)
                 .collect();
             let s = Stats::from_samples(&ads);
@@ -85,7 +84,7 @@ fn main() {
 
     // Shape summary.
     println!("\nShape summary:");
-    for advisor in AdvisorKind::all() {
+    for advisor in AdvisorSpec::paper_variants() {
         let label = advisor.label();
         let get = |inj: &str| {
             cells

@@ -17,7 +17,8 @@ use pipa_core::harness::{strike, update, Update};
 use pipa_core::par_map_traced;
 use pipa_core::report::ExperimentArtifact;
 use pipa_core::CellSeed;
-use pipa_ia::{AdvisorKind, BuildCtx, TrajectoryMode};
+use pipa_cost::workload_benefit;
+use pipa_ia::{AdvisorSpec, BuildCtx};
 use pipa_obs::CellCtx;
 use serde::Serialize;
 
@@ -56,17 +57,17 @@ fn main() {
     // The eight (panel, victim, injector) cells are independent; run them
     // on the worker pool and print in panel order afterwards.
     let victims = [
-        ("a", AdvisorKind::Dqn(TrajectoryMode::Best)),
-        ("b", AdvisorKind::DbaBandit(TrajectoryMode::Best)),
-        ("c", AdvisorKind::DrlIndex(TrajectoryMode::Best)),
-        ("d", AdvisorKind::Swirl),
+        ("a", "dqn"),
+        ("b", "dbabandit"),
+        ("c", "drlindex"),
+        ("d", "swirl"),
     ];
-    let grid: Vec<(&str, AdvisorKind, InjectorKind)> = victims
+    let grid: Vec<(&str, AdvisorSpec, InjectorKind)> = victims
         .iter()
         .flat_map(|&(panel, kind)| {
             [InjectorKind::Pipa, InjectorKind::IL]
                 .into_iter()
-                .map(move |inj| (panel, kind, inj))
+                .map(move |inj| (panel, AdvisorSpec::new(kind), inj))
         })
         .collect();
     let out = args.trace_outputs();
@@ -74,18 +75,19 @@ fn main() {
         args.jobs,
         grid,
         &out,
-        |_, &(panel, kind, injector_kind)| {
+        |_, (panel, kind, injector_kind)| {
             CellCtx::new(args.seed)
-                .field("panel", panel)
+                .field("panel", *panel)
                 .field("advisor", kind.label())
                 .field("injector", injector_kind.label())
         },
         |_, (panel, kind, injector_kind)| {
-            let engine = pipa_cost::CostEngine::new(&db);
-            let mut advisor = kind.build_with(BuildCtx::new(cfg.preset, args.seed));
+            let mut advisor = kind
+                .build_with(BuildCtx::new(cfg.preset, args.seed))
+                .expect("built-in advisor kind");
             update(advisor.as_mut(), &db, &normal, Update::Train).expect("train");
             let clean = advisor.recommend(&db, &normal).expect("recommend");
-            let clean_benefit = engine.workload_benefit(&normal, &clean).expect("benefit");
+            let clean_benefit = workload_benefit(&db, &normal, &clean).expect("benefit");
             let mut injector = make_injector(injector_kind, &cfg, CellSeed::raw(args.seed));
             let struck = strike(
                 advisor.as_mut(),
@@ -99,15 +101,11 @@ fn main() {
             .expect("injection build");
             update(advisor.as_mut(), &db, &struck.observed, Update::Retrain).expect("retrain");
             let poisoned = advisor.recommend(&db, &normal).expect("recommend");
-            let poisoned_benefit = engine
-                .workload_benefit(&normal, &poisoned)
-                .expect("benefit");
+            let poisoned_benefit = workload_benefit(&db, &normal, &poisoned).expect("benefit");
             let retrained_benefit = (panel == "d").then(|| {
                 update(advisor.as_mut(), &db, &normal, Update::Retrain).expect("retrain");
                 let recovered = advisor.recommend(&db, &normal).expect("recommend");
-                engine
-                    .workload_benefit(&normal, &recovered)
-                    .expect("benefit")
+                workload_benefit(&db, &normal, &recovered).expect("benefit")
             });
             Curve {
                 panel: panel.to_string(),

@@ -18,7 +18,7 @@ use pipa_core::experiment::{build_db, normal_workload, run_cell, CellConfig, Inj
 use pipa_core::metrics::Stats;
 use pipa_core::par_map_traced;
 use pipa_core::report::{render_table, ExperimentArtifact};
-use pipa_ia::AdvisorKind;
+use pipa_ia::AdvisorSpec;
 use pipa_obs::CellCtx;
 use serde::Serialize;
 
@@ -57,10 +57,13 @@ fn main() {
             c
         })
         .collect();
-    let grid: Vec<(AdvisorKind, usize, u64)> = AdvisorKind::all()
+    let grid: Vec<(AdvisorSpec, usize, u64)> = AdvisorSpec::paper_variants()
         .into_iter()
         .flat_map(|a| {
-            (0..OMEGAS.len()).flat_map(move |oi| (0..args.runs as u64).map(move |r| (a, oi, r)))
+            (0..OMEGAS.len()).flat_map(move |oi| {
+                let a = a.clone();
+                (0..args.runs as u64).map(move |r| (a.clone(), oi, r))
+            })
         })
         .collect();
     let out = args.trace_outputs();
@@ -68,11 +71,11 @@ fn main() {
         args.jobs,
         grid,
         &out,
-        |_, &(advisor, oi, run)| {
-            CellCtx::new(args.cell_seed(run).get())
+        |_, (advisor, oi, run)| {
+            CellCtx::new(args.cell_seed(*run).get())
                 .field("advisor", advisor.label())
-                .field("omega", OMEGAS[oi])
-                .field("run", run)
+                .field("omega", OMEGAS[*oi])
+                .field("run", *run)
         },
         |_, (advisor, oi, run)| {
             let seed = args.cell_seed(run);
@@ -80,7 +83,7 @@ fn main() {
             let out = run_cell(
                 &db,
                 &normal,
-                advisor,
+                advisor.clone(),
                 InjectorKind::Pipa,
                 &omega_cfgs[oi],
                 seed,
@@ -93,7 +96,7 @@ fn main() {
 
     let mut cells = Vec::new();
     let mut rows = Vec::new();
-    for advisor in AdvisorKind::all() {
+    for advisor in AdvisorSpec::paper_variants() {
         let mut row = vec![advisor.label()];
         for (oi, &omega) in OMEGAS.iter().enumerate() {
             let ads: Vec<f64> = outs
@@ -121,7 +124,7 @@ fn main() {
     println!("{}", render_table(&headers_ref, &rows));
 
     // Shape: monotone-ish growth per advisor.
-    for advisor in AdvisorKind::all() {
+    for advisor in AdvisorSpec::paper_variants() {
         let label = advisor.label();
         let series: Vec<f64> = OMEGAS
             .iter()

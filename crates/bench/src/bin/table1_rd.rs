@@ -13,7 +13,7 @@ use pipa_bench::cli::ExpArgs;
 use pipa_core::experiment::{build_db, run_grid_traced, GridSpec, InjectorKind};
 use pipa_core::metrics::{relative_degradation, Stats};
 use pipa_core::report::{render_table, ExperimentArtifact};
-use pipa_ia::AdvisorKind;
+use pipa_ia::AdvisorSpec;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -45,7 +45,12 @@ fn main() {
             .into_iter()
             .filter(|k| k.is_random_baseline()),
     );
-    let spec = GridSpec::new(AdvisorKind::all(), injectors, args.runs as u64, args.seed);
+    let spec = GridSpec::new(
+        AdvisorSpec::paper_variants(),
+        injectors,
+        args.runs as u64,
+        args.seed,
+    );
     let out = args.trace_outputs();
     let outcomes = run_grid_traced(&db, &cfg, &spec, args.jobs, &out)
         .expect("stress test against the simulator backend");
@@ -53,13 +58,12 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut payload = Vec::new();
-    for advisor in AdvisorKind::all() {
-        let advisor_spec = pipa_ia::AdvisorSpec::from(advisor);
+    for advisor in AdvisorSpec::paper_variants() {
         let ads = |want_pipa: bool| -> Vec<f64> {
             outcomes
                 .iter()
                 .filter(|(c, _)| {
-                    c.advisor == advisor_spec && (c.injector == InjectorKind::Pipa) == want_pipa
+                    c.advisor == advisor && (c.injector == InjectorKind::Pipa) == want_pipa
                 })
                 .map(|(_, o)| o.ad)
                 .collect()

@@ -14,7 +14,7 @@ use pipa_core::experiment::{build_db, normal_workload, run_cell, CellConfig, Inj
 use pipa_core::metrics::{relative_degradation, Stats};
 use pipa_core::par_map_traced;
 use pipa_core::report::{render_table, ExperimentArtifact};
-use pipa_ia::AdvisorKind;
+use pipa_ia::AdvisorSpec;
 use pipa_obs::CellCtx;
 use serde::Serialize;
 
@@ -54,13 +54,17 @@ fn main() {
         .collect();
     // Tuples (advisor, ω index, injector, run); PIPA and the FSM baseline
     // share each run's seed (and thus normal workload) for RD pairing.
-    let grid: Vec<(AdvisorKind, usize, InjectorKind, u64)> = AdvisorKind::all()
+    let grid: Vec<(AdvisorSpec, usize, InjectorKind, u64)> = AdvisorSpec::paper_variants()
         .into_iter()
         .flat_map(|a| {
             (0..OMEGAS.len()).flat_map(move |oi| {
+                let a = a.clone();
                 [InjectorKind::Pipa, random]
                     .into_iter()
-                    .flat_map(move |inj| (0..args.runs as u64).map(move |r| (a, oi, inj, r)))
+                    .flat_map(move |inj| {
+                        let a = a.clone();
+                        (0..args.runs as u64).map(move |r| (a.clone(), oi, inj, r))
+                    })
             })
         })
         .collect();
@@ -69,17 +73,17 @@ fn main() {
         args.jobs,
         grid,
         &out,
-        |_, &(advisor, oi, inj, run)| {
-            CellCtx::new(args.cell_seed(run).get())
+        |_, (advisor, oi, inj, run)| {
+            CellCtx::new(args.cell_seed(*run).get())
                 .field("advisor", advisor.label())
                 .field("injector", inj.label())
-                .field("omega", OMEGAS[oi])
-                .field("run", run)
+                .field("omega", OMEGAS[*oi])
+                .field("run", *run)
         },
         |_, (advisor, oi, inj, run)| {
             let seed = args.cell_seed(run);
             let normal = normal_workload(&cfg, seed.get());
-            let out = run_cell(&db, &normal, advisor, inj, &omega_cfgs[oi], seed)
+            let out = run_cell(&db, &normal, advisor.clone(), inj, &omega_cfgs[oi], seed)
                 .expect("stress test against the simulator backend");
             (advisor, oi, inj, out.ad)
         },
@@ -88,7 +92,7 @@ fn main() {
 
     let mut cells = Vec::new();
     let mut rows = Vec::new();
-    for advisor in AdvisorKind::all() {
+    for advisor in AdvisorSpec::paper_variants() {
         let mut row = vec![advisor.label()];
         for (oi, &omega) in OMEGAS.iter().enumerate() {
             let mean_ad = |want: InjectorKind| -> f64 {

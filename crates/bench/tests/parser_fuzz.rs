@@ -16,7 +16,7 @@ use pipa_bench::cli::median_of;
 use pipa_core::experiment::build_db;
 use pipa_core::{run_grid_traced, CellConfig, GridSpec, InjectorKind};
 use pipa_cost::{CostError, RecordingBackend, Tape};
-use pipa_ia::{AdvisorKind, SpeedPreset, TrajectoryMode};
+use pipa_ia::{AdvisorSpec, SpeedPreset};
 use pipa_obs::json::top_level_keys;
 use pipa_obs::{MemorySink, TraceOutputs};
 use pipa_qgen::token::{Kw, Op};
@@ -42,7 +42,7 @@ fn corpus() -> &'static Corpus {
         cfg.probe_epochs = 2;
         cfg.injection_size = 4;
         let spec = GridSpec::new(
-            vec![AdvisorKind::DbaBandit(TrajectoryMode::Best)],
+            vec![AdvisorSpec::new("dbabandit")],
             vec![InjectorKind::Pipa],
             1,
             7,

@@ -144,7 +144,7 @@ mod tests {
     use crate::runner::CellSeed;
     use crate::stream::DefensePolicy;
     use crate::testing::{assert_non_finite, BadCosts, Seam, BAD_COSTS};
-    use pipa_ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
+    use pipa_ia::{AdvisorSpec, BuildCtx, SpeedPreset};
     use pipa_workload::Benchmark;
 
     fn cfg() -> CellConfig {
@@ -160,8 +160,9 @@ mod tests {
         let cfg = cfg();
         let cost = build_db(&cfg);
         let normal = normal_workload(&cfg, 51);
-        let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-            .build_with(BuildCtx::new(SpeedPreset::Test, 51));
+        let mut advisor = AdvisorSpec::new("dbabandit")
+            .build_with(BuildCtx::new(SpeedPreset::Test, 51))
+            .unwrap();
         let seed = CellSeed::raw(51);
         let mut injector = make_injector(InjectorKind::Pipa, &cfg, seed);
         let outcome = StressTest::new(&cost, &normal)
@@ -187,8 +188,9 @@ mod tests {
             // The pre-update canary cost, then the post-update one.
             for bad_at in 0..2 {
                 let cost = BadCosts::new(&sim, Seam::Executed, bad_at, bad);
-                let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-                    .build_with(BuildCtx::new(SpeedPreset::Test, 59));
+                let mut advisor = AdvisorSpec::new("dbabandit")
+                    .build_with(BuildCtx::new(SpeedPreset::Test, 59))
+                    .unwrap();
                 advisor.train(&cost, &normal).unwrap();
                 let got = CanaryGuard::new(0.02).retrain_guarded(
                     advisor.as_mut(),
@@ -206,8 +208,9 @@ mod tests {
         let cfg = cfg();
         let cost = build_db(&cfg);
         let normal = normal_workload(&cfg, 53);
-        let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-            .build_with(BuildCtx::new(SpeedPreset::Test, 53));
+        let mut advisor = AdvisorSpec::new("dbabandit")
+            .build_with(BuildCtx::new(SpeedPreset::Test, 53))
+            .unwrap();
         advisor.train(&cost, &normal).unwrap();
         let mut injector = make_injector(InjectorKind::Pipa, &cfg, CellSeed::raw(53));
         let injection = injector.build(advisor.as_mut(), &cost, 10, 53).unwrap();
@@ -234,8 +237,9 @@ mod tests {
         let cfg = cfg();
         let cost = build_db(&cfg);
         let normal = normal_workload(&cfg, 57);
-        let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-            .build_with(BuildCtx::new(SpeedPreset::Test, 57));
+        let mut advisor = AdvisorSpec::new("dbabandit")
+            .build_with(BuildCtx::new(SpeedPreset::Test, 57))
+            .unwrap();
         advisor.train(&cost, &normal).unwrap();
         let mut injector = make_injector(InjectorKind::Tp, &cfg, CellSeed::raw(57));
         let injection = injector.build(advisor.as_mut(), &cost, 10, 57).unwrap();

@@ -176,20 +176,18 @@ pub fn make_injector(kind: InjectorKind, cfg: &CellConfig, seed: CellSeed) -> Bo
 
 /// Run one (advisor, injector) cell once.
 ///
-/// The advisor is named by anything convertible to an [`AdvisorSpec`] —
-/// an `AdvisorKind` value or a spec carrying a custom registered kind id
-/// — and resolved through the target registry; an unregistered kind
+/// The advisor spec — a built-in kind or a custom registered kind id —
+/// is resolved through the target registry; an unregistered kind
 /// surfaces as [`pipa_cost::CostError::UnknownTarget`], not a panic.
 pub fn run_cell(
     cost: &dyn CostBackend,
     normal: &Workload,
-    advisor: impl Into<AdvisorSpec>,
+    advisor: AdvisorSpec,
     injector_kind: InjectorKind,
     cfg: &CellConfig,
     seed: CellSeed,
 ) -> CostResult<StressOutcome> {
-    let spec = advisor.into();
-    let mut advisor = spec.build_with(pipa_ia::BuildCtx::new(cfg.preset, seed.get()))?;
+    let mut advisor = advisor.build_with(pipa_ia::BuildCtx::new(cfg.preset, seed.get()))?;
     let mut injector = make_injector(injector_kind, cfg, seed);
     StressTest::new(cost, normal)
         .injection_size(cfg.injection_size)
@@ -235,17 +233,17 @@ pub struct GridCell {
 }
 
 impl GridSpec {
-    /// A grid over the given axes. `advisors` accepts anything
-    /// convertible to [`AdvisorSpec`] — `AdvisorKind` values from the
-    /// paper grid or specs naming custom registered kinds.
-    pub fn new<A: Into<AdvisorSpec>>(
-        advisors: Vec<A>,
+    /// A grid over the given axes: the paper's variants
+    /// ([`AdvisorSpec::paper_variants`]) or specs naming custom
+    /// registered kinds.
+    pub fn new(
+        advisors: Vec<AdvisorSpec>,
         injectors: Vec<InjectorKind>,
         runs: u64,
         root_seed: u64,
     ) -> Self {
         GridSpec {
-            advisors: advisors.into_iter().map(Into::into).collect(),
+            advisors,
             injectors,
             runs,
             root_seed,
@@ -342,7 +340,6 @@ pub fn run_grid_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipa_ia::{AdvisorKind, TrajectoryMode};
 
     #[test]
     fn injector_kinds_cover_the_paper() {
@@ -367,7 +364,7 @@ mod tests {
         let out = run_cell(
             &cost,
             &normal,
-            AdvisorKind::DbaBandit(TrajectoryMode::Best),
+            AdvisorSpec::new("dbabandit"),
             InjectorKind::Pipa,
             &cfg,
             CellSeed::raw(1),
@@ -385,7 +382,7 @@ mod tests {
         cfg.injection_size = 4;
         let cost = build_db(&cfg);
         let spec = GridSpec::new(
-            vec![AdvisorKind::DbaBandit(TrajectoryMode::Best)],
+            vec![AdvisorSpec::new("dbabandit")],
             vec![InjectorKind::Tp],
             1,
             7,

@@ -15,9 +15,9 @@ use crate::injectors::Injector;
 use crate::metrics::{absolute_degradation, is_toxic};
 use crate::runner::CellSeed;
 use crate::stream::DefensePolicy;
-use pipa_cost::{CostBackend, CostEngine, CostResult};
+use pipa_cost::{measured_workload_cost, CostBackend, CostResult};
 use pipa_ia::ClearBoxAdvisor;
-use pipa_obs::{CellCtx, Event, TraceOutputs};
+use pipa_obs::Event;
 use pipa_sim::{IndexConfig, Workload};
 use serde::Serialize;
 
@@ -140,7 +140,7 @@ pub struct StressRun {
 ///
 /// ```no_run
 /// use pipa_core::{harness::StressTest, injectors::TpInjector, runner::CellSeed};
-/// use pipa_ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
+/// use pipa_ia::{AdvisorSpec, BuildCtx, SpeedPreset};
 /// use pipa_workload::Benchmark;
 ///
 /// let cost = pipa_cost::SimBackend::new(Benchmark::TpcH.database(1.0, None));
@@ -149,8 +149,9 @@ pub struct StressRun {
 ///     7,
 /// );
 /// let seed = CellSeed::derive(0, 0);
-/// let mut advisor =
-///     AdvisorKind::DbaBandit(TrajectoryMode::Best).build_with(BuildCtx::new(SpeedPreset::Quick, seed.get()));
+/// let mut advisor = AdvisorSpec::new("dbabandit")
+///     .build_with(BuildCtx::new(SpeedPreset::Quick, seed.get()))
+///     .expect("built-in kind");
 /// let mut injector = TpInjector::new(Benchmark::TpcH.default_templates());
 /// let outcome = StressTest::new(&cost, &normal)
 ///     .injection_size(18)
@@ -173,7 +174,6 @@ pub struct StressTest<'a> {
     use_actual_cost: bool,
     seed: CellSeed,
     defense: DefensePolicy,
-    outputs: Option<&'a TraceOutputs>,
 }
 
 impl<'a> StressTest<'a> {
@@ -186,7 +186,6 @@ impl<'a> StressTest<'a> {
             use_actual_cost: true,
             seed: CellSeed::raw(0),
             defense: DefensePolicy::None,
-            outputs: None,
         }
     }
 
@@ -218,16 +217,6 @@ impl<'a> StressTest<'a> {
         self
     }
 
-    /// Attach observability outputs for a *standalone* run: the test
-    /// records into a fresh cell scope and flushes it here on
-    /// completion. Inside a traced grid ([`crate::experiment::run_grid_traced`])
-    /// the grid's own recording scope is already active and takes
-    /// precedence — cell ordering stays with the runner.
-    pub fn sink(mut self, outputs: &'a TraceOutputs) -> Self {
-        self.outputs = Some(outputs);
-        self
-    }
-
     /// Execute: train on `W`, measure the baseline, build `Ŵ` (the
     /// injector may probe the trained victim), retrain on `{W, Ŵ}`,
     /// re-measure on `W`.
@@ -242,26 +231,6 @@ impl<'a> StressTest<'a> {
     /// [`StressTest::run`], also returning both configurations and the
     /// defense's tally.
     pub fn run_detailed(
-        &self,
-        advisor: &mut dyn ClearBoxAdvisor,
-        injector: &mut dyn Injector,
-    ) -> CostResult<StressRun> {
-        match self.outputs {
-            Some(out) if out.active() && !pipa_obs::is_recording() => {
-                let ctx = CellCtx::new(self.seed.get())
-                    .field("advisor", advisor.name())
-                    .field("injector", injector.name());
-                let (run, trace) =
-                    pipa_obs::record_cell(true, ctx, || self.execute(advisor, injector));
-                out.write_cell(&trace);
-                out.flush();
-                run
-            }
-            _ => self.execute(advisor, injector),
-        }
-    }
-
-    fn execute(
         &self,
         advisor: &mut dyn ClearBoxAdvisor,
         injector: &mut dyn Injector,
@@ -332,7 +301,7 @@ impl<'a> StressTest<'a> {
     }
 
     fn workload_cost(&self, cfg: &IndexConfig) -> CostResult<f64> {
-        CostEngine::new(self.cost).measured_workload_cost(self.normal, cfg, self.use_actual_cost)
+        measured_workload_cost(self.cost, self.normal, cfg, self.use_actual_cost)
     }
 }
 
@@ -347,8 +316,8 @@ mod tests {
     use crate::injectors::{TargetedInjector, TpInjector};
     use crate::probe::ProbeConfig;
     use crate::testing::{assert_non_finite, BadCosts, Seam};
-    use pipa_ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
-    use pipa_obs::MemorySink;
+    use pipa_ia::{AdvisorSpec, BuildCtx, SpeedPreset};
+    use pipa_obs::CellCtx;
     use pipa_qgen::StGenerator;
     use pipa_workload::Benchmark;
     use rand::SeedableRng;
@@ -367,8 +336,9 @@ mod tests {
     #[test]
     fn stress_test_produces_consistent_outcome() {
         let (cost, w) = setup();
-        let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-            .build_with(BuildCtx::new(SpeedPreset::Test, 1));
+        let mut ia = AdvisorSpec::new("dbabandit")
+            .build_with(BuildCtx::new(SpeedPreset::Test, 1))
+            .unwrap();
         let mut inj = TpInjector::new(Benchmark::TpcH.default_templates());
         let run = StressTest::new(&cost, &w)
             .injection_size(6)
@@ -399,8 +369,9 @@ mod tests {
     fn defended_runs_report_the_defense_tally() {
         let (cost, w) = setup();
         let run = |defense| {
-            let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-                .build_with(BuildCtx::new(SpeedPreset::Test, 5));
+            let mut ia = AdvisorSpec::new("dbabandit")
+                .build_with(BuildCtx::new(SpeedPreset::Test, 5))
+                .unwrap();
             let mut inj = TargetedInjector::pipa(Box::new(StGenerator::new(5)));
             inj.probe_cfg = ProbeConfig {
                 epochs: 2,
@@ -438,8 +409,9 @@ mod tests {
         // The core claim in miniature: a PIPA injection degrades a
         // learned advisor.
         let (cost, w) = setup();
-        let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-            .build_with(BuildCtx::new(SpeedPreset::Test, 2));
+        let mut ia = AdvisorSpec::new("dbabandit")
+            .build_with(BuildCtx::new(SpeedPreset::Test, 2))
+            .unwrap();
         let mut inj = TargetedInjector::pipa(Box::new(StGenerator::new(2)));
         inj.probe_cfg = ProbeConfig {
             epochs: 4,
@@ -462,8 +434,9 @@ mod tests {
     #[test]
     fn reusing_the_advisor_across_runs_is_safe() {
         let (cost, w) = setup();
-        let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-            .build_with(BuildCtx::new(SpeedPreset::Test, 3));
+        let mut ia = AdvisorSpec::new("dbabandit")
+            .build_with(BuildCtx::new(SpeedPreset::Test, 3))
+            .unwrap();
         let mut inj = TpInjector::new(Benchmark::TpcH.default_templates());
         let test = StressTest::new(&cost, &w)
             .injection_size(4)
@@ -478,19 +451,18 @@ mod tests {
     #[test]
     fn builder_sink_captures_a_standalone_run() {
         let (cost, w) = setup();
-        let trace = MemorySink::new();
-        let out = TraceOutputs::with_sinks(Some(Box::new(trace.clone())), None);
-        let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-            .build_with(BuildCtx::new(SpeedPreset::Test, 4));
+        let mut ia = AdvisorSpec::new("dbabandit")
+            .build_with(BuildCtx::new(SpeedPreset::Test, 4))
+            .unwrap();
         let mut inj = TpInjector::new(Benchmark::TpcH.default_templates());
-        let outcome = StressTest::new(&cost, &w)
+        let test = StressTest::new(&cost, &w)
             .injection_size(4)
             .actual_cost(false)
-            .seed(CellSeed::raw(4))
-            .sink(&out)
-            .run(ia.as_mut(), &mut inj)
-            .unwrap();
-        let lines = trace.lines();
+            .seed(CellSeed::raw(4));
+        let (outcome, trace) =
+            pipa_obs::record_cell(true, CellCtx::new(4), || test.run(ia.as_mut(), &mut inj));
+        let outcome = outcome.unwrap();
+        let lines = trace.trace;
         assert!(!lines.is_empty());
         for line in &lines {
             let keys = pipa_obs::json::top_level_keys(line).expect("valid JSON");
@@ -517,8 +489,9 @@ mod tests {
         for executed in [f64::NAN, f64::INFINITY, -1.0] {
             let (inner, w) = setup();
             let cost = BadCosts::new(&inner, Seam::Executed, 0, executed);
-            let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-                .build_with(BuildCtx::new(SpeedPreset::Test, 1));
+            let mut ia = AdvisorSpec::new("dbabandit")
+                .build_with(BuildCtx::new(SpeedPreset::Test, 1))
+                .unwrap();
             let mut inj = TpInjector::new(Benchmark::TpcH.default_templates());
             let err = StressTest::new(&cost, &w)
                 .injection_size(4)

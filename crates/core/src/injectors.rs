@@ -260,7 +260,7 @@ impl Injector for TargetedInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipa_ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
+    use pipa_ia::{AdvisorSpec, BuildCtx, SpeedPreset};
     use pipa_qgen::StGenerator;
     use pipa_workload::Benchmark;
 
@@ -271,8 +271,9 @@ mod tests {
             Benchmark::TpcH.default_templates(),
         );
         let w = g.normal(&mut ChaCha8Rng::seed_from_u64(1)).unwrap();
-        let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-            .build_with(BuildCtx::new(SpeedPreset::Test, 1));
+        let mut ia = AdvisorSpec::new("dbabandit")
+            .build_with(BuildCtx::new(SpeedPreset::Test, 1))
+            .unwrap();
         ia.train(&cost, &w).unwrap();
         (cost, w, ia)
     }

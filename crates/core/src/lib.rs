@@ -33,7 +33,7 @@
 //!
 //! ```no_run
 //! use pipa_core::{experiment::*, metrics::Stats, runner::CellSeed};
-//! use pipa_ia::{AdvisorKind, TrajectoryMode};
+//! use pipa_ia::{AdvisorSpec, TrajectoryMode};
 //! use pipa_workload::Benchmark;
 //!
 //! let cfg = CellConfig::quick(Benchmark::TpcH);
@@ -43,7 +43,7 @@
 //! let out = run_cell(
 //!     &cost,
 //!     &normal,
-//!     AdvisorKind::Dqn(TrajectoryMode::Best),
+//!     AdvisorSpec::new("dqn").mode(TrajectoryMode::Best),
 //!     InjectorKind::Pipa,
 //!     &cfg,
 //!     seed,

@@ -36,7 +36,7 @@ use crate::experiment::{make_injector, CellConfig, InjectorKind};
 use crate::harness::{index_names, strike, update, StressOutcome, Update};
 use crate::metrics::{absolute_degradation, is_toxic};
 use crate::runner::{derive_seed, par_map_traced, CellSeed};
-use pipa_cost::{CostBackend, CostEngine, CostResult};
+use pipa_cost::{measured_workload_cost, CostBackend, CostResult};
 use pipa_ia::{AdvisorSpec, BuildCtx};
 use pipa_obs::{CellCtx, Event, TraceOutputs};
 use pipa_sim::{IndexConfig, Workload};
@@ -314,31 +314,28 @@ fn union_all(parts: &[Workload]) -> Workload {
 /// replays exactly that workload), and window `w`'s attack stream is
 /// [`derive_seed`]`(seed, w)`.
 ///
-/// The advisor is anything convertible to an [`AdvisorSpec`] and is
-/// resolved through the target registry. The victim moves through the
-/// harness's [`update`] and [`strike`] steps, so the backend's
-/// [`CostBackend::observe_training`] hook fires on the bootstrap window
-/// and on every *victim* training batch. The clean twin calls `train`
-/// and `retrain` directly: it is an advisor-only counterfactual sharing
-/// the backend's state, so for learned cost backends the twin's costs
-/// reflect the same (possibly poisoned) index structure and per-window
-/// AD isolates the advisor's decisions.
+/// The advisor spec is resolved through the target registry. The
+/// victim moves through the harness's [`update`] and [`strike`] steps,
+/// so the backend's [`CostBackend::observe_training`] hook fires on the
+/// bootstrap window and on every *victim* training batch. The clean
+/// twin calls `train` and `retrain` directly: it is an advisor-only
+/// counterfactual sharing the backend's state, so for learned cost
+/// backends the twin's costs reflect the same (possibly poisoned) index
+/// structure and per-window AD isolates the advisor's decisions.
 pub fn run_stream(
     cost: &dyn CostBackend,
     cfg: &CellConfig,
-    advisor: impl Into<AdvisorSpec>,
+    advisor_spec: AdvisorSpec,
     spec: &StreamSpec,
     seed: CellSeed,
 ) -> CostResult<StreamOutcome> {
-    let advisor_spec: AdvisorSpec = advisor.into();
     let gen = WorkloadGenerator::new(cfg.benchmark.schema(), cfg.benchmark.default_templates());
     let wseed = seed.get() ^ 0x4021;
     let use_actual = cfg.materialize.is_some();
-    let engine = CostEngine::new(cost);
     let mut cost_evals = 0u64;
     let mut measure = |w: &Workload, c: &IndexConfig| -> CostResult<f64> {
         cost_evals += w.len() as u64;
-        engine.measured_workload_cost(w, c, use_actual)
+        measured_workload_cost(cost, w, c, use_actual)
     };
 
     // Bootstrap: train the victim and its clean twin on the trusted
@@ -713,7 +710,7 @@ pub fn run_stream_grid_traced(
 mod tests {
     use super::*;
     use crate::experiment::build_db;
-    use pipa_ia::{AdvisorKind, SpeedPreset, TrajectoryMode};
+    use pipa_ia::SpeedPreset;
     use pipa_workload::Benchmark;
 
     fn cfg() -> CellConfig {
@@ -723,8 +720,8 @@ mod tests {
         cfg
     }
 
-    fn advisor() -> AdvisorKind {
-        AdvisorKind::DbaBandit(TrajectoryMode::Best)
+    fn advisor() -> AdvisorSpec {
+        AdvisorSpec::new("dbabandit")
     }
 
     fn spec(attacker: AttackerStrategy, defense: DefensePolicy, cadence: Cadence) -> StreamSpec {
@@ -847,7 +844,7 @@ mod tests {
     #[test]
     fn stream_grid_enumerates_cells_in_fixed_order() {
         let grid = StreamGridSpec {
-            advisor: advisor().into(),
+            advisor: advisor(),
             attackers: vec![
                 AttackerStrategy::Spread(InjectorKind::Tp),
                 AttackerStrategy::Burst(InjectorKind::Tp),

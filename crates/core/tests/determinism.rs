@@ -8,7 +8,7 @@ use pipa_core::stream::{
     StreamGridSpec,
 };
 use pipa_core::{run_grid, run_grid_traced, CellSeed};
-use pipa_ia::{AdvisorKind, SpeedPreset, TrajectoryMode};
+use pipa_ia::{AdvisorSpec, SpeedPreset};
 use pipa_obs::{MemorySink, TraceOutputs};
 use pipa_workload::{Benchmark, DriftSchedule};
 
@@ -18,10 +18,7 @@ fn small_spec() -> (CellConfig, GridSpec) {
     cfg.probe_epochs = 2;
     cfg.injection_size = 4;
     let spec = GridSpec::new(
-        vec![
-            AdvisorKind::DbaBandit(TrajectoryMode::Best),
-            AdvisorKind::Swirl,
-        ],
+        vec![AdvisorSpec::new("dbabandit"), AdvisorSpec::new("swirl")],
         vec![InjectorKind::Fsm, InjectorKind::Pipa],
         1,
         7,
@@ -113,7 +110,7 @@ fn grid_reruns_reproduce_and_caching_is_observable() {
 #[test]
 fn seeds_pair_cells_within_a_run() {
     let spec = GridSpec::new(
-        vec![AdvisorKind::Swirl],
+        vec![AdvisorSpec::new("swirl")],
         vec![InjectorKind::Fsm, InjectorKind::Pipa],
         2,
         99,
@@ -180,7 +177,7 @@ fn small_stream_spec() -> (CellConfig, StreamGridSpec) {
     cfg.preset = SpeedPreset::Test;
     cfg.probe_epochs = 2;
     let spec = StreamGridSpec {
-        advisor: AdvisorKind::DbaBandit(TrajectoryMode::Best).into(),
+        advisor: AdvisorSpec::new("dbabandit"),
         attackers: vec![
             AttackerStrategy::Spread(InjectorKind::Pipa),
             AttackerStrategy::Burst(InjectorKind::Pipa),
@@ -307,7 +304,6 @@ fn mixed_target_classes_stay_bit_identical_across_job_counts() {
     use pipa_core::experiment::{normal_workload, run_cell};
     use pipa_core::runner::par_map;
     use pipa_cost::{CostBackend, LearnedIndexBackend, LearnedIndexConfig};
-    use pipa_ia::AdvisorSpec;
 
     let mut cfg = CellConfig::quick(Benchmark::TpcH);
     cfg.preset = SpeedPreset::Test;
@@ -316,10 +312,7 @@ fn mixed_target_classes_stay_bit_identical_across_job_counts() {
 
     // Built-in + in-context through the shared-simulator grid.
     let spec = GridSpec::new(
-        vec![
-            AdvisorSpec::from(AdvisorKind::DbaBandit(TrajectoryMode::Best)),
-            AdvisorSpec::new("incontext"),
-        ],
+        vec![AdvisorSpec::new("dbabandit"), AdvisorSpec::new("incontext")],
         vec![InjectorKind::Pipa],
         1,
         21,
@@ -380,8 +373,6 @@ fn mixed_target_classes_stay_bit_identical_across_job_counts() {
 /// cross-jobs guarantee as the built-ins.
 #[test]
 fn incontext_stream_grid_is_bit_identical_across_job_counts() {
-    use pipa_ia::AdvisorSpec;
-
     let (cfg, mut spec) = small_stream_spec();
     spec.advisor = AdvisorSpec::new("incontext");
     spec.attackers = vec![AttackerStrategy::Spread(InjectorKind::Pipa)];

@@ -1,6 +1,8 @@
-//! Typed errors for cost-backend operations.
+//! Typed errors for cost-backend operations, and the checked cost
+//! helpers composed from [`CostBackend`] calls.
 
-use pipa_sim::SimError;
+use crate::backend::CostBackend;
+use pipa_sim::{IndexConfig, Query, SimError, Workload};
 use std::fmt;
 
 /// Convenience alias used throughout the cost seam and its consumers.
@@ -96,6 +98,47 @@ pub fn finite_cost(backend: &'static str, value: f64) -> CostResult<f64> {
     } else {
         Err(CostError::NonFinite { backend, value })
     }
+}
+
+/// Relative cost reduction of `cfg` vs no indexes for one query:
+/// `1 - c(q, I)/c(q, ∅)`, or `0` when the base cost is non-positive.
+pub fn query_benefit(cost: &dyn CostBackend, q: &Query, cfg: &IndexConfig) -> CostResult<f64> {
+    let base = cost.query_cost(q, &IndexConfig::empty())?;
+    if base <= 0.0 {
+        return Ok(0.0);
+    }
+    Ok(1.0 - cost.query_cost(q, cfg)? / base)
+}
+
+/// Relative cost reduction of `cfg` vs no indexes for a workload.
+pub fn workload_benefit(
+    cost: &dyn CostBackend,
+    w: &Workload,
+    cfg: &IndexConfig,
+) -> CostResult<f64> {
+    let base = cost.workload_cost(w, &IndexConfig::empty())?;
+    if base <= 0.0 {
+        return Ok(0.0);
+    }
+    Ok(1.0 - cost.workload_cost(w, cfg)? / base)
+}
+
+/// Workload cost measured the way the caller asked for: executed
+/// (actual) when `use_actual`, estimated otherwise. A NaN, infinite or
+/// negative cost is a [`CostError::NonFinite`], so degradation ratios
+/// built from measurements are always finite.
+pub fn measured_workload_cost(
+    cost: &dyn CostBackend,
+    w: &Workload,
+    cfg: &IndexConfig,
+    use_actual: bool,
+) -> CostResult<f64> {
+    let value = if use_actual {
+        cost.executed_workload_cost(w, cfg)?
+    } else {
+        cost.workload_cost(w, cfg)?
+    };
+    finite_cost(cost.name(), value)
 }
 
 /// Diagnostic payload attached to [`CostError::ReplayMiss`]: what the

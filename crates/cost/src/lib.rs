@@ -9,8 +9,8 @@
 //! `&dyn CostBackend` instead of the concrete in-memory simulator:
 //!
 //! * [`SimBackend`] — wraps [`pipa_sim::Database`] and routes through its
-//!   benefit-matrix/cost-cache machinery, bit-identical to direct calls
-//!   (pinned by `tests/cost_backend_differential.rs`);
+//!   benefit matrix, bit-identical to direct calls (pinned by
+//!   `tests/cost_backend_differential.rs`);
 //! * [`RecordingBackend`] / [`ReplayBackend`] — a record/replay pair that
 //!   captures `(query, config) → cost` tapes as JSONL (written through
 //!   `pipa-obs` sinks) and replays them deterministically, proving the
@@ -21,9 +21,12 @@
 //!   ([`CostBackend::observe_training`]), making the index *structure*
 //!   itself a poisoning target.
 //!
-//! The [`CostEngine`] facade adds the composed helpers every consumer
-//! wants (benefits, best-single-index, estimated-vs-executed dispatch)
-//! on top of any backend.
+//! Consumers call the trait directly, read the schema and statistics
+//! through [`CostBackend::catalog`], and use three free helpers composed
+//! from trait calls: [`query_benefit`] and [`workload_benefit`] (cost
+//! reduction against the empty configuration) and
+//! [`measured_workload_cost`] (estimated-vs-executed dispatch, checked by
+//! [`finite_cost`]).
 //!
 //! Errors are typed ([`CostError`]) instead of panics: a poisoned lock,
 //! missing materialized data, or a replay-tape miss surfaces as a value
@@ -32,15 +35,16 @@
 #![warn(missing_docs)]
 
 mod backend;
-mod engine;
 mod error;
 mod learned;
 mod replay;
 mod sim;
 
 pub use backend::{CostBackend, CostSession};
-pub use engine::CostEngine;
-pub use error::{finite_cost, CostError, CostResult, ReplayMissDetail};
+pub use error::{
+    finite_cost, measured_workload_cost, query_benefit, workload_benefit, CostError, CostResult,
+    ReplayMissDetail,
+};
 pub use learned::{LearnedIndexBackend, LearnedIndexConfig};
 pub use replay::{RecordingBackend, ReplayBackend, Tape, DEFAULT_TAPE_BYTE_LIMIT};
 pub use sim::SimBackend;

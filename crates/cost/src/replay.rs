@@ -462,17 +462,6 @@ impl ReplayBackend {
         }
     }
 
-    /// Build a replay backend by streaming a tape from a JSONL file (see
-    /// [`Tape::read_jsonl_file`] for the size guard and error surface).
-    /// The whole file is never resident: only the parsed entries are.
-    pub fn from_file(
-        catalog: Catalog<'_>,
-        path: impl AsRef<Path>,
-        max_bytes: u64,
-    ) -> CostResult<Self> {
-        Ok(Self::new(catalog, Tape::read_jsonl_file(path, max_bytes)?))
-    }
-
     fn lookup(
         &self,
         map: &BTreeMap<Key, u64>,

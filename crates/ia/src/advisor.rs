@@ -111,68 +111,17 @@ impl IndexAdvisor for Box<dyn ClearBoxAdvisor> {
     }
 }
 
-/// Identifier for the advisors in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AdvisorKind {
-    /// Deep Q-Network (\[20\]), trial-based.
-    Dqn(TrajectoryMode),
-    /// DRLindex ([29, 30]): DQN with sparse workload×column state and
-    /// `1/cost` reward, trial-based.
-    DrlIndex(TrajectoryMode),
-    /// DBABandit (\[26\]): C²UCB multi-armed bandit, trial-based
-    /// (converges fast: 20 trajectories).
-    DbaBandit(TrajectoryMode),
-    /// SWIRL (\[19\]): PPO-style policy with invalid-action masking,
-    /// one-off.
-    Swirl,
-}
-
-impl AdvisorKind {
-    /// The seven built-in variants the paper's main experiment sweeps
-    /// (the `-b`/`-m` trajectory modes of DQN, DRLindex and DBABandit,
-    /// plus SWIRL). This is a convenience slice of the paper grid, *not*
-    /// the universe of targets: the target registry
-    /// ([`crate::registry::registered_ids`]) is open, and kinds added
-    /// there (e.g. `"incontext"`, or user-registered ones) are addressed
-    /// by [`crate::registry::AdvisorSpec`] rather than enum variants.
-    pub fn all() -> Vec<AdvisorKind> {
-        use TrajectoryMode::*;
-        vec![
-            AdvisorKind::Dqn(Best),
-            AdvisorKind::Dqn(MeanLast(100)),
-            AdvisorKind::DrlIndex(Best),
-            AdvisorKind::DrlIndex(MeanLast(100)),
-            AdvisorKind::DbaBandit(Best),
-            AdvisorKind::DbaBandit(MeanLast(10)),
-            AdvisorKind::Swirl,
-        ]
-    }
-
-    /// Display name matching the paper's tables.
-    pub fn label(self) -> String {
-        match self {
-            AdvisorKind::Dqn(m) => format!("DQN-{}", m.suffix()),
-            AdvisorKind::DrlIndex(m) => format!("DRLindex-{}", m.suffix()),
-            AdvisorKind::DbaBandit(m) => format!("DBAbandit-{}", m.suffix()),
-            AdvisorKind::Swirl => "SWIRL".to_string(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn seven_variants_with_paper_labels() {
-        let all = AdvisorKind::all();
+        let all = crate::registry::AdvisorSpec::paper_variants();
         assert_eq!(all.len(), 7);
-        // Labels derive from the registry entries (the enum is an alias
-        // layer), and must still spell the paper's table headings.
-        let labels: Vec<String> = all
-            .iter()
-            .map(|a| crate::registry::AdvisorSpec::from(*a).label())
-            .collect();
+        // Labels are the built advisors' names, and must spell the
+        // paper's table headings.
+        let labels: Vec<String> = all.iter().map(|a| a.label()).collect();
         assert_eq!(
             labels,
             vec![

@@ -479,7 +479,7 @@ fn solve_ridge(a: &[f64], b: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipa_cost::{CostEngine, SimBackend};
+    use pipa_cost::{workload_benefit, SimBackend};
     use pipa_workload::Benchmark;
 
     fn setup() -> (SimBackend, Workload) {
@@ -536,7 +536,7 @@ mod tests {
         ia.train(&cost, &w).unwrap();
         let cfg = ia.recommend(&cost, &w).unwrap();
         assert!(!cfg.is_empty() && cfg.len() <= 4);
-        let benefit = CostEngine::new(&cost).workload_benefit(&w, &cfg).unwrap();
+        let benefit = workload_benefit(&cost, &w, &cfg).unwrap();
         assert!(benefit > 0.05, "benefit {benefit}");
     }
 

@@ -219,7 +219,7 @@ impl ClearBoxAdvisor for DqnAdvisor {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use pipa_cost::{CostEngine, SimBackend};
+    use pipa_cost::{workload_benefit, SimBackend};
     use pipa_workload::Benchmark;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -253,7 +253,7 @@ pub(crate) mod tests {
         let mut ia = DqnAdvisor::new(TrajectoryMode::Best, DqnConfig::fast());
         ia.train(&cost, &w).unwrap();
         let cfg = ia.recommend(&cost, &w).unwrap();
-        let benefit = CostEngine::new(&cost).workload_benefit(&w, &cfg).unwrap();
+        let benefit = workload_benefit(&cost, &w, &cfg).unwrap();
         assert!(benefit > 0.05, "benefit {benefit}");
     }
 

@@ -208,7 +208,7 @@ impl ClearBoxAdvisor for DrlIndexAdvisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipa_cost::{CostEngine, SimBackend};
+    use pipa_cost::{workload_benefit, SimBackend};
     use pipa_workload::Benchmark;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -230,7 +230,7 @@ mod tests {
         ia.train(&cost, &w).unwrap();
         let cfg = ia.recommend(&cost, &w).unwrap();
         assert!(!cfg.is_empty() && cfg.len() <= 4);
-        assert!(CostEngine::new(&cost).workload_benefit(&w, &cfg).unwrap() > 0.0);
+        assert!(workload_benefit(&cost, &w, &cfg).unwrap() > 0.0);
     }
 
     #[test]

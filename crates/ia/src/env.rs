@@ -95,8 +95,8 @@ impl<'a> IndexEnv<'a> {
 
     /// Relative workload cost reduction from one single-column index on
     /// `col`, previewed from the empty session: bit-equal to
-    /// `CostEngine::workload_benefit(w, {col})` at one preview instead of
-    /// two workload costs.
+    /// `pipa_cost::workload_benefit(cost, w, {col})` at one preview instead
+    /// of two workload costs.
     pub fn single_column_benefit(&self, col: ColumnId) -> CostResult<f64> {
         if self.base_cost <= 0.0 {
             return Ok(0.0);
@@ -188,7 +188,7 @@ impl<'a> IndexEnv<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipa_cost::{CostEngine, SimBackend};
+    use pipa_cost::{workload_benefit, SimBackend};
     use pipa_sim::Workload;
     use pipa_workload::Benchmark;
     use rand::SeedableRng;
@@ -210,12 +210,11 @@ mod tests {
         for b in [Benchmark::TpcH, Benchmark::TpcDs] {
             let (cost, w) = setup_on(b);
             let env = IndexEnv::new(&cost, &w, Vec::new(), 0).unwrap();
-            let engine = CostEngine::new(&cost);
             for c in cost.database().schema().indexable_columns() {
                 let cfg = IndexConfig::from_indexes([Index::single(c)]);
                 assert_eq!(
                     env.single_column_benefit(c).unwrap().to_bits(),
-                    engine.workload_benefit(&w, &cfg).unwrap().to_bits(),
+                    workload_benefit(&cost, &w, &cfg).unwrap().to_bits(),
                     "{} column {c:?}",
                     b.name()
                 );

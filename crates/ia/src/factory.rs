@@ -5,18 +5,18 @@
 //! counts ~5× for CI and interactive use — the attack dynamics survive
 //! (all experiment binaries accept `--quick`), only the variance grows.
 //!
-//! Since the registry migration, *the* constructor is
-//! [`crate::registry::AdvisorSpec::build`]: every kind id (built-in or
-//! user-registered) resolves through the
-//! [`crate::registry::TargetRegistry`]. [`AdvisorKind::build_with`] is a
-//! thin alias over that seam, kept so the paper-experiment call sites
-//! stay enum-typed.
+//! The one constructor is [`crate::registry::AdvisorSpec::build`] (or
+//! `build_with` and a [`BuildCtx`]): every kind id, built-in or
+//! user-registered, resolves through the target registry.
 
-use crate::advisor::{AdvisorKind, ClearBoxAdvisor};
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)
+)]
+
 use crate::bandit::BanditConfig;
 use crate::dqn::DqnConfig;
 use crate::drlindex::DrlIndexConfig;
-use crate::registry::AdvisorSpec;
 use crate::swirl::SwirlConfig;
 
 /// How much compute to spend on training/trials.
@@ -83,14 +83,14 @@ impl SpeedPreset {
     }
 }
 
-/// Typed construction context for [`AdvisorKind::build_with`] and
-/// [`AdvisorSpec::build_with`].
+/// Typed construction context for
+/// [`crate::registry::AdvisorSpec::build_with`].
 ///
 /// Replaces the positional `(preset, seed)` pair — which silently
 /// transposed when both arguments were integers-in-spirit — with named
 /// fields, mirroring the `StressTest` builder migration. The trajectory
-/// mode is the spec's ([`AdvisorSpec::mode`]). The context is `Copy`, so
-/// one value can seed a whole tenant fleet.
+/// mode is the spec's ([`crate::registry::AdvisorSpec::mode`]). The
+/// context is `Copy`, so one value can seed a whole tenant fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuildCtx {
     /// Training/trial compute preset.
@@ -106,44 +106,20 @@ impl BuildCtx {
     }
 }
 
-impl AdvisorKind {
-    /// Construct this built-in advisor variant by routing the kind
-    /// through the target registry (the enum is an alias layer: this is
-    /// exactly `AdvisorSpec::from(self).build_with(ctx)`). Every advisor
-    /// comes wrapped in the [`crate::instrument::Instrumented`]
-    /// observability decorator (transparent when nothing records).
-    pub fn build_with(self, ctx: BuildCtx) -> Box<dyn ClearBoxAdvisor> {
-        AdvisorSpec::from(self)
-            .build_with(ctx)
-            .expect("built-in advisor kinds are always registered")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::advisor::{IndexAdvisor, TrajectoryMode};
+    use crate::registry::AdvisorSpec;
 
     #[test]
     fn every_kind_constructs() {
-        for kind in AdvisorKind::all() {
-            let ia = kind.build_with(BuildCtx::new(SpeedPreset::Test, 1));
-            assert_eq!(ia.name(), kind.label());
-            assert_eq!(ia.budget(), 4);
-        }
-    }
-
-    #[test]
-    fn kind_build_with_is_the_registry_route() {
-        for kind in AdvisorKind::all() {
-            let ia = kind.build_with(BuildCtx::new(SpeedPreset::Test, 1));
-            let via_spec = AdvisorSpec::from(kind)
-                .preset(SpeedPreset::Test)
-                .seeded(1)
-                .build()
+        for spec in AdvisorSpec::paper_variants() {
+            let ia = spec
+                .build_with(BuildCtx::new(SpeedPreset::Test, 1))
                 .unwrap();
-            assert_eq!(ia.name(), via_spec.name());
-            assert_eq!(ia.budget(), via_spec.budget());
+            assert_eq!(ia.name(), spec.label());
+            assert_eq!(ia.budget(), 4);
         }
     }
 
@@ -152,7 +128,9 @@ mod tests {
         // `Box<dyn ClearBoxAdvisor>` does not unsize to `Box<dyn
         // IndexAdvisor>`, but the blanket impl makes the box itself an
         // opaque-box advisor with the same surface.
-        let clear = AdvisorKind::Swirl.build_with(BuildCtx::new(SpeedPreset::Test, 1));
+        let clear = AdvisorSpec::new("swirl")
+            .build_with(BuildCtx::new(SpeedPreset::Test, 1))
+            .unwrap();
         let name = clear.name();
         let budget = clear.budget();
         let ia: Box<dyn IndexAdvisor> = Box::new(clear);
@@ -164,13 +142,13 @@ mod tests {
     #[test]
     fn spec_mode_rewrites_the_trajectory_mode() {
         let ctx = BuildCtx::new(SpeedPreset::Test, 1);
-        let ia = AdvisorSpec::from(AdvisorKind::DbaBandit(TrajectoryMode::Best))
+        let ia = AdvisorSpec::new("dbabandit")
             .mode(TrajectoryMode::MeanLast(10))
             .build_with(ctx)
             .unwrap();
         assert_eq!(ia.name(), "DBAbandit-m");
         // SWIRL has no trajectory mode; the setting is ignored.
-        let swirl = AdvisorSpec::from(AdvisorKind::Swirl)
+        let swirl = AdvisorSpec::new("swirl")
             .mode(TrajectoryMode::MeanLast(10))
             .build_with(ctx)
             .unwrap();
@@ -179,9 +157,11 @@ mod tests {
 
     #[test]
     fn trial_basedness_matches_paper() {
-        for kind in AdvisorKind::all() {
-            let ia = kind.build_with(BuildCtx::new(SpeedPreset::Test, 1));
-            let expect = kind != AdvisorKind::Swirl;
+        for spec in AdvisorSpec::paper_variants() {
+            let ia = spec
+                .build_with(BuildCtx::new(SpeedPreset::Test, 1))
+                .unwrap();
+            let expect = spec.kind != "swirl";
             assert_eq!(ia.is_trial_based(), expect, "{}", ia.name());
         }
     }

@@ -160,7 +160,7 @@ impl IndexAdvisor for DropHeuristic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipa_cost::{CostEngine, SimBackend};
+    use pipa_cost::{workload_benefit, SimBackend};
     use pipa_workload::Benchmark;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -181,7 +181,7 @@ mod tests {
         let mut ia = AutoAdminGreedy::new(4);
         let cfg = ia.recommend(&cost, &w).unwrap();
         assert!(cfg.len() <= 4 && !cfg.is_empty());
-        assert!(CostEngine::new(&cost).workload_benefit(&w, &cfg).unwrap() > 0.1);
+        assert!(workload_benefit(&cost, &w, &cfg).unwrap() > 0.1);
     }
 
     #[test]
@@ -202,7 +202,7 @@ mod tests {
         let mut ia = DropHeuristic::new(4);
         let cfg = ia.recommend(&cost, &w).unwrap();
         assert!(cfg.len() <= 4);
-        assert!(CostEngine::new(&cost).workload_benefit(&w, &cfg).unwrap() > 0.0);
+        assert!(workload_benefit(&cost, &w, &cfg).unwrap() > 0.0);
     }
 
     #[test]
@@ -246,9 +246,8 @@ mod tests {
         let (cost, w) = setup();
         let g = AutoAdminGreedy::new(4).recommend(&cost, &w).unwrap();
         let d = DropHeuristic::new(4).recommend(&cost, &w).unwrap();
-        let engine = CostEngine::new(&cost);
-        let bg = engine.workload_benefit(&w, &g).unwrap();
-        let bd = engine.workload_benefit(&w, &d).unwrap();
+        let bg = workload_benefit(&cost, &w, &g).unwrap();
+        let bd = workload_benefit(&cost, &w, &d).unwrap();
         assert!(bg >= bd - 0.05, "greedy {bg} drop {bd}");
     }
 

@@ -4,9 +4,15 @@
 //! without the advisor knowing: wall-clock spans for train / retrain /
 //! recommend on the metrics channel, and the per-trajectory reward trace
 //! (a pure function of the advisor's seed, hence safe for the
-//! deterministic trace channel) after every train/retrain. The factory
-//! applies it to every advisor it builds, so all four learned advisors —
-//! and any heuristic — get identical telemetry for free.
+//! deterministic trace channel) after every train/retrain. Every
+//! built-in registry entry applies it to the advisor it builds, so all
+//! four learned advisors — and any heuristic — get identical telemetry
+//! for free.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)
+)]
 
 use crate::advisor::{ClearBoxAdvisor, IndexAdvisor};
 use pipa_cost::{CostBackend, CostResult};
@@ -40,11 +46,10 @@ impl<A: IndexAdvisor> Instrumented<A> {
             return;
         }
         let trace = self.inner.reward_trace();
-        if trace.is_empty() {
+        let Some(&last) = trace.last() else {
             return;
-        }
+        };
         let mean = trace.iter().sum::<f64>() / trace.len() as f64;
-        let last = *trace.last().expect("nonempty");
         pipa_obs::emit(
             Event::new("reward_trace")
                 .field("op", op)
@@ -111,9 +116,9 @@ impl<A: ClearBoxAdvisor> ClearBoxAdvisor for Instrumented<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::advisor::{AdvisorKind, TrajectoryMode};
     use crate::factory::{BuildCtx, SpeedPreset};
     use crate::heuristic::AutoAdminGreedy;
+    use crate::registry::AdvisorSpec;
     use pipa_cost::SimBackend;
     use pipa_obs::{record_cell, CellCtx};
     use pipa_workload::Benchmark;
@@ -175,8 +180,9 @@ mod tests {
     fn learned_advisor_reward_trace_reaches_the_trace_channel() {
         let (cost, w) = setup();
         let ((), trace) = record_cell(true, CellCtx::new(2), || {
-            let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-                .build_with(BuildCtx::new(SpeedPreset::Test, 7));
+            let mut ia = AdvisorSpec::new("dbabandit")
+                .build_with(BuildCtx::new(SpeedPreset::Test, 7))
+                .unwrap();
             ia.train(&cost, &w).unwrap();
         });
         let reward_lines: Vec<&String> = trace

@@ -24,12 +24,12 @@
 //! only the four things it does differently: its workload features, its
 //! step reward, its ε per phase and its target net.
 //!
-//! Construction goes through the open **target registry**
-//! ([`registry::AdvisorSpec`] → [`registry::TargetRegistry`]): built-in
-//! kinds are pre-registered, and new target classes slot in with one
-//! [`registry::register_target`] call — no enum edits anywhere.
-//! [`AdvisorKind::build_with`] remains as a thin alias over that seam
-//! for the paper's seven advisor variants.
+//! An advisor is named by one [`registry::AdvisorSpec`] and built by
+//! [`registry::AdvisorSpec::build`], which resolves its kind id through
+//! the open **target registry**: built-in kinds are pre-registered, and
+//! new target classes slot in with one [`registry::register_target`]
+//! call. [`registry::AdvisorSpec::paper_variants`] lists the paper's
+//! seven advisor variants.
 
 #![warn(missing_docs)]
 
@@ -47,7 +47,7 @@ mod qlearn;
 pub mod registry;
 pub mod swirl;
 
-pub use advisor::{AdvisorKind, ClearBoxAdvisor, IndexAdvisor, TrajectoryMode};
+pub use advisor::{ClearBoxAdvisor, IndexAdvisor, TrajectoryMode};
 pub use bandit::{BanditAdvisor, BanditConfig};
 pub use dqn::{DqnAdvisor, DqnConfig};
 pub use drlindex::{DrlIndexAdvisor, DrlIndexConfig};
@@ -56,7 +56,5 @@ pub use factory::{BuildCtx, SpeedPreset};
 pub use heuristic::{AutoAdminGreedy, DropHeuristic};
 pub use incontext::{InContextAdvisor, InContextConfig};
 pub use instrument::Instrumented;
-pub use registry::{
-    register_target, registered_ids, AdvisorSpec, TargetEntry, TargetRegistry, UnknownTarget,
-};
+pub use registry::{register_target, registered_ids, AdvisorSpec, UnknownTarget};
 pub use swirl::{SwirlAdvisor, SwirlConfig};

@@ -1,7 +1,7 @@
-//! The open target-construction seam: [`AdvisorSpec`] resolved through a
-//! process-wide [`TargetRegistry`].
+//! The open target-construction seam: an [`AdvisorSpec`] resolved
+//! through a process-wide registry of constructors.
 //!
-//! PR 5 opened the *cost* side of the harness: every consumer speaks
+//! The *cost* side of the harness is open: every consumer speaks
 //! `&dyn CostBackend`, so a new backend slots in without touching the
 //! advisors. This module does the same for the *target* side. A
 //! poisoning target is named by a kind id string inside a serializable
@@ -11,17 +11,23 @@
 //!
 //! The paper's built-in advisors are pre-registered under the ids
 //! `"dqn"`, `"drlindex"`, `"dbabandit"`, `"swirl"`, plus the
-//! retraining-free `"incontext"` advisor; [`AdvisorKind`] survives as a
-//! thin alias layer whose [`AdvisorKind::build_with`] routes through the
-//! same registry (so existing labels and tests are unchanged).
+//! retraining-free `"incontext"` advisor. A built-in's label is the
+//! built advisor's own [`IndexAdvisor::name`], so each name is spelled
+//! once; [`AdvisorSpec::paper_variants`] lists the seven variants the
+//! paper's main experiment sweeps.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)
+)]
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use serde::{Serialize, Value};
 
-use crate::advisor::{AdvisorKind, ClearBoxAdvisor, TrajectoryMode};
+use crate::advisor::{ClearBoxAdvisor, IndexAdvisor, TrajectoryMode};
 use crate::bandit::BanditAdvisor;
 use crate::dqn::DqnAdvisor;
 use crate::drlindex::DrlIndexAdvisor;
@@ -33,10 +39,9 @@ use crate::swirl::SwirlAdvisor;
 /// A serializable description of one poisoning target: which registered
 /// kind to construct, plus the [`BuildCtx`] fields the constructor needs.
 ///
-/// This is the open replacement for passing [`AdvisorKind`] values
-/// around: grids, streams, and tenant specs carry an `AdvisorSpec`, and
-/// any kind id that has a registry entry — built-in or user-registered —
-/// resolves the same way.
+/// Grids, streams, and tenant specs carry an `AdvisorSpec`, and any kind
+/// id that has a registry entry — built-in or user-registered — resolves
+/// the same way.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdvisorSpec {
     /// Registry kind id (e.g. `"dqn"`, `"incontext"`, or a custom id).
@@ -62,6 +67,30 @@ impl AdvisorSpec {
         }
     }
 
+    /// The seven built-in variants the paper's main experiment sweeps
+    /// (§6.1), in its table order: the `-b`/`-m` trajectory modes of
+    /// DQN, DRLindex and DBABandit, plus SWIRL. This is a slice of the
+    /// paper grid, *not* the universe of targets: the registry
+    /// ([`registered_ids`]) is open.
+    pub fn paper_variants() -> Vec<AdvisorSpec> {
+        use TrajectoryMode::{Best, MeanLast};
+        [
+            ("dqn", Some(Best)),
+            ("dqn", Some(MeanLast(100))),
+            ("drlindex", Some(Best)),
+            ("drlindex", Some(MeanLast(100))),
+            ("dbabandit", Some(Best)),
+            ("dbabandit", Some(MeanLast(10))),
+            ("swirl", None),
+        ]
+        .into_iter()
+        .map(|(kind, mode)| AdvisorSpec {
+            mode,
+            ..AdvisorSpec::new(kind)
+        })
+        .collect()
+    }
+
     /// Builder-style preset override.
     pub fn preset(mut self, preset: SpeedPreset) -> Self {
         self.preset = preset;
@@ -80,9 +109,10 @@ impl AdvisorSpec {
         self
     }
 
-    /// Display label, resolved through the registry entry (falls back to
-    /// the raw kind id when the kind is not registered, so specs stay
-    /// printable in error paths).
+    /// Display label, resolved through the registry entry: for a
+    /// built-in kind, the name of the (untrained) advisor it builds.
+    /// Falls back to the raw kind id when the kind is not registered, so
+    /// specs stay printable in error paths.
     pub fn label(&self) -> String {
         match lookup(&self.kind) {
             Some(entry) => (entry.label)(self),
@@ -109,20 +139,6 @@ impl AdvisorSpec {
         resolved.preset = ctx.preset;
         resolved.seed = ctx.seed;
         resolved.build()
-    }
-}
-
-impl From<AdvisorKind> for AdvisorSpec {
-    fn from(kind: AdvisorKind) -> Self {
-        let (id, mode) = match kind {
-            AdvisorKind::Dqn(m) => ("dqn", Some(m)),
-            AdvisorKind::DrlIndex(m) => ("drlindex", Some(m)),
-            AdvisorKind::DbaBandit(m) => ("dbabandit", Some(m)),
-            AdvisorKind::Swirl => ("swirl", None),
-        };
-        let mut spec = AdvisorSpec::new(id);
-        spec.mode = mode;
-        spec
     }
 }
 
@@ -181,77 +197,23 @@ impl From<UnknownTarget> for pipa_cost::CostError {
 type LabelFn = Arc<dyn Fn(&AdvisorSpec) -> String + Send + Sync>;
 type BuildFn = Arc<dyn Fn(&AdvisorSpec) -> Box<dyn ClearBoxAdvisor> + Send + Sync>;
 
-/// One constructor entry in the [`TargetRegistry`]: how to label and how
-/// to build the advisors of one kind id.
+/// How to label and how to build the advisors of one kind id.
 #[derive(Clone)]
-pub struct TargetEntry {
+struct Entry {
     label: LabelFn,
     build: BuildFn,
 }
 
-impl TargetEntry {
-    /// Entry from a label function and a build function.
-    pub fn new(
-        label: impl Fn(&AdvisorSpec) -> String + Send + Sync + 'static,
-        build: impl Fn(&AdvisorSpec) -> Box<dyn ClearBoxAdvisor> + Send + Sync + 'static,
-    ) -> Self {
-        TargetEntry {
-            label: Arc::new(label),
-            build: Arc::new(build),
-        }
-    }
-}
-
-impl fmt::Debug for TargetEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("TargetEntry { .. }")
-    }
-}
-
-/// The process-wide kind-id → constructor map.
+/// The process-wide kind-id → constructor map, with the built-in kinds
+/// pre-registered. `BTreeMap` so [`registered_ids`] enumerates in one
+/// stable order regardless of registration order.
 ///
-/// `BTreeMap` so [`registered_ids`] (and therefore every label/lint
-/// derived from it) enumerates in one stable order regardless of
-/// registration order.
-pub struct TargetRegistry {
-    entries: RwLock<BTreeMap<String, TargetEntry>>,
-}
-
-impl TargetRegistry {
-    /// The global registry, with the built-in kinds pre-registered.
-    pub fn global() -> &'static TargetRegistry {
-        static REGISTRY: OnceLock<TargetRegistry> = OnceLock::new();
-        REGISTRY.get_or_init(|| TargetRegistry {
-            entries: RwLock::new(builtins()),
-        })
-    }
-
-    /// Register (or replace) the entry for `id`.
-    pub fn register(&self, id: impl Into<String>, entry: TargetEntry) {
-        self.entries
-            .write()
-            .expect("target registry lock")
-            .insert(id.into(), entry);
-    }
-
-    /// Resolve an entry by kind id.
-    pub fn get(&self, id: &str) -> Option<TargetEntry> {
-        self.entries
-            .read()
-            .expect("target registry lock")
-            .get(id)
-            .cloned()
-    }
-
-    /// All registered kind ids, sorted.
-    pub fn ids(&self) -> Vec<String> {
-        self.entries
-            .read()
-            .expect("target registry lock")
-            .keys()
-            .cloned()
-            .collect()
-    }
+/// The map only ever holds whole entries (constructors run after the
+/// lock is released), so a guard poisoned by a panic elsewhere still
+/// guards a consistent map: it is recovered, not propagated.
+fn registry() -> &'static RwLock<BTreeMap<String, Entry>> {
+    static REGISTRY: OnceLock<RwLock<BTreeMap<String, Entry>>> = OnceLock::new();
+    REGISTRY.get_or_init(|| RwLock::new(builtins()))
 }
 
 /// Register (or replace) a target kind in the global registry. This is
@@ -263,89 +225,67 @@ pub fn register_target(
     label: impl Fn(&AdvisorSpec) -> String + Send + Sync + 'static,
     build: impl Fn(&AdvisorSpec) -> Box<dyn ClearBoxAdvisor> + Send + Sync + 'static,
 ) {
-    TargetRegistry::global().register(id, TargetEntry::new(label, build));
+    let entry = Entry {
+        label: Arc::new(label),
+        build: Arc::new(build),
+    };
+    registry()
+        .write()
+        .unwrap_or_else(PoisonError::into_inner)
+        .insert(id.into(), entry);
 }
 
 /// Sorted kind ids currently registered in the global registry.
 pub fn registered_ids() -> Vec<String> {
-    TargetRegistry::global().ids()
+    let entries = registry().read().unwrap_or_else(PoisonError::into_inner);
+    entries.keys().cloned().collect()
 }
 
-fn lookup(id: &str) -> Option<TargetEntry> {
-    TargetRegistry::global().get(id)
+fn lookup(id: &str) -> Option<Entry> {
+    let entries = registry().read().unwrap_or_else(PoisonError::into_inner);
+    entries.get(id).cloned()
 }
 
 fn mode_of(spec: &AdvisorSpec) -> TrajectoryMode {
     spec.mode.unwrap_or(TrajectoryMode::Best)
 }
 
+/// A built-in kind's entry: its label is the name of the advisor it
+/// builds.
+fn builtin(id: &str, build: fn(&AdvisorSpec) -> Box<dyn ClearBoxAdvisor>) -> (String, Entry) {
+    let entry = Entry {
+        label: Arc::new(move |spec| build(spec).name()),
+        build: Arc::new(build),
+    };
+    (id.to_string(), entry)
+}
+
 /// The built-in entries. Each `builtin("<id>", ...)` line is also the
 /// source of truth for the ci.sh registry-coverage lint, which greps
 /// these ids against the every-kind construction test fixture.
-fn builtins() -> BTreeMap<String, TargetEntry> {
-    let mut m = BTreeMap::new();
-    let mut builtin = |id: &str, entry: TargetEntry| {
-        m.insert(id.to_string(), entry);
-    };
-    builtin(
-        "dqn",
-        TargetEntry::new(
-            |spec| format!("DQN-{}", mode_of(spec).suffix()),
-            |spec| {
-                Box::new(Instrumented::new(DqnAdvisor::new(
-                    mode_of(spec),
-                    spec.preset.dqn(spec.seed),
-                )))
-            },
-        ),
-    );
-    builtin(
-        "drlindex",
-        TargetEntry::new(
-            |spec| format!("DRLindex-{}", mode_of(spec).suffix()),
-            |spec| {
-                Box::new(Instrumented::new(DrlIndexAdvisor::new(
-                    mode_of(spec),
-                    spec.preset.drl(spec.seed),
-                )))
-            },
-        ),
-    );
-    builtin(
-        "dbabandit",
-        TargetEntry::new(
-            |spec| format!("DBAbandit-{}", mode_of(spec).suffix()),
-            |spec| {
-                Box::new(Instrumented::new(BanditAdvisor::new(
-                    mode_of(spec),
-                    spec.preset.bandit(spec.seed),
-                )))
-            },
-        ),
-    );
-    builtin(
-        "swirl",
-        TargetEntry::new(
-            |_| "SWIRL".to_string(),
-            |spec| {
-                Box::new(Instrumented::new(SwirlAdvisor::new(
-                    spec.preset.swirl(spec.seed),
-                )))
-            },
-        ),
-    );
-    builtin(
-        "incontext",
-        TargetEntry::new(
-            |_| "InContext".to_string(),
-            |spec| {
-                Box::new(Instrumented::new(InContextAdvisor::new(
-                    InContextConfig::for_preset(spec.preset, spec.seed),
-                )))
-            },
-        ),
-    );
-    m
+fn builtins() -> BTreeMap<String, Entry> {
+    BTreeMap::from([
+        builtin("dqn", |spec| {
+            let advisor = DqnAdvisor::new(mode_of(spec), spec.preset.dqn(spec.seed));
+            Box::new(Instrumented::new(advisor))
+        }),
+        builtin("drlindex", |spec| {
+            let advisor = DrlIndexAdvisor::new(mode_of(spec), spec.preset.drl(spec.seed));
+            Box::new(Instrumented::new(advisor))
+        }),
+        builtin("dbabandit", |spec| {
+            let advisor = BanditAdvisor::new(mode_of(spec), spec.preset.bandit(spec.seed));
+            Box::new(Instrumented::new(advisor))
+        }),
+        builtin("swirl", |spec| {
+            let advisor = SwirlAdvisor::new(spec.preset.swirl(spec.seed));
+            Box::new(Instrumented::new(advisor))
+        }),
+        builtin("incontext", |spec| {
+            let cfg = InContextConfig::for_preset(spec.preset, spec.seed);
+            Box::new(Instrumented::new(InContextAdvisor::new(cfg)))
+        }),
+    ])
 }
 
 #[cfg(test)]
@@ -360,7 +300,10 @@ mod tests {
 
     #[test]
     fn every_registered_kind_constructs() {
-        assert_eq!(registered_ids(), EXERCISED_KINDS, "fixture out of date");
+        // Checked against the built-in table, not the global registry:
+        // other tests in this binary register kinds of their own.
+        let builtin_ids: Vec<String> = builtins().into_keys().collect();
+        assert_eq!(builtin_ids, EXERCISED_KINDS, "fixture out of date");
         for id in EXERCISED_KINDS {
             let spec = AdvisorSpec::new(*id).preset(SpeedPreset::Test).seeded(1);
             let ia = spec.build().expect("registered kind builds");
@@ -436,14 +379,6 @@ mod tests {
         let ia = spec.build().unwrap();
         assert_eq!(ia.name(), "Toy");
         assert!(registered_ids().contains(&"toy-registry-test".to_string()));
-    }
-
-    #[test]
-    fn kind_alias_round_trips_through_specs() {
-        for kind in AdvisorKind::all() {
-            let spec = AdvisorSpec::from(kind);
-            assert_eq!(spec.label(), kind.label());
-        }
     }
 
     #[test]

@@ -464,7 +464,7 @@ impl ClearBoxAdvisor for SwirlAdvisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipa_cost::{CostEngine, SimBackend};
+    use pipa_cost::{workload_benefit, SimBackend};
     use pipa_workload::Benchmark;
 
     fn setup() -> (SimBackend, Workload) {
@@ -485,7 +485,7 @@ mod tests {
         let cfg = ia.recommend(&cost, &w).unwrap();
         assert!(!cfg.is_empty() && cfg.len() <= 4);
         assert!(!ia.is_trial_based());
-        assert!(CostEngine::new(&cost).workload_benefit(&w, &cfg).unwrap() > 0.0);
+        assert!(workload_benefit(&cost, &w, &cfg).unwrap() > 0.0);
     }
 
     #[test]

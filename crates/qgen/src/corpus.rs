@@ -11,7 +11,7 @@
 use crate::fsm::QueryFsm;
 use crate::parser::parse_words;
 use crate::token::{reward_to_bucket, Kw, Vocab, Word, CLS, EOS, SEP};
-use pipa_cost::{CostBackend, CostEngine, CostResult};
+use pipa_cost::{query_benefit, CostBackend, CostResult};
 use pipa_sim::{ColumnId, Index, IndexConfig, Query};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
@@ -146,9 +146,7 @@ pub fn build_corpus<R: RngCore>(
             }
         }
         let cfg: IndexConfig = indexes.iter().map(|&c| Index::single(c)).collect();
-        let benefit = CostEngine::new(cost)
-            .query_benefit(&query, &cfg)?
-            .clamp(0.0, 1.0);
+        let benefit = query_benefit(cost, &query, &cfg)?.clamp(0.0, 1.0);
         let rb = reward_to_bucket(benefit);
         let (tokens, q_span, idx_span) = assemble_tokens(&vocab, &words, &indexes, rb);
         out.push(Sample {

@@ -131,10 +131,9 @@ impl TenantSpec {
         self
     }
 
-    /// Set the advisor — an `AdvisorKind` value or any [`AdvisorSpec`]
-    /// naming a registered kind id.
-    pub fn advisor(mut self, advisor: impl Into<AdvisorSpec>) -> Self {
-        self.advisor = advisor.into();
+    /// Set the advisor: any [`AdvisorSpec`] naming a registered kind id.
+    pub fn advisor(mut self, advisor: AdvisorSpec) -> Self {
+        self.advisor = advisor;
         self
     }
 

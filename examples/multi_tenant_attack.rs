@@ -16,7 +16,7 @@
 //! cargo run --release --example multi_tenant_attack
 //! ```
 
-use pipa::ia::{AdvisorKind, TrajectoryMode};
+use pipa::ia::AdvisorSpec;
 use pipa::obs::TraceOutputs;
 use pipa::serve::{
     BackendSpec, FleetSpec, InjectorKind, SessionReport, SessionRequest, TenantSpec,
@@ -27,23 +27,15 @@ fn main() {
     // The roster: honest tenants on their own benchmarks and advisors,
     // each serving a morning of what-if traffic plus a recommendation.
     let honest = [
-        (
-            "acme",
-            Benchmark::TpcH,
-            AdvisorKind::DbaBandit(TrajectoryMode::Best),
-        ),
-        ("globex", Benchmark::TpcDs, AdvisorKind::Swirl),
-        (
-            "initech",
-            Benchmark::TpcH,
-            AdvisorKind::Dqn(TrajectoryMode::Best),
-        ),
+        ("acme", Benchmark::TpcH, "dbabandit"),
+        ("globex", Benchmark::TpcDs, "swirl"),
+        ("initech", Benchmark::TpcH, "dqn"),
     ];
     let mut fleet = FleetSpec::new(7).workers(0);
     for (name, benchmark, advisor) in honest {
         fleet = fleet.tenant(
             TenantSpec::new(name, benchmark)
-                .advisor(advisor)
+                .advisor(AdvisorSpec::new(advisor))
                 .session(SessionRequest::WhatIf { configs: 6 })
                 .session(SessionRequest::Recommend),
         );

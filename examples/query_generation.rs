@@ -17,11 +17,10 @@ use pipa::workload::Benchmark;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use pipa::cost::CostBackend;
+use pipa::cost::{query_benefit, CostBackend};
 
 fn main() {
     let cost = pipa::cost::SimBackend::new(Benchmark::TpcH.database(1.0, None));
-    let engine = pipa::cost::CostEngine::new(&cost);
     let schema = cost.database().schema().clone();
 
     // 1. Corpus: FSM-generated queries + greedy what-if index labels +
@@ -76,7 +75,7 @@ fn main() {
                     println!(
                         "{label:7} {}\n        target-index benefit {:+.2}, advisor picks {hit}/{} targets",
                         cost.render_sql(&q).expect("render"),
-                        engine.query_benefit(&q, &cfg).expect("benefit"),
+                        query_benefit(&cost, &q, &cfg).expect("benefit"),
                         cols.len()
                     );
                 }

@@ -10,7 +10,7 @@
 
 use pipa::core::experiment::{build_db, normal_workload, run_cell, CellConfig, InjectorKind};
 use pipa::core::CellSeed;
-use pipa::ia::{AdvisorKind, SpeedPreset, TrajectoryMode};
+use pipa::ia::{AdvisorSpec, SpeedPreset, TrajectoryMode};
 use pipa::workload::Benchmark;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
     let outcome = run_cell(
         &cost,
         &normal,
-        AdvisorKind::Dqn(TrajectoryMode::Best),
+        AdvisorSpec::new("dqn").mode(TrajectoryMode::Best),
         InjectorKind::Pipa,
         &cfg,
         CellSeed::raw(11),

@@ -14,14 +14,14 @@
 use pipa::core::experiment::{build_db, normal_workload, run_cell, CellConfig, InjectorKind};
 use pipa::core::metrics::Stats;
 use pipa::core::CellSeed;
-use pipa::ia::{AdvisorKind, SpeedPreset};
+use pipa::cost::measured_workload_cost;
+use pipa::ia::{AdvisorSpec, SpeedPreset};
 use pipa::workload::Benchmark;
 
 fn main() {
     let mut cfg = CellConfig::quick(Benchmark::TpcH);
     cfg.preset = SpeedPreset::Quick;
     let cost = build_db(&cfg);
-    let engine = pipa::cost::CostEngine::new(&cost);
     let runs = 3u64;
 
     println!("Robustness audit — TPC-H, {} runs per advisor\n", runs);
@@ -32,25 +32,25 @@ fn main() {
     println!("{}", "-".repeat(68));
 
     let mut results: Vec<(String, f64, f64, f64)> = Vec::new();
-    for kind in AdvisorKind::all() {
+    for spec in AdvisorSpec::paper_variants() {
         let mut benefits = Vec::new();
         let mut ads = Vec::new();
         for run in 0..runs {
             let seed = CellSeed::derive(1000, run);
             let normal = normal_workload(&cfg, seed.get());
-            let out = run_cell(&cost, &normal, kind, InjectorKind::Pipa, &cfg, seed)
+            let out = run_cell(&cost, &normal, spec.clone(), InjectorKind::Pipa, &cfg, seed)
                 .expect("stress test against the simulator backend");
             // Clean benefit: how much the advisor's baseline config
             // improves the workload over no indexes.
-            let base = engine
-                .measured_workload_cost(&normal, &pipa::sim::IndexConfig::empty(), false)
-                .expect("workload cost");
+            let base =
+                measured_workload_cost(&cost, &normal, &pipa::sim::IndexConfig::empty(), false)
+                    .expect("workload cost");
             benefits.push(1.0 - out.baseline_cost / base);
             ads.push(out.ad);
         }
         let b = Stats::from_samples(&benefits);
         let a = Stats::from_samples(&ads);
-        results.push((kind.label(), b.mean, a.mean, a.max));
+        results.push((spec.label(), b.mean, a.mean, a.max));
     }
 
     for (name, benefit, mean_ad, worst_ad) in &results {

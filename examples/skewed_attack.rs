@@ -24,13 +24,13 @@
 use pipa::core::experiment::{build_db, CellConfig, InjectorKind};
 use pipa::core::runner::CellSeed;
 use pipa::core::traffic::poisoning_economics;
-use pipa::ia::{AdvisorKind, TrajectoryMode};
+use pipa::ia::AdvisorSpec;
 use pipa::workload::{Benchmark, Popularity};
 
 fn main() {
     let cfg = CellConfig::quick(Benchmark::TpcH);
     let cost = build_db(&cfg);
-    let advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best);
+    let advisor = AdvisorSpec::new("dbabandit");
 
     println!("one PIPA attack, priced under three traffic profiles");
     println!("(advisor: DBA bandit, quick preset, equal injection budget)\n");

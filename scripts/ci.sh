@@ -47,7 +47,7 @@ echo "== target-registry coverage lint =="
 # file: adding a builtin("<id>", ...) without extending EXERCISED_KINDS
 # fails here instead of silently shipping an untested target.
 REGISTRY=crates/ia/src/registry.rs
-BUILTIN_IDS=$(grep -A1 -E 'builtin\($' "$REGISTRY" | grep -oE '"[a-z0-9_-]+"' | tr -d '"')
+BUILTIN_IDS=$(grep -oE 'builtin\("[a-z0-9_-]+"' "$REGISTRY" | grep -oE '"[a-z0-9_-]+"' | tr -d '"')
 FIXTURE_LINE=$(grep 'EXERCISED_KINDS' "$REGISTRY" | grep '&\[')
 [ -n "$BUILTIN_IDS" ] || { echo "registry lint: no builtin(...) registrations found" >&2; exit 1; }
 for id in $BUILTIN_IDS; do
@@ -93,27 +93,28 @@ echo "== scale bench smoke =="
 # day's own unbudgeted footprint) compacts, stays within its budget and
 # returns the unbudgeted day's cost bits, that the config sweep's budget
 # compacts without changing a cost bit, the tape round trip + size
-# guard, and the hot>=cold economics ordering; smoke mode skips the
-# committed artifact.
+# guard, and that the full-size economics attack moves some template and
+# prices hot above cold; smoke mode skips the committed artifact.
 SCALE_BENCH_SMOKE=1 cargo bench -q -p pipa-bench --bench scale >/dev/null
 
 echo "== doc-link lint =="
-# Prose docs must not reference cost entry points that no longer exist:
+# Prose docs must not reference entry points that no longer exist:
 # the PR-5/PR-6 unification removed the matrix_* pair (dispatch is
 # internal to estimated_*) and JoinCoupled no longer covers plain joins;
-# the benefit matrix replaced the CLOCK cost cache and its setters.
-if grep -rnE 'matrix_query_cost|matrix_workload_cost|CostCache|set_whatif_cache_|clear_whatif_cache' \
+# the benefit matrix replaced the CLOCK cost cache and its setters;
+# AdvisorSpec is the one name for an advisor and the CostBackend trait
+# plus three free helpers the one door to a cost.
+if grep -rnE 'matrix_query_cost|matrix_workload_cost|CostCache|set_whatif_cache_|clear_whatif_cache|AdvisorKind|CostEngine' \
         README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md; then
-    echo "doc-link lint: stale cost entry-point references found above" >&2
+    echo "doc-link lint: stale entry-point references found above" >&2
     exit 1
 fi
 
 echo "== cargo doc (RUSTDOCFLAGS=-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${PKGS[@]}"
 
-echo "== rustfmt check (pipa-nn, pipa-sim, pipa-obs, pipa-ia, pipa-cost, pipa-core, pipa-workload, pipa-bench) =="
-# These crates are rustfmt-clean; keep them so. The others are not yet.
-cargo fmt -p pipa-nn -p pipa-sim -p pipa-obs -p pipa-ia -p pipa-cost -p pipa-core -p pipa-workload -p pipa-bench -- --check
+echo "== rustfmt check =="
+cargo fmt "${PKGS[@]}" -- --check
 
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --all-targets -q "${PKGS[@]}" -- -D warnings

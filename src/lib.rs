@@ -6,14 +6,17 @@
 //! * [`sim`] — the database substrate (schema, statistics, cost model,
 //!   executor, what-if interface);
 //! * [`cost`] — the object-safe [`cost::CostBackend`] seam every consumer
-//!   routes cost access through, plus record/replay backends and the
-//!   learned-index backend (a poisoning target in its own right);
+//!   routes cost access through (with three free helpers:
+//!   [`cost::workload_benefit`], [`cost::query_benefit`],
+//!   [`cost::measured_workload_cost`]), plus record/replay backends and
+//!   the learned-index backend (a poisoning target in its own right);
 //! * [`workload`] — TPC-H / TPC-DS schemas, templates, workload generation;
 //! * [`nn`] — the tiny neural-network library backing the learned advisors
 //!   and the IABART query generator;
 //! * [`ia`] — learning-based index advisors (DQN, DRLindex, DBABandit,
-//!   SWIRL, InContext) plus heuristic baselines, built through the open
-//!   target registry ([`ia::AdvisorSpec`] → [`ia::register_target`]);
+//!   SWIRL, InContext) plus heuristic baselines, each named by one
+//!   [`ia::AdvisorSpec`] and built by `AdvisorSpec::build` through the
+//!   open target registry (new kinds via [`ia::register_target`]);
 //! * [`qgen`] — query generators (FSM, templates, IABART);
 //! * [`core`] — PIPA itself: probing, injecting, AD/RD metrics, and the
 //!   stress-test harness;

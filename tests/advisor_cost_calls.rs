@@ -7,7 +7,7 @@
 
 use pipa::core::preference::oracle_preference;
 use pipa::cost::{Catalog, CostBackend, CostResult, CostSession, SimBackend};
-use pipa::ia::{AdvisorKind, BuildCtx, IndexAdvisor, SpeedPreset, TrajectoryMode};
+use pipa::ia::{AdvisorSpec, BuildCtx, IndexAdvisor, SpeedPreset};
 use pipa::sim::{ColumnId, Index, IndexConfig, Query, Workload};
 use pipa::workload::{Benchmark, WorkloadGenerator};
 use rand::SeedableRng;
@@ -143,9 +143,11 @@ fn assert_priced_once(call: &str, calls: &Calls) {
 fn dbabandit_prices_each_arm_once_per_call() {
     let (sim, gen) = tpcds();
     let cost = Counting::new(&sim);
-    let kind = AdvisorKind::DbaBandit(TrajectoryMode::Best);
+    let spec = AdvisorSpec::new("dbabandit");
     for seed in 0..3 {
-        let mut ia = kind.build_with(BuildCtx::new(SpeedPreset::Test, seed));
+        let mut ia = spec
+            .build_with(BuildCtx::new(SpeedPreset::Test, seed))
+            .unwrap();
         let (first, second) = (normal(&gen, seed), normal(&gen, seed + 100));
         ia.train(&cost, &first).expect("train");
         assert_priced_once("train", &cost.take());
@@ -164,8 +166,9 @@ fn dbabandit_recommend_without_regeneration_previews_exactly_its_arms() {
     let (sim, gen) = tpcds();
     let cost = Counting::new(&sim);
     let w = normal(&gen, 1);
-    let mut ia = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-        .build_with(BuildCtx::new(SpeedPreset::Test, 1));
+    let mut ia = AdvisorSpec::new("dbabandit")
+        .build_with(BuildCtx::new(SpeedPreset::Test, 1))
+        .unwrap();
     ia.train(&cost, &w).expect("train");
     cost.take();
     ia.recommend(&cost, &w).expect("recommend");

@@ -20,7 +20,7 @@ use pipa::core::experiment::{build_db, run_grid, CellConfig, GridSpec, InjectorK
 use pipa::core::harness::StressOutcome;
 use pipa::core::GridCell;
 use pipa::cost::{CostBackend, RecordingBackend, ReplayBackend, SimBackend, Tape};
-use pipa::ia::{AdvisorKind, AutoAdminGreedy, IndexAdvisor, SpeedPreset, TrajectoryMode};
+use pipa::ia::{AdvisorSpec, AutoAdminGreedy, IndexAdvisor, SpeedPreset};
 use pipa::sim::{
     Aggregate, ColumnId, ConfigDelta, Database, Index, IndexConfig, Predicate, QueryBuilder,
     Workload,
@@ -213,7 +213,7 @@ fn replay_grid_cfg() -> (CellConfig, GridSpec) {
     cfg.probe_epochs = 2;
     cfg.injection_size = 6;
     let spec = GridSpec {
-        advisors: vec![AdvisorKind::DbaBandit(TrajectoryMode::Best).into()],
+        advisors: vec![AdvisorSpec::new("dbabandit")],
         injectors: vec![InjectorKind::Pipa, InjectorKind::Fsm],
         runs: 1,
         root_seed: 77,

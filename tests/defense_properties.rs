@@ -13,7 +13,7 @@
 use pipa::core::experiment::{build_db, make_injector, normal_workload, CellConfig, InjectorKind};
 use pipa::core::{CanaryGuard, CellSeed, ProvenanceFilter};
 use pipa::cost::CostBackend;
-use pipa::ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
+use pipa::ia::{AdvisorSpec, BuildCtx, SpeedPreset};
 use pipa::workload::{Benchmark, WorkloadGenerator};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -41,8 +41,9 @@ fn guarded_retrain(
     let cfg = cfg();
     let cost = build_db(&cfg);
     let normal = normal_workload(&cfg, seed);
-    let mut advisor =
-        AdvisorKind::DbaBandit(TrajectoryMode::Best).build_with(BuildCtx::new(cfg.preset, seed));
+    let mut advisor = AdvisorSpec::new("dbabandit")
+        .build_with(BuildCtx::new(cfg.preset, seed))
+        .unwrap();
     advisor.train(&cost, &normal).expect("training succeeds");
     let mut inj = make_injector(injector, &cfg, CellSeed::raw(seed));
     let injection = inj

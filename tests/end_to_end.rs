@@ -6,7 +6,7 @@ use pipa::core::harness::StressTest;
 use pipa::core::injectors::TpInjector;
 use pipa::core::metrics::absolute_degradation;
 use pipa::core::CellSeed;
-use pipa::ia::{AdvisorKind, AutoAdminGreedy, BuildCtx, IndexAdvisor, SpeedPreset, TrajectoryMode};
+use pipa::ia::{AdvisorSpec, AutoAdminGreedy, BuildCtx, IndexAdvisor, SpeedPreset};
 use pipa::workload::Benchmark;
 
 fn test_cfg() -> CellConfig {
@@ -22,20 +22,21 @@ fn every_advisor_survives_the_full_pipeline() {
     let cfg = test_cfg();
     let db = build_db(&cfg);
     let normal = normal_workload(&cfg, 11);
-    for kind in AdvisorKind::all() {
+    for spec in AdvisorSpec::paper_variants() {
+        let label = spec.label();
         let out = run_cell(
             &db,
             &normal,
-            kind,
+            spec,
             InjectorKind::Pipa,
             &cfg,
             CellSeed::raw(11),
         )
         .expect("stress test against the simulator backend");
-        assert!(out.baseline_cost > 0.0, "{}", kind.label());
-        assert!(out.poisoned_cost > 0.0, "{}", kind.label());
-        assert!(!out.baseline_indexes.is_empty(), "{}", kind.label());
-        assert!(out.ad.is_finite(), "{}", kind.label());
+        assert!(out.baseline_cost > 0.0, "{label}");
+        assert!(out.poisoned_cost > 0.0, "{label}");
+        assert!(!out.baseline_indexes.is_empty(), "{label}");
+        assert!(out.ad.is_finite(), "{label}");
         // Definition 2.3 consistency.
         let expect = absolute_degradation(out.poisoned_cost, out.baseline_cost);
         assert!((out.ad - expect).abs() < 1e-12);
@@ -113,8 +114,9 @@ fn injection_workloads_are_extraneous() {
     let cfg = test_cfg();
     let db = build_db(&cfg);
     let normal = normal_workload(&cfg, 17);
-    let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-        .build_with(BuildCtx::new(SpeedPreset::Test, 17));
+    let mut advisor = AdvisorSpec::new("dbabandit")
+        .build_with(BuildCtx::new(SpeedPreset::Test, 17))
+        .unwrap();
     advisor.train(&db, &normal).expect("train");
     for kind in InjectorKind::all() {
         let mut injector = pipa::core::experiment::make_injector(kind, &cfg, CellSeed::raw(17));
@@ -138,7 +140,7 @@ fn stress_outcome_serializes_to_json() {
     let out = run_cell(
         &db,
         &normal,
-        AdvisorKind::DbaBandit(TrajectoryMode::Best),
+        AdvisorSpec::new("dbabandit"),
         InjectorKind::Fsm,
         &cfg,
         CellSeed::raw(19),
@@ -162,7 +164,7 @@ fn tpcds_pipeline_works_too() {
     let out = run_cell(
         &db,
         &normal,
-        AdvisorKind::DbaBandit(TrajectoryMode::Best),
+        AdvisorSpec::new("dbabandit"),
         InjectorKind::Pipa,
         &cfg,
         CellSeed::raw(23),
@@ -211,7 +213,7 @@ fn actual_cost_measurement_path_works() {
     let out = run_cell(
         &db,
         &normal,
-        AdvisorKind::DbaBandit(TrajectoryMode::Best),
+        AdvisorSpec::new("dbabandit"),
         InjectorKind::Fsm,
         &cfg,
         CellSeed::raw(29),

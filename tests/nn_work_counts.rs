@@ -10,7 +10,7 @@
 //! and measures each count in turn.
 
 use pipa::cost::{CostBackend, LearnedIndexBackend, LearnedIndexConfig, SimBackend};
-use pipa::ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
+use pipa::ia::{AdvisorSpec, BuildCtx, SpeedPreset};
 use pipa::nn::kernels::{reset_stats, stats};
 use pipa::nn::mlp::Activation;
 use pipa::nn::{Adam, Mlp, Optimizer, ParamStore, Tape, Tensor};
@@ -66,8 +66,9 @@ fn training_dispatches_only_products_its_result_uses() {
     let w = gen
         .normal(&mut ChaCha8Rng::seed_from_u64(1))
         .expect("normal workload");
-    let mut dqn =
-        AdvisorKind::Dqn(TrajectoryMode::Best).build_with(BuildCtx::new(SpeedPreset::Test, 1));
+    let mut dqn = AdvisorSpec::new("dqn")
+        .build_with(BuildCtx::new(SpeedPreset::Test, 1))
+        .unwrap();
     reset_stats();
     dqn.train(&sim, &w).expect("train");
     let s = stats();

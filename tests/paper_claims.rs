@@ -2,7 +2,7 @@
 //! statements from the paper's analysis that our substrate must also
 //! exhibit, since the attack's design rests on them.
 
-use pipa::cost::{CostEngine, SimBackend};
+use pipa::cost::{query_benefit, workload_benefit, SimBackend};
 use pipa::ia::IndexEnv;
 use pipa::sim::{Aggregate, Index, IndexConfig, Predicate, QueryBuilder};
 use pipa::workload::Benchmark;
@@ -16,7 +16,6 @@ use rand_chacha::ChaCha8Rng;
 #[test]
 fn multicolumn_benefit_is_driven_by_the_leading_column() {
     let cost = SimBackend::new(Benchmark::TpcH.database(1.0, None));
-    let engine = CostEngine::new(&cost);
     let schema = cost.database().schema();
     let mut rng = ChaCha8Rng::seed_from_u64(61);
     let mut close = 0usize;
@@ -39,15 +38,14 @@ fn multicolumn_benefit_is_driven_by_the_leading_column() {
                 .aggregate(Aggregate::CountStar)
                 .build(schema)
                 .unwrap();
-            let single = engine
-                .query_benefit(&q, &IndexConfig::from_indexes([Index::single(a)]))
-                .unwrap();
-            let multi = engine
-                .query_benefit(
-                    &q,
-                    &IndexConfig::from_indexes([Index::multi(schema, vec![a, b]).unwrap()]),
-                )
-                .unwrap();
+            let single =
+                query_benefit(&cost, &q, &IndexConfig::from_indexes([Index::single(a)])).unwrap();
+            let multi = query_benefit(
+                &cost,
+                &q,
+                &IndexConfig::from_indexes([Index::multi(schema, vec![a, b]).unwrap()]),
+            )
+            .unwrap();
             total += 1;
             // The multi-column index is at least as good, and the single
             // leading column captures most of its benefit.
@@ -73,7 +71,6 @@ fn multicolumn_benefit_is_driven_by_the_leading_column() {
 #[test]
 fn low_selectivity_columns_yield_no_index_reward() {
     let cost = SimBackend::new(Benchmark::TpcH.database(1.0, None));
-    let engine = CostEngine::new(&cost);
     let schema = cost.database().schema();
     for (name, agg) in [
         ("l_linestatus", "l_extendedprice"),
@@ -87,9 +84,8 @@ fn low_selectivity_columns_yield_no_index_reward() {
             .aggregate(Aggregate::Sum(payload))
             .build(schema)
             .unwrap();
-        let benefit = engine
-            .query_benefit(&q, &IndexConfig::from_indexes([Index::single(c)]))
-            .unwrap();
+        let benefit =
+            query_benefit(&cost, &q, &IndexConfig::from_indexes([Index::single(c)])).unwrap();
         assert!(
             benefit < 0.1,
             "{name} (ndv {}) should be a useless index: benefit {benefit}",
@@ -111,9 +107,7 @@ fn count_star_makes_any_index_covering() {
         .aggregate(Aggregate::CountStar)
         .build(schema)
         .unwrap();
-    let benefit = CostEngine::new(&cost)
-        .query_benefit(&q, &IndexConfig::from_indexes([Index::single(c)]))
-        .unwrap();
+    let benefit = query_benefit(&cost, &q, &IndexConfig::from_indexes([Index::single(c)])).unwrap();
     assert!(benefit > 0.2, "index-only scan should win: {benefit}");
 }
 
@@ -133,7 +127,7 @@ fn budget_curve_is_monotone_with_diminishing_returns() {
     let mut gains = Vec::new();
     for b in 1..=8 {
         let cfg = AutoAdminGreedy::new(b).recommend(&cost, &w).unwrap();
-        let benefit = CostEngine::new(&cost).workload_benefit(&w, &cfg).unwrap();
+        let benefit = workload_benefit(&cost, &w, &cfg).unwrap();
         assert!(benefit + 1e-9 >= prev, "budget {b}: {benefit} < {prev}");
         gains.push(benefit - prev);
         prev = benefit;

@@ -5,7 +5,7 @@
 use pipa::core::preference::{oracle_preference, segment, SegmentConfig};
 use pipa::core::probe::{probe, ProbeConfig};
 use pipa::cost::SimBackend;
-use pipa::ia::{AdvisorKind, BuildCtx, IndexAdvisor, SpeedPreset, TrajectoryMode};
+use pipa::ia::{AdvisorSpec, BuildCtx, IndexAdvisor, SpeedPreset};
 use pipa::qgen::StGenerator;
 use pipa::sim::Workload;
 use pipa::workload::Benchmark;
@@ -25,8 +25,9 @@ fn setup() -> (SimBackend, Workload) {
 #[test]
 fn probing_recovers_the_victims_top_preference() {
     let (db, w) = setup();
-    let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-        .build_with(BuildCtx::new(SpeedPreset::Test, 31));
+    let mut advisor = AdvisorSpec::new("dbabandit")
+        .build_with(BuildCtx::new(SpeedPreset::Test, 31))
+        .unwrap();
     advisor.train(&db, &w).expect("train");
     // What the victim actually recommends for its training workload.
     let actual = advisor.recommend(&db, &w).expect("recommend");
@@ -66,8 +67,9 @@ fn probed_ranking_correlates_with_the_oracle() {
     // Spearman-style sanity: the probed top-5 of a what-if-driven victim
     // should rank high in the oracle preference too.
     let (db, w) = setup();
-    let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-        .build_with(BuildCtx::new(SpeedPreset::Test, 37));
+    let mut advisor = AdvisorSpec::new("dbabandit")
+        .build_with(BuildCtx::new(SpeedPreset::Test, 37))
+        .unwrap();
     advisor.train(&db, &w).expect("train");
     let mut generator = StGenerator::new(37);
     let cfg = ProbeConfig {
@@ -97,8 +99,9 @@ fn probed_ranking_correlates_with_the_oracle() {
 fn more_probing_epochs_never_lose_information() {
     let (db, w) = setup();
     let run_probe = |epochs: usize| {
-        let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-            .build_with(BuildCtx::new(SpeedPreset::Test, 41));
+        let mut advisor = AdvisorSpec::new("dbabandit")
+            .build_with(BuildCtx::new(SpeedPreset::Test, 41))
+            .unwrap();
         advisor.train(&db, &w).expect("train");
         let mut generator = StGenerator::new(41);
         let cfg = ProbeConfig {
@@ -121,8 +124,9 @@ fn more_probing_epochs_never_lose_information() {
 #[test]
 fn zero_probing_epochs_yield_prior_only_ranking() {
     let (db, w) = setup();
-    let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-        .build_with(BuildCtx::new(SpeedPreset::Test, 43));
+    let mut advisor = AdvisorSpec::new("dbabandit")
+        .build_with(BuildCtx::new(SpeedPreset::Test, 43))
+        .unwrap();
     advisor.train(&db, &w).expect("train");
     let mut generator = StGenerator::new(43);
     let cfg = ProbeConfig {

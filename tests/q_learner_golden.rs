@@ -15,7 +15,7 @@
 //! moves these bits.
 
 use pipa::cost::{CostBackend, SimBackend};
-use pipa::ia::{AdvisorKind, BuildCtx, IndexAdvisor, SpeedPreset, TrajectoryMode};
+use pipa::ia::{AdvisorSpec, BuildCtx, IndexAdvisor, SpeedPreset, TrajectoryMode};
 use pipa::sim::IndexConfig;
 use pipa::workload::{Benchmark, WorkloadGenerator};
 use rand::SeedableRng;
@@ -38,7 +38,7 @@ fn names(cost: &dyn CostBackend, cfg: &IndexConfig) -> String {
 }
 
 /// The reward-trace hash and the three recommendations of one run.
-fn run(kind: AdvisorKind, bench: Benchmark) -> (u64, [String; 3]) {
+fn run(spec: &AdvisorSpec, bench: Benchmark) -> (u64, [String; 3]) {
     let cost = SimBackend::new(bench.database(1.0, None));
     let gen = WorkloadGenerator::new(bench.schema(), bench.default_templates());
     let w = gen
@@ -47,7 +47,9 @@ fn run(kind: AdvisorKind, bench: Benchmark) -> (u64, [String; 3]) {
     let w2 = gen
         .normal(&mut ChaCha8Rng::seed_from_u64(SEED + 1))
         .expect("normal workload");
-    let mut ia = kind.build_with(BuildCtx::new(SpeedPreset::Test, SEED));
+    let mut ia = spec
+        .build_with(BuildCtx::new(SpeedPreset::Test, SEED))
+        .expect("built-in kind");
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut trace = |ia: &dyn IndexAdvisor| {
         mix(&mut hash, ia.reward_trace().len() as u64);
@@ -75,11 +77,11 @@ fn run(kind: AdvisorKind, bench: Benchmark) -> (u64, [String; 3]) {
     )
 }
 
-fn check(kind: AdvisorKind, golden: [(Benchmark, u64, [&str; 3]); 2]) {
+fn check(spec: AdvisorSpec, golden: [(Benchmark, u64, [&str; 3]); 2]) {
     let moved: Vec<String> = golden
         .into_iter()
         .filter_map(|(bench, want_hash, want_names)| {
-            let (hash, got) = run(kind, bench);
+            let (hash, got) = run(&spec, bench);
             (hash != want_hash || got != want_names).then(|| {
                 format!(
                     "{}: hash {hash:#018x}, recommendations {got:?}",
@@ -91,7 +93,7 @@ fn check(kind: AdvisorKind, golden: [(Benchmark, u64, [&str; 3]); 2]) {
     assert!(
         moved.is_empty(),
         "{} outcomes moved:\n{}",
-        kind.label(),
+        spec.label(),
         moved.join("\n")
     );
 }
@@ -99,7 +101,7 @@ fn check(kind: AdvisorKind, golden: [(Benchmark, u64, [&str; 3]); 2]) {
 #[test]
 fn dqn_b_outcomes_are_golden() {
     check(
-        AdvisorKind::Dqn(TrajectoryMode::Best),
+        AdvisorSpec::new("dqn").mode(TrajectoryMode::Best),
         [
             (
                 Benchmark::TpcH,
@@ -126,7 +128,7 @@ fn dqn_b_outcomes_are_golden() {
 #[test]
 fn dqn_m_outcomes_are_golden() {
     check(
-        AdvisorKind::Dqn(TrajectoryMode::MeanLast(100)),
+        AdvisorSpec::new("dqn").mode(TrajectoryMode::MeanLast(100)),
         [
             (
                 Benchmark::TpcH,
@@ -153,7 +155,7 @@ fn dqn_m_outcomes_are_golden() {
 #[test]
 fn drlindex_b_outcomes_are_golden() {
     check(
-        AdvisorKind::DrlIndex(TrajectoryMode::Best),
+        AdvisorSpec::new("drlindex").mode(TrajectoryMode::Best),
         [
             (
                 Benchmark::TpcH,
@@ -180,7 +182,7 @@ fn drlindex_b_outcomes_are_golden() {
 #[test]
 fn drlindex_m_outcomes_are_golden() {
     check(
-        AdvisorKind::DrlIndex(TrajectoryMode::MeanLast(100)),
+        AdvisorSpec::new("drlindex").mode(TrajectoryMode::MeanLast(100)),
         [
             (
                 Benchmark::TpcH,

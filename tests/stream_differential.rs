@@ -11,7 +11,7 @@ use pipa::core::experiment::{build_db, make_injector, normal_workload, CellConfi
 use pipa::core::harness::StressTest;
 use pipa::core::stream::{run_stream, AttackerStrategy, Cadence, DefensePolicy, StreamSpec};
 use pipa::core::{derive_seed, CellSeed};
-use pipa::ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
+use pipa::ia::{AdvisorSpec, BuildCtx, SpeedPreset};
 use pipa::workload::{Benchmark, DriftSchedule};
 
 fn cfg() -> CellConfig {
@@ -46,8 +46,9 @@ fn static_outcome(
 ) -> pipa::core::StressOutcome {
     let normal = normal_workload(cfg, cell_seed.get());
     let attack_seed = CellSeed::raw(derive_seed(cell_seed.get(), 1));
-    let mut advisor = AdvisorKind::DbaBandit(TrajectoryMode::Best)
-        .build_with(BuildCtx::new(cfg.preset, cell_seed.get()));
+    let mut advisor = AdvisorSpec::new("dbabandit")
+        .build_with(BuildCtx::new(cfg.preset, cell_seed.get()))
+        .unwrap();
     let mut inj = make_injector(injector, cfg, attack_seed);
     StressTest::new(cost, &normal)
         .injection_size(cfg.injection_size)
@@ -64,14 +65,8 @@ fn no_drift_end_only_stream_is_bit_identical_to_the_static_pipeline() {
         let cell_seed = CellSeed::derive(root, 0);
         let cost = build_db(&cfg);
         let spec = static_equivalent_spec(injector, cfg.injection_size);
-        let stream = run_stream(
-            &cost,
-            &cfg,
-            AdvisorKind::DbaBandit(TrajectoryMode::Best),
-            &spec,
-            cell_seed,
-        )
-        .expect("stream runs");
+        let stream = run_stream(&cost, &cfg, AdvisorSpec::new("dbabandit"), &spec, cell_seed)
+            .expect("stream runs");
         let projected = stream
             .as_stress_outcome()
             .expect("attacked stream projects");
@@ -104,14 +99,7 @@ fn the_differential_cell_reports_the_static_call_shape() {
     let cost = build_db(&cfg);
     let cell_seed = CellSeed::derive(77, 0);
     let spec = static_equivalent_spec(InjectorKind::Pipa, cfg.injection_size);
-    let stream = run_stream(
-        &cost,
-        &cfg,
-        AdvisorKind::DbaBandit(TrajectoryMode::Best),
-        &spec,
-        cell_seed,
-    )
-    .unwrap();
+    let stream = run_stream(&cost, &cfg, AdvisorSpec::new("dbabandit"), &spec, cell_seed).unwrap();
     assert_eq!(stream.windows.len(), 1);
     assert_eq!(stream.retrains, 1);
     assert_eq!(stream.rollbacks, 0);
@@ -147,7 +135,7 @@ fn drift_and_cadence_actually_generalize() {
     let stream = run_stream(
         &cost,
         &cfg,
-        AdvisorKind::DbaBandit(TrajectoryMode::Best),
+        AdvisorSpec::new("dbabandit"),
         &spec,
         CellSeed::derive(77, 0),
     )

@@ -14,12 +14,14 @@ use pipa::core::{poisoning_economics, CellSeed, StressTest};
 use pipa::cost::{
     Catalog, CostBackend, CostResult, CostSession, LearnedIndexBackend, LearnedIndexConfig,
 };
-use pipa::ia::{AdvisorKind, BuildCtx, SpeedPreset, TrajectoryMode};
+use pipa::ia::{AdvisorSpec, BuildCtx, SpeedPreset};
 use pipa::sim::{Index, IndexConfig, Query, Workload};
 use pipa::workload::{Benchmark, DriftSchedule, WorkloadGenerator};
 use std::sync::Mutex;
 
-const VICTIM: AdvisorKind = AdvisorKind::DbaBandit(TrajectoryMode::Best);
+fn victim() -> AdvisorSpec {
+    AdvisorSpec::new("dbabandit")
+}
 
 fn cfg() -> CellConfig {
     let mut cfg = CellConfig::quick(Benchmark::TpcH);
@@ -37,7 +39,9 @@ fn learned_backend(cfg: &CellConfig) -> LearnedIndexBackend {
 fn stress_refits(cfg: &CellConfig, seed: CellSeed, defense: DefensePolicy) -> Vec<u32> {
     let cost = learned_backend(cfg);
     let normal = normal_workload(cfg, seed.get());
-    let mut advisor = VICTIM.build_with(BuildCtx::new(cfg.preset, seed.get()));
+    let mut advisor = victim()
+        .build_with(BuildCtx::new(cfg.preset, seed.get()))
+        .unwrap();
     let mut injector = make_injector(InjectorKind::Pipa, cfg, seed);
     StressTest::new(&cost, &normal)
         .injection_size(cfg.injection_size)
@@ -63,7 +67,7 @@ fn every_pipeline_refits_the_learned_index_like_the_plain_stress_test() {
     assert_eq!(canary, plain, "canary-defended stress test");
 
     let cost = learned_backend(&cfg);
-    poisoning_economics(&cost, &cfg, VICTIM, InjectorKind::Pipa, 1.1, seed)
+    poisoning_economics(&cost, &cfg, victim(), InjectorKind::Pipa, 1.1, seed)
         .expect("economics on the learned index");
     assert_eq!(cost.refit_counts(), plain, "poisoning_economics");
 }
@@ -146,7 +150,7 @@ fn the_stream_observes_the_victims_training_sets_never_the_twins() {
         defense: DefensePolicy::None,
     };
     let seed = CellSeed::raw(31);
-    let out = run_stream(&cost, &cfg, VICTIM, &spec, seed).expect("stream runs");
+    let out = run_stream(&cost, &cfg, victim(), &spec, seed).expect("stream runs");
     let seen = cost.seen.into_inner().unwrap();
     assert_eq!(out.retrains, 3);
     assert_eq!(seen.len(), 1 + 3, "bootstrap plus one set per retrain");
