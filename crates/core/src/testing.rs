@@ -97,18 +97,6 @@ impl CostBackend for BadCosts<'_> {
         let good = self.inner.executed_workload_cost(w, cfg)?;
         Ok(self.answer(Seam::Executed, good))
     }
-    fn hypo_create(&self, idx: &Index) -> CostResult<()> {
-        self.inner.hypo_create(idx)
-    }
-    fn hypo_drop(&self, idx: &Index) -> CostResult<()> {
-        self.inner.hypo_drop(idx)
-    }
-    fn hypo_clear(&self) -> CostResult<()> {
-        self.inner.hypo_clear()
-    }
-    fn hypo_config(&self) -> CostResult<IndexConfig> {
-        self.inner.hypo_config()
-    }
 }
 
 /// Asserts `got` is [`BadCosts`]' `NonFinite` error for `bad`.

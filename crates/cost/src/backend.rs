@@ -32,8 +32,10 @@ impl<T: Any + Send + Clone> SessionState for T {
 ///
 /// The handle is opaque: consumers store it (advisors keep one per
 /// episode), clone it (episodes are `Clone`), and hand it back to the
-/// backend that created it. Handing it to a different backend yields
-/// [`CostError::SessionMismatch`], not a panic.
+/// backend that created it. A default session is only a configuration,
+/// so every backend that keeps the default session methods answers it
+/// correctly; [`crate::SimBackend`]'s sessions are its own. Any other
+/// pairing yields [`CostError::SessionMismatch`], not a panic.
 pub struct CostSession(Box<dyn SessionState>);
 
 impl CostSession {
@@ -65,17 +67,47 @@ impl std::fmt::Debug for CostSession {
     }
 }
 
+/// The state of a default session: the committed configuration. Every
+/// call re-costs it through [`CostBackend::workload_cost`].
+#[derive(Clone)]
+struct ConfigSession {
+    cfg: IndexConfig,
+}
+
+/// The frequency-weighted sum, in workload order, of per-query costs,
+/// folded from `-0.0` like the simulator's `Iterator::sum`.
+pub(crate) fn weighted_sum(
+    w: &Workload,
+    mut query_cost: impl FnMut(&Query) -> CostResult<f64>,
+) -> CostResult<f64> {
+    w.iter()
+        .map(|wq| Ok(wq.frequency as f64 * query_cost(&wq.query)?))
+        .sum()
+}
+
+fn session_mismatch(backend: &'static str) -> CostError {
+    CostError::SessionMismatch { backend }
+}
+
+fn unsupported<T>(backend: &'static str, op: &'static str) -> CostResult<T> {
+    Err(CostError::Unsupported { backend, op })
+}
+
 /// The cost oracle every PIPA component consumes: `c(q, d, I)` /
-/// `c(W, d, I)` with batched, delta, and session-based evaluation, a
-/// hypothetical-index lifecycle, and executed (actual) costs where the
-/// backend has data.
+/// `c(W, d, I)` with batched, delta, and session-based evaluation, and
+/// executed (actual) costs where the backend has data.
 ///
 /// The trait is **object-safe** — consumers hold `&dyn CostBackend` — and
 /// total: every method returns [`CostResult`] instead of panicking.
 /// Method names are deliberately distinct from the concrete
-/// `pipa_sim::Database` entry points (`estimated_*`, `what_if_*`,
-/// `whatif_eval_*`, `actual_*`) so the CI boundary lint can forbid direct
-/// simulator calls in consumer crates by name.
+/// `pipa_sim::Database` entry points (`estimated_*`, `whatif_eval_*`,
+/// `actual_*`) so the CI boundary lint can forbid direct simulator calls
+/// in consumer crates by name.
+///
+/// A backend supplies [`name`](Self::name), [`catalog`](Self::catalog)
+/// and [`query_cost`](Self::query_cost); every other method has a
+/// default built on those, overridden only where a backend answers
+/// differently.
 ///
 /// # Contract
 ///
@@ -92,10 +124,14 @@ impl std::fmt::Debug for CostSession {
 /// [`crate::RecordingBackend`] / [`crate::ReplayBackend`]); it is pinned
 /// by `tests/cost_backend_differential.rs`.
 ///
+/// **Sum convention.** Every composite sum, estimated or executed,
+/// folds its terms like `Iterator::sum`: left to right from `-0.0`, so
+/// an empty workload costs `-0.0` on every backend.
+///
 /// **Session lifecycle.** [`session_begin`](Self::session_begin) starts
 /// a session at the **empty configuration**; the returned
 /// [`CostSession`] is an opaque value the consumer stores and hands
-/// back to the *same* backend.
+/// back to the backend that created it.
 /// [`session_preview_add`](Self::session_preview_add) costs
 /// `session config + idx` without mutating the session;
 /// [`session_add`](Self::session_add) commits it.
@@ -104,19 +140,24 @@ impl std::fmt::Debug for CostSession {
 /// paths re-cost only what `idx` touches) or recompute from it, but
 /// they never diff it. Sessions are `Clone`: cloning forks the
 /// configuration state, and both forks remain valid against the
-/// creating backend.
+/// creating backend. The default session holds only the committed
+/// configuration and re-costs it through `workload_cost`, so every
+/// backend that keeps the defaults answers it. [`crate::SimBackend`]
+/// overrides the four methods: its sessions carry per-query matrix
+/// state and are private to the backend that created them.
 ///
 /// **Error semantics.** Every method is total: failures surface as
 /// [`CostError`] values, never panics. Handing a session to a backend
-/// that did not create it yields [`CostError::SessionMismatch`]. A
-/// replay tape with no entry for a requested `(query, config)` pair
-/// yields [`CostError::ReplayMiss`] — carrying both fingerprints and a
-/// rendered description of the pair — never a fabricated cost.
-/// Operations a backend cannot perform yield [`CostError::Unsupported`]
-/// (e.g. `explain` on a tape) rather than a silent approximation;
-/// the only sanctioned fallback is `executed_*` degrading to the
-/// estimate when [`supports_execution`](Self::supports_execution) is
-/// false, mirroring `Database::actual_query_cost`.
+/// that cannot answer it (see above) yields
+/// [`CostError::SessionMismatch`]. A replay tape with no entry for a
+/// requested `(query, config)` pair yields [`CostError::ReplayMiss`] —
+/// carrying both fingerprints and a rendered description of the pair —
+/// never a fabricated cost. Operations a backend cannot perform yield
+/// [`CostError::Unsupported`] (e.g. `explain` on a tape) rather than a
+/// silent approximation; the only sanctioned fallback is `executed_*`
+/// degrading to the estimate when
+/// [`supports_execution`](Self::supports_execution) is false, mirroring
+/// `Database::actual_query_cost`.
 pub trait CostBackend: Send + Sync {
     /// Short stable name (used in errors, traces, and result artifacts).
     fn name(&self) -> &'static str;
@@ -130,8 +171,11 @@ pub trait CostBackend: Send + Sync {
     /// index configuration.
     fn query_cost(&self, q: &Query, cfg: &IndexConfig) -> CostResult<f64>;
 
-    /// `c(W, d, I)`: frequency-weighted workload cost.
-    fn workload_cost(&self, w: &Workload, cfg: &IndexConfig) -> CostResult<f64>;
+    /// `c(W, d, I)`: the frequency-weighted sum, in workload order, of
+    /// [`query_cost`](Self::query_cost) terms.
+    fn workload_cost(&self, w: &Workload, cfg: &IndexConfig) -> CostResult<f64> {
+        weighted_sum(w, |q| self.query_cost(q, cfg))
+    }
 
     /// Workload costs for a batch of configurations (the probing stage's
     /// bulk what-if call). Backends with shared per-query state answer
@@ -156,10 +200,19 @@ pub trait CostBackend: Send + Sync {
 
     /// Start an incremental evaluation session for `w` at the empty
     /// configuration.
-    fn session_begin(&self, w: &Workload) -> CostResult<CostSession>;
+    fn session_begin(&self, _w: &Workload) -> CostResult<CostSession> {
+        Ok(CostSession::new(ConfigSession {
+            cfg: IndexConfig::empty(),
+        }))
+    }
 
     /// Current total workload cost of a session.
-    fn session_total(&self, w: &Workload, session: &CostSession) -> CostResult<f64>;
+    fn session_total(&self, w: &Workload, session: &CostSession) -> CostResult<f64> {
+        let s: &ConfigSession = session
+            .downcast_ref()
+            .ok_or_else(|| session_mismatch(self.name()))?;
+        self.workload_cost(w, &s.cfg)
+    }
 
     /// Total workload cost of `session config + idx` without committing.
     /// `cfg_after` must be the session's configuration with `idx` added.
@@ -168,8 +221,13 @@ pub trait CostBackend: Send + Sync {
         w: &Workload,
         session: &CostSession,
         cfg_after: &IndexConfig,
-        idx: &Index,
-    ) -> CostResult<f64>;
+        _idx: &Index,
+    ) -> CostResult<f64> {
+        session
+            .downcast_ref::<ConfigSession>()
+            .ok_or_else(|| session_mismatch(self.name()))?;
+        self.workload_cost(w, cfg_after)
+    }
 
     /// Commit `idx` into the session's configuration and return the new
     /// total. `cfg_after` must be the session's configuration with `idx`
@@ -179,8 +237,14 @@ pub trait CostBackend: Send + Sync {
         w: &Workload,
         session: &mut CostSession,
         cfg_after: &IndexConfig,
-        idx: &Index,
-    ) -> CostResult<f64>;
+        _idx: &Index,
+    ) -> CostResult<f64> {
+        let s: &mut ConfigSession = session
+            .downcast_mut()
+            .ok_or_else(|| session_mismatch(self.name()))?;
+        s.cfg = cfg_after.clone();
+        self.workload_cost(w, cfg_after)
+    }
 
     /// Whether this backend can produce executed (actual) costs that are
     /// independent of its estimates.
@@ -208,38 +272,44 @@ pub trait CostBackend: Send + Sync {
     /// EXPLAIN-style access-path summary, where the backend has a plan
     /// model to describe.
     fn explain(&self, _q: &Query, _cfg: &IndexConfig) -> CostResult<String> {
-        Err(CostError::Unsupported {
-            backend: self.name(),
-            op: "explain",
-        })
+        unsupported(self.name(), "explain")
     }
 
-    // ---- Hypothetical-index lifecycle --------------------------------
+    // ---- Hypothetical-index set: `Unsupported` placeholders ----------
     //
-    // The paper's what-if interface (HypoPG-style): create/drop
-    // hypothetical indexes on the backend, then cost queries against the
-    // accumulated set without naming it at every call site.
+    // No backend keeps a HypoPG-style set (every cost call names its
+    // configuration). The six stay only while e2ebench's `TimedCost`
+    // wrapper forwards them.
 
-    /// Create a hypothetical index.
-    fn hypo_create(&self, idx: &Index) -> CostResult<()>;
+    /// Create a hypothetical index: [`CostError::Unsupported`].
+    fn hypo_create(&self, _idx: &Index) -> CostResult<()> {
+        unsupported(self.name(), "hypo_create")
+    }
 
-    /// Drop a previously created hypothetical index (dropping an index
-    /// that was never created is a no-op, as in HypoPG).
-    fn hypo_drop(&self, idx: &Index) -> CostResult<()>;
+    /// Drop a hypothetical index: [`CostError::Unsupported`].
+    fn hypo_drop(&self, _idx: &Index) -> CostResult<()> {
+        unsupported(self.name(), "hypo_drop")
+    }
 
-    /// Drop all hypothetical indexes.
-    fn hypo_clear(&self) -> CostResult<()>;
+    /// Drop all hypothetical indexes: [`CostError::Unsupported`].
+    fn hypo_clear(&self) -> CostResult<()> {
+        unsupported(self.name(), "hypo_clear")
+    }
 
-    /// The current hypothetical configuration.
-    fn hypo_config(&self) -> CostResult<IndexConfig>;
+    /// The hypothetical configuration: [`CostError::Unsupported`].
+    fn hypo_config(&self) -> CostResult<IndexConfig> {
+        unsupported(self.name(), "hypo_config")
+    }
 
-    /// `c(q, d, H)` under the current hypothetical configuration.
+    /// `c(q, d, H)` under the hypothetical configuration, so
+    /// [`CostError::Unsupported`] unless `hypo_config` answers.
     fn hypo_query_cost(&self, q: &Query) -> CostResult<f64> {
         let cfg = self.hypo_config()?;
         self.query_cost(q, &cfg)
     }
 
-    /// `c(W, d, H)` under the current hypothetical configuration.
+    /// `c(W, d, H)` under the hypothetical configuration, so
+    /// [`CostError::Unsupported`] unless `hypo_config` answers.
     fn hypo_workload_cost(&self, w: &Workload) -> CostResult<f64> {
         let cfg = self.hypo_config()?;
         self.workload_cost(w, &cfg)

@@ -34,14 +34,12 @@
 //! owns its backend (the harness constructs one per cell, exactly like
 //! it builds one simulator per cell).
 
-use crate::backend::{CostBackend, CostSession};
+use crate::backend::CostBackend;
 use crate::error::{CostError, CostResult};
 use pipa_nn::mlp::Activation;
 use pipa_nn::{Adam, Mlp, Optimizer, ParamStore, Tape, Tensor};
 use pipa_sim::cost::Catalog;
-use pipa_sim::{
-    ColumnStats, Index, IndexConfig, PredOp, Query, Schema, TableId, TableStats, Workload,
-};
+use pipa_sim::{ColumnStats, IndexConfig, PredOp, Query, Schema, TableId, TableStats, Workload};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Mutex;
@@ -124,14 +122,6 @@ pub struct LearnedIndexBackend {
     column_stats: Vec<ColumnStats>,
     cfg: LearnedIndexConfig,
     models: Mutex<Vec<TableModel>>,
-    hypo: Mutex<IndexConfig>,
-}
-
-/// Session state: the committed configuration (distinct type per
-/// backend, so foreign sessions downcast to `None` → `SessionMismatch`).
-#[derive(Clone)]
-struct LearnedSession {
-    cfg: IndexConfig,
 }
 
 const BACKEND_NAME: &str = "learned-index";
@@ -162,7 +152,6 @@ impl LearnedIndexBackend {
             column_stats,
             cfg,
             models: Mutex::new(models),
-            hypo: Mutex::new(IndexConfig::empty()),
         }
     }
 
@@ -322,73 +311,6 @@ impl CostBackend for LearnedIndexBackend {
         Ok(total)
     }
 
-    fn workload_cost(&self, w: &Workload, cfg: &IndexConfig) -> CostResult<f64> {
-        let mut total = 0.0;
-        for wq in w.iter() {
-            total += f64::from(wq.frequency) * self.query_cost(&wq.query, cfg)?;
-        }
-        Ok(total)
-    }
-
-    fn session_begin(&self, _w: &Workload) -> CostResult<CostSession> {
-        Ok(CostSession::new(LearnedSession {
-            cfg: IndexConfig::empty(),
-        }))
-    }
-
-    fn session_total(&self, w: &Workload, session: &CostSession) -> CostResult<f64> {
-        let s: &LearnedSession = session.downcast_ref().ok_or(CostError::SessionMismatch {
-            backend: BACKEND_NAME,
-        })?;
-        self.workload_cost(w, &s.cfg)
-    }
-
-    fn session_preview_add(
-        &self,
-        w: &Workload,
-        session: &CostSession,
-        cfg_after: &IndexConfig,
-        _idx: &Index,
-    ) -> CostResult<f64> {
-        let _: &LearnedSession = session.downcast_ref().ok_or(CostError::SessionMismatch {
-            backend: BACKEND_NAME,
-        })?;
-        self.workload_cost(w, cfg_after)
-    }
-
-    fn session_add(
-        &self,
-        w: &Workload,
-        session: &mut CostSession,
-        cfg_after: &IndexConfig,
-        _idx: &Index,
-    ) -> CostResult<f64> {
-        let s: &mut LearnedSession = session.downcast_mut().ok_or(CostError::SessionMismatch {
-            backend: BACKEND_NAME,
-        })?;
-        s.cfg = cfg_after.clone();
-        self.workload_cost(w, cfg_after)
-    }
-
-    fn hypo_create(&self, idx: &Index) -> CostResult<()> {
-        self.hypo.lock().map_err(|_| poisoned())?.add(idx.clone());
-        Ok(())
-    }
-
-    fn hypo_drop(&self, idx: &Index) -> CostResult<()> {
-        self.hypo.lock().map_err(|_| poisoned())?.remove(idx);
-        Ok(())
-    }
-
-    fn hypo_clear(&self) -> CostResult<()> {
-        *self.hypo.lock().map_err(|_| poisoned())? = IndexConfig::empty();
-        Ok(())
-    }
-
-    fn hypo_config(&self) -> CostResult<IndexConfig> {
-        Ok(self.hypo.lock().map_err(|_| poisoned())?.clone())
-    }
-
     /// The structural retrain: append the workload's key fractions to
     /// each filtered table's sample and refit that table's CDF model
     /// from scratch. This is where poisoned keys do their damage.
@@ -420,7 +342,7 @@ impl CostBackend for LearnedIndexBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipa_sim::{ColumnId, Predicate, QueryBuilder};
+    use pipa_sim::{ColumnId, Index, Predicate, QueryBuilder};
     use rand::Rng;
 
     fn backend() -> LearnedIndexBackend {

@@ -6,11 +6,15 @@
 //! `c(W, d, I)`, the (what-if) cost of a workload under an index
 //! configuration. This crate turns that contract into an object-safe
 //! trait, [`CostBackend`], so consumers are written against
-//! `&dyn CostBackend` instead of the concrete in-memory simulator:
+//! `&dyn CostBackend` instead of the concrete in-memory simulator.
+//!
+//! A backend supplies a name, a catalog and `c(q, d, I)`; the trait's
+//! defaults build workload sums, batches, deltas and sessions from them.
+//! Four backends implement it:
 //!
 //! * [`SimBackend`] — wraps [`pipa_sim::Database`] and routes through its
-//!   benefit matrix, bit-identical to direct calls (pinned by
-//!   `tests/cost_backend_differential.rs`);
+//!   benefit matrix, incremental sessions and executor, bit-identical to
+//!   direct calls (pinned by `tests/cost_backend_differential.rs`);
 //! * [`RecordingBackend`] / [`ReplayBackend`] — a record/replay pair that
 //!   captures `(query, config) → cost` tapes as JSONL (written through
 //!   `pipa-obs` sinks) and replays them deterministically, proving the
@@ -33,6 +37,10 @@
 //! the experiment harness can report.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)
+)]
 
 mod backend;
 mod error;

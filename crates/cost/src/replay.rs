@@ -14,11 +14,11 @@
 //! (`tests/cost_backend_differential.rs` pins this, including across
 //! `--jobs 1` vs `--jobs N` recordings).
 
-use crate::backend::{CostBackend, CostSession};
+use crate::backend::{weighted_sum, CostBackend};
 use crate::error::{CostError, CostResult};
 use pipa_sim::cost::matrix::{fingerprint_config, fingerprint_query};
 use pipa_sim::cost::Catalog;
-use pipa_sim::{ColumnStats, Index, IndexConfig, Query, Schema, TableStats, Workload};
+use pipa_sim::{ColumnStats, IndexConfig, Query, Schema, TableStats, Workload};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -118,11 +118,6 @@ impl Tape {
     /// Number of estimated-cost entries.
     pub fn est_len(&self) -> usize {
         self.est.len()
-    }
-
-    /// Number of executed-cost entries.
-    pub fn exec_len(&self) -> usize {
-        self.exec.len()
     }
 
     /// True if the tape holds no entries of either kind.
@@ -264,13 +259,6 @@ fn field<'a>(line: &'a str, prefix: &str, end: char) -> Option<&'a str> {
     Some(rest[..rest.find(end)?].trim())
 }
 
-/// Session state for the tape backends: the current index configuration.
-/// Tape lookups are pure, so the session carries no evaluator state.
-#[derive(Clone)]
-struct TapeSession {
-    cfg: IndexConfig,
-}
-
 /// A recording wrapper: answers every call from the wrapped backend and
 /// captures per-query costs into a [`Tape`].
 ///
@@ -313,19 +301,6 @@ impl<'a> RecordingBackend<'a> {
             );
         }
     }
-
-    fn weighted_sum(
-        &self,
-        w: &Workload,
-        cfg: &IndexConfig,
-        per_query: impl Fn(&Query, &IndexConfig) -> CostResult<f64>,
-    ) -> CostResult<f64> {
-        let mut total = 0.0;
-        for wq in w.iter() {
-            total += wq.frequency as f64 * per_query(&wq.query, cfg)?;
-        }
-        Ok(total)
-    }
 }
 
 impl CostBackend for RecordingBackend<'_> {
@@ -341,50 +316,6 @@ impl CostBackend for RecordingBackend<'_> {
         let v = self.inner.query_cost(q, cfg)?;
         self.record(&self.est, q, cfg, v);
         Ok(v)
-    }
-
-    fn workload_cost(&self, w: &Workload, cfg: &IndexConfig) -> CostResult<f64> {
-        self.weighted_sum(w, cfg, |q, cfg| self.query_cost(q, cfg))
-    }
-
-    fn session_begin(&self, _w: &Workload) -> CostResult<CostSession> {
-        Ok(CostSession::new(TapeSession {
-            cfg: IndexConfig::empty(),
-        }))
-    }
-
-    fn session_total(&self, w: &Workload, session: &CostSession) -> CostResult<f64> {
-        let s: &TapeSession = session
-            .downcast_ref()
-            .ok_or(CostError::SessionMismatch { backend: "record" })?;
-        self.workload_cost(w, &s.cfg)
-    }
-
-    fn session_preview_add(
-        &self,
-        w: &Workload,
-        session: &CostSession,
-        cfg_after: &IndexConfig,
-        _idx: &Index,
-    ) -> CostResult<f64> {
-        session
-            .downcast_ref::<TapeSession>()
-            .ok_or(CostError::SessionMismatch { backend: "record" })?;
-        self.workload_cost(w, cfg_after)
-    }
-
-    fn session_add(
-        &self,
-        w: &Workload,
-        session: &mut CostSession,
-        cfg_after: &IndexConfig,
-        _idx: &Index,
-    ) -> CostResult<f64> {
-        let s: &mut TapeSession = session
-            .downcast_mut()
-            .ok_or(CostError::SessionMismatch { backend: "record" })?;
-        s.cfg = cfg_after.clone();
-        self.workload_cost(w, cfg_after)
     }
 
     fn supports_execution(&self) -> bool {
@@ -404,7 +335,7 @@ impl CostBackend for RecordingBackend<'_> {
     }
 
     fn executed_workload_cost(&self, w: &Workload, cfg: &IndexConfig) -> CostResult<f64> {
-        self.weighted_sum(w, cfg, |q, cfg| self.executed_query_cost(q, cfg))
+        weighted_sum(w, |q| self.executed_query_cost(q, cfg))
     }
 
     fn render_sql(&self, q: &Query) -> CostResult<String> {
@@ -413,22 +344,6 @@ impl CostBackend for RecordingBackend<'_> {
 
     fn explain(&self, q: &Query, cfg: &IndexConfig) -> CostResult<String> {
         self.inner.explain(q, cfg)
-    }
-
-    fn hypo_create(&self, idx: &Index) -> CostResult<()> {
-        self.inner.hypo_create(idx)
-    }
-
-    fn hypo_drop(&self, idx: &Index) -> CostResult<()> {
-        self.inner.hypo_drop(idx)
-    }
-
-    fn hypo_clear(&self) -> CostResult<()> {
-        self.inner.hypo_clear()
-    }
-
-    fn hypo_config(&self) -> CostResult<IndexConfig> {
-        self.inner.hypo_config()
     }
 }
 
@@ -445,7 +360,6 @@ pub struct ReplayBackend {
     column_stats: Vec<ColumnStats>,
     est: BTreeMap<Key, u64>,
     exec: BTreeMap<Key, u64>,
-    hypo: Mutex<IndexConfig>,
 }
 
 impl ReplayBackend {
@@ -458,7 +372,6 @@ impl ReplayBackend {
             column_stats: catalog.column_stats.to_vec(),
             est: tape.est,
             exec: tape.exec,
-            hypo: Mutex::new(IndexConfig::empty()),
         }
     }
 
@@ -517,54 +430,6 @@ impl CostBackend for ReplayBackend {
         self.lookup(&self.est, q, cfg, false)
     }
 
-    fn workload_cost(&self, w: &Workload, cfg: &IndexConfig) -> CostResult<f64> {
-        let mut total = 0.0;
-        for wq in w.iter() {
-            total += wq.frequency as f64 * self.query_cost(&wq.query, cfg)?;
-        }
-        Ok(total)
-    }
-
-    fn session_begin(&self, _w: &Workload) -> CostResult<CostSession> {
-        Ok(CostSession::new(TapeSession {
-            cfg: IndexConfig::empty(),
-        }))
-    }
-
-    fn session_total(&self, w: &Workload, session: &CostSession) -> CostResult<f64> {
-        let s: &TapeSession = session
-            .downcast_ref()
-            .ok_or(CostError::SessionMismatch { backend: "replay" })?;
-        self.workload_cost(w, &s.cfg)
-    }
-
-    fn session_preview_add(
-        &self,
-        w: &Workload,
-        session: &CostSession,
-        cfg_after: &IndexConfig,
-        _idx: &Index,
-    ) -> CostResult<f64> {
-        session
-            .downcast_ref::<TapeSession>()
-            .ok_or(CostError::SessionMismatch { backend: "replay" })?;
-        self.workload_cost(w, cfg_after)
-    }
-
-    fn session_add(
-        &self,
-        w: &Workload,
-        session: &mut CostSession,
-        cfg_after: &IndexConfig,
-        _idx: &Index,
-    ) -> CostResult<f64> {
-        let s: &mut TapeSession = session
-            .downcast_mut()
-            .ok_or(CostError::SessionMismatch { backend: "replay" })?;
-        s.cfg = cfg_after.clone();
-        self.workload_cost(w, cfg_after)
-    }
-
     fn supports_execution(&self) -> bool {
         !self.exec.is_empty()
     }
@@ -574,46 +439,7 @@ impl CostBackend for ReplayBackend {
     }
 
     fn executed_workload_cost(&self, w: &Workload, cfg: &IndexConfig) -> CostResult<f64> {
-        let mut total = 0.0;
-        for wq in w.iter() {
-            total += wq.frequency as f64 * self.executed_query_cost(&wq.query, cfg)?;
-        }
-        Ok(total)
-    }
-
-    fn hypo_create(&self, idx: &Index) -> CostResult<()> {
-        let mut hypo = self
-            .hypo
-            .lock()
-            .map_err(|_| CostError::Sim(pipa_sim::SimError::Poisoned("hypothetical index set")))?;
-        hypo.add(idx.clone());
-        Ok(())
-    }
-
-    fn hypo_drop(&self, idx: &Index) -> CostResult<()> {
-        let mut hypo = self
-            .hypo
-            .lock()
-            .map_err(|_| CostError::Sim(pipa_sim::SimError::Poisoned("hypothetical index set")))?;
-        hypo.remove(idx);
-        Ok(())
-    }
-
-    fn hypo_clear(&self) -> CostResult<()> {
-        let mut hypo = self
-            .hypo
-            .lock()
-            .map_err(|_| CostError::Sim(pipa_sim::SimError::Poisoned("hypothetical index set")))?;
-        *hypo = IndexConfig::empty();
-        Ok(())
-    }
-
-    fn hypo_config(&self) -> CostResult<IndexConfig> {
-        let hypo = self
-            .hypo
-            .lock()
-            .map_err(|_| CostError::Sim(pipa_sim::SimError::Poisoned("hypothetical index set")))?;
-        Ok(hypo.clone())
+        weighted_sum(w, |q| self.executed_query_cost(q, cfg))
     }
 }
 

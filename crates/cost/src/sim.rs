@@ -2,34 +2,30 @@
 
 use crate::backend::{CostBackend, CostSession};
 use crate::error::{CostError, CostResult};
-use pipa_sim::cost::{Catalog, ConfigDelta};
+use pipa_sim::cost::Catalog;
 use pipa_sim::{Database, IncrementalEval, Index, IndexConfig, Query, Workload};
-use std::sync::Mutex;
 
 /// The analytic-simulator cost backend.
 ///
-/// Owns a [`pipa_sim::Database`] and routes every trait call through its
-/// existing machinery — benefit matrix, sharded what-if cache, executor —
-/// so trait-object dispatch is **bit-identical** to direct `Database`
-/// calls (pinned by `tests/cost_backend_differential.rs`). The wrapper
-/// adds only the hypothetical-index set, which the `Database` itself
-/// never tracked.
+/// Owns a [`pipa_sim::Database`] and answers from its benefit matrix
+/// (estimates, workload sums and incremental sessions), its executor
+/// (executed costs) and its plan model (`explain`), so trait-object
+/// dispatch is **bit-identical** to direct `Database` calls (pinned by
+/// `tests/cost_backend_differential.rs`). Batch, delta and SQL
+/// rendering take the trait defaults. Its sessions hold the matrix's
+/// per-query state and answer only on the backend that created them.
 pub struct SimBackend {
     db: Database,
-    hypo: Mutex<IndexConfig>,
 }
 
 impl SimBackend {
     /// Wrap a database.
     pub fn new(db: Database) -> Self {
-        SimBackend {
-            db,
-            hypo: Mutex::new(IndexConfig::empty()),
-        }
+        SimBackend { db }
     }
 
-    /// The wrapped database (schema/statistics access, cache and matrix
-    /// toggles for benchmarks).
+    /// The wrapped database (schema/statistics access, and the matrix
+    /// toggles and statistics for benchmarks).
     pub fn database(&self) -> &Database {
         &self.db
     }
@@ -72,19 +68,6 @@ impl CostBackend for SimBackend {
 
     fn workload_cost(&self, w: &Workload, cfg: &IndexConfig) -> CostResult<f64> {
         Ok(self.db.estimated_workload_cost(w, cfg))
-    }
-
-    fn batch_workload_cost(&self, w: &Workload, configs: &[IndexConfig]) -> CostResult<Vec<f64>> {
-        Ok(self.db.what_if_batch(w, configs))
-    }
-
-    fn delta_workload_cost(
-        &self,
-        w: &Workload,
-        base: &IndexConfig,
-        delta: &ConfigDelta,
-    ) -> CostResult<f64> {
-        Ok(self.db.what_if_delta(w, base, delta))
     }
 
     fn session_begin(&self, w: &Workload) -> CostResult<CostSession> {
@@ -133,46 +116,7 @@ impl CostBackend for SimBackend {
         Ok(self.db.actual_workload_cost(w, cfg)?)
     }
 
-    fn render_sql(&self, q: &Query) -> CostResult<String> {
-        Ok(self.db.render_sql(q))
-    }
-
     fn explain(&self, q: &Query, cfg: &IndexConfig) -> CostResult<String> {
         Ok(self.db.explain(q, cfg))
-    }
-
-    fn hypo_create(&self, idx: &Index) -> CostResult<()> {
-        let mut hypo = self
-            .hypo
-            .lock()
-            .map_err(|_| CostError::Sim(pipa_sim::SimError::Poisoned("hypothetical index set")))?;
-        hypo.add(idx.clone());
-        Ok(())
-    }
-
-    fn hypo_drop(&self, idx: &Index) -> CostResult<()> {
-        let mut hypo = self
-            .hypo
-            .lock()
-            .map_err(|_| CostError::Sim(pipa_sim::SimError::Poisoned("hypothetical index set")))?;
-        hypo.remove(idx);
-        Ok(())
-    }
-
-    fn hypo_clear(&self) -> CostResult<()> {
-        let mut hypo = self
-            .hypo
-            .lock()
-            .map_err(|_| CostError::Sim(pipa_sim::SimError::Poisoned("hypothetical index set")))?;
-        *hypo = IndexConfig::empty();
-        Ok(())
-    }
-
-    fn hypo_config(&self) -> CostResult<IndexConfig> {
-        let hypo = self
-            .hypo
-            .lock()
-            .map_err(|_| CostError::Sim(pipa_sim::SimError::Poisoned("hypothetical index set")))?;
-        Ok(hypo.clone())
     }
 }

@@ -284,11 +284,6 @@ impl BanditAdvisor {
         }
         Ok(())
     }
-
-    /// The current reward-model weights (for the clear-box baseline).
-    pub fn model_weights(&self) -> Vec<f64> {
-        self.theta()
-    }
 }
 
 impl IndexAdvisor for BanditAdvisor {

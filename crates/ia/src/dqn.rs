@@ -413,18 +413,6 @@ pub(crate) mod tests {
             let good = self.inner.session_add(w, s, cfg_after, idx);
             self.answer(Seam::Step, "session_add", good)
         }
-        fn hypo_create(&self, idx: &pipa_sim::Index) -> CostResult<()> {
-            self.inner.hypo_create(idx)
-        }
-        fn hypo_drop(&self, idx: &pipa_sim::Index) -> CostResult<()> {
-            self.inner.hypo_drop(idx)
-        }
-        fn hypo_clear(&self) -> CostResult<()> {
-            self.inner.hypo_clear()
-        }
-        fn hypo_config(&self) -> CostResult<IndexConfig> {
-            self.inner.hypo_config()
-        }
     }
 
     /// Asserts `result` is the `NonFinite` error for `bad`.

@@ -142,22 +142,6 @@ impl Tensor {
         }
     }
 
-    /// Element-wise product (Hadamard).
-    pub fn hadamard(&self, other: &Tensor) -> Tensor {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| a * b)
-            .collect();
-        Tensor {
-            data,
-            rows: self.rows,
-            cols: self.cols,
-        }
-    }
-
     /// Add a `(1, cols)` row vector to every row (bias broadcast).
     pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
         assert_eq!(bias.rows, 1);

@@ -152,8 +152,8 @@ impl TraceOutputs {
         }
     }
 
-    /// Write a run-level (not cell-scoped) event to the metrics channel,
-    /// e.g. the process-global what-if cache statistics. Stamped with
+    /// Write a run-level (not cell-scoped) event to the metrics channel:
+    /// one that belongs to the whole run, not to any cell. Stamped with
     /// `cell_seed = 0` and phase `"global"` so every line still satisfies
     /// the lint contract.
     pub fn global_metric(&self, ev: Event) {

@@ -283,8 +283,7 @@ pub struct MatrixStats {
     /// Per-query evaluations that fell back to the full model
     /// (join-coupled shape).
     pub full_fallbacks: u64,
-    /// Delta operations (`what_if_delta`, incremental-eval previews and
-    /// commits).
+    /// Delta operations: incremental-eval previews and commits.
     pub delta_evals: u64,
     /// Matrix-cell lookups answered from the resident matrix (access and
     /// nested-loop cells).
@@ -351,8 +350,9 @@ impl MatrixStats {
     }
 }
 
-/// A single-index edit against a base configuration, for
-/// [`crate::db::Database::what_if_delta`].
+/// A single-index edit against a base configuration: the argument of
+/// the cost seam's `delta_workload_cost` (pipa-cost), which costs the
+/// edited configuration [`ConfigDelta::apply`] returns.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigDelta {
     /// Add this index to the base configuration.

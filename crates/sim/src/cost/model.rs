@@ -127,11 +127,6 @@ impl AnalyticalCostModel {
         Self::default()
     }
 
-    /// Model with custom constants.
-    pub fn with_params(params: CostParams) -> Self {
-        AnalyticalCostModel { params }
-    }
-
     /// The cost constants in use.
     pub fn params(&self) -> &CostParams {
         &self.params

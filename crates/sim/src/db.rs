@@ -13,8 +13,7 @@ use crate::cost::matrix::{
 };
 use crate::cost::model::JoinStepState;
 use crate::cost::{
-    AnalyticalCostModel, BenefitMatrix, Catalog, ConfigDelta, IncrementalEval, MatrixStats,
-    PAGE_SIZE,
+    AnalyticalCostModel, BenefitMatrix, Catalog, IncrementalEval, MatrixStats, PAGE_SIZE,
 };
 use crate::datagen::generate_table;
 use crate::error::{SimError, SimResult};
@@ -153,30 +152,6 @@ impl Database {
     }
 
     // ---- Incremental what-if evaluation (the benefit matrix) ----------
-
-    /// Workload costs for a batch of configurations, answered from the
-    /// benefit matrix. The matrix rows are shared across the batch, so
-    /// `n` configurations over the same workload cost one model
-    /// evaluation per *distinct* `(query, index)` pair instead of `n`
-    /// full workload re-costings.
-    pub fn what_if_batch(&self, w: &Workload, configs: &[IndexConfig]) -> Vec<f64> {
-        configs
-            .iter()
-            .map(|cfg| self.estimated_workload_cost(w, cfg))
-            .collect()
-    }
-
-    /// Workload cost of `base ± index` (one [`ConfigDelta`]), answered
-    /// from the benefit matrix. For the advisor hot loop that holds a
-    /// session open across many edits, prefer [`Self::whatif_eval_begin`]
-    /// / [`Self::whatif_eval_add`], which touch one matrix cell per query
-    /// that scans the edited index's table.
-    pub fn what_if_delta(&self, w: &Workload, base: &IndexConfig, delta: &ConfigDelta) -> f64 {
-        self.whatif_matrix.note_delta();
-        pipa_obs::count("whatif_delta", 1);
-        let cfg = delta.apply(base);
-        self.estimated_workload_cost(w, &cfg)
-    }
 
     /// Start an incremental evaluation session for `w` at the empty
     /// configuration. The session holds plain per-query state (no
@@ -481,22 +456,15 @@ impl Database {
         };
         let phys = self.physical_for(cfg, storage)?;
         let ex = Executor::new(self.catalog(), storage);
-        let mut total = 0.0;
-        for wq in w.iter() {
-            total += wq.frequency as f64 * ex.execute_cost(&wq.query, cfg, &phys)?;
-        }
-        Ok(total)
+        w.iter()
+            .map(|wq| Ok(wq.frequency as f64 * ex.execute_cost(&wq.query, cfg, &phys)?))
+            .sum()
     }
 
     /// EXPLAIN-style access-path summary of a query under a hypothetical
     /// configuration.
     pub fn explain(&self, q: &Query, cfg: &IndexConfig) -> String {
         self.model.explain(self.catalog(), q, cfg)
-    }
-
-    /// Render a query to SQL using this database's statistics.
-    pub fn render_sql(&self, q: &Query) -> String {
-        q.render_sql(&self.schema, |c| &self.column_stats[c.0 as usize])
     }
 
     fn physical_for(
@@ -789,8 +757,9 @@ mod tests {
             .select(key)
             .build(db.schema())
             .unwrap();
+        let cat = db.catalog();
         assert_eq!(
-            db.render_sql(&q),
+            q.render_sql(cat.schema, |c| cat.column(c)),
             "select o_custkey from orders where o_custkey = 0;"
         );
     }

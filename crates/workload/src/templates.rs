@@ -91,16 +91,6 @@ pub fn avg(c: &str) -> AggSpec {
     AggSpec::Avg(c.to_string())
 }
 
-/// Shorthand for [`AggSpec::Min`].
-pub fn min_of(c: &str) -> AggSpec {
-    AggSpec::Min(c.to_string())
-}
-
-/// Shorthand for [`AggSpec::Max`].
-pub fn max_of(c: &str) -> AggSpec {
-    AggSpec::Max(c.to_string())
-}
-
 /// A benchmark query template.
 #[derive(Debug, Clone)]
 pub struct TemplateSpec {

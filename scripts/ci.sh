@@ -24,7 +24,7 @@ echo "== cost-backend boundary lint =="
 # object-safe CostBackend seam, never the simulator's Database methods.
 # The trait's method names are deliberately distinct from Database's, so
 # a direct call is grep-visible.
-if grep -rnE 'estimated_(query|workload)_cost|scalar_(query|workload)_cost|what_if_(batch|delta)|whatif_eval_|actual_(query|workload)_cost' \
+if grep -rnE 'estimated_(query|workload)_cost|scalar_(query|workload)_cost|whatif_eval_|actual_(query|workload)_cost' \
         crates/ia/src crates/core/src crates/serve/src; then
     echo "boundary lint: direct Database cost calls found above (use the CostBackend seam)" >&2
     exit 1
@@ -103,8 +103,9 @@ echo "== doc-link lint =="
 # internal to estimated_*) and JoinCoupled no longer covers plain joins;
 # the benefit matrix replaced the CLOCK cost cache and its setters;
 # AdvisorSpec is the one name for an advisor and the CostBackend trait
-# plus three free helpers the one door to a cost.
-if grep -rnE 'matrix_query_cost|matrix_workload_cost|CostCache|set_whatif_cache_|clear_whatif_cache|AdvisorKind|CostEngine' \
+# plus three free helpers the one door to a cost; batch and delta costs
+# are CostBackend defaults, not Database methods.
+if grep -rnE 'matrix_query_cost|matrix_workload_cost|CostCache|set_whatif_cache_|clear_whatif_cache|AdvisorKind|CostEngine|what_if_batch|what_if_delta' \
         README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md; then
     echo "doc-link lint: stale entry-point references found above" >&2
     exit 1

@@ -7,8 +7,9 @@
 //!    `delta_workload_cost`, the incremental sessions) must be
 //!    **bit-identical** (`f64::to_bits`) to calling the underlying
 //!    [`Database`] directly — on proptest-generated TPC-H workloads and
-//!    on every default template of both benchmarks. Dynamic dispatch may
-//!    cost cycles, never ulps.
+//!    on every default template of both benchmarks, through the
+//!    simulator and through a record-then-replay pair, and on the empty
+//!    workload. Dynamic dispatch may cost cycles, never ulps.
 //!
 //! 2. **Record ≡ replay**: a [`RecordingBackend`] tape captured at
 //!    `--jobs 1` must equal (PartialEq *and* byte-identical JSONL) the
@@ -19,7 +20,7 @@
 use pipa::core::experiment::{build_db, run_grid, CellConfig, GridSpec, InjectorKind};
 use pipa::core::harness::StressOutcome;
 use pipa::core::GridCell;
-use pipa::cost::{CostBackend, RecordingBackend, ReplayBackend, SimBackend, Tape};
+use pipa::cost::{CostBackend, CostError, RecordingBackend, ReplayBackend, SimBackend, Tape};
 use pipa::ia::{AdvisorSpec, AutoAdminGreedy, IndexAdvisor, SpeedPreset};
 use pipa::sim::{
     Aggregate, ColumnId, ConfigDelta, Database, Index, IndexConfig, Predicate, QueryBuilder,
@@ -73,6 +74,61 @@ fn assert_bits(label: &str, direct: f64, via_trait: f64) {
     );
 }
 
+/// Batch, delta and an add-only session over `w`, one index column per
+/// entry of `adds`, each checked against the scalar reference.
+fn assert_batch_delta_and_sessions(
+    backend: &str,
+    cost: &dyn CostBackend,
+    reference: &Database,
+    w: &Workload,
+    adds: &[u32],
+) {
+    let configs: Vec<IndexConfig> = adds
+        .iter()
+        .map(|&c| IndexConfig::from_indexes([Index::single(ColumnId(c % 61))]))
+        .collect();
+    let batch = cost.batch_workload_cost(w, &configs).unwrap();
+    for (i, cfg) in configs.iter().enumerate() {
+        assert_bits(
+            &format!("{backend} batch"),
+            reference.estimated_workload_cost(w, cfg),
+            batch[i],
+        );
+    }
+
+    let mut cfg = IndexConfig::empty();
+    let mut session = cost.session_begin(w).unwrap();
+    assert_bits(
+        &format!("{backend} session begin"),
+        reference.estimated_workload_cost(w, &cfg),
+        cost.session_total(w, &session).unwrap(),
+    );
+    for &c in adds {
+        let idx = Index::single(ColumnId(c % 61));
+        let delta = ConfigDelta::Add(idx.clone());
+        let after = delta.apply(&cfg);
+        let scalar = reference.estimated_workload_cost(w, &after);
+        assert_bits(
+            &format!("{backend} delta"),
+            scalar,
+            cost.delta_workload_cost(w, &cfg, &delta).unwrap(),
+        );
+        if !cfg.indexes().contains(&idx) {
+            assert_bits(
+                &format!("{backend} session preview"),
+                scalar,
+                cost.session_preview_add(w, &session, &after, &idx).unwrap(),
+            );
+            assert_bits(
+                &format!("{backend} session add"),
+                scalar,
+                cost.session_add(w, &mut session, &after, &idx).unwrap(),
+            );
+        }
+        cfg = after;
+    }
+}
+
 // ---- trait ≡ direct -------------------------------------------------------
 
 proptest! {
@@ -110,7 +166,8 @@ proptest! {
     }
 
     /// Batch, delta and session evaluation through the trait are
-    /// bit-identical to a scalar full recompute.
+    /// bit-identical to a scalar full recompute: on the simulator, on a
+    /// recording over it, and on a replay of that recording's tape.
     #[test]
     fn trait_batch_delta_and_sessions_match_direct_bitwise(
         anchor in 0u32..61,
@@ -118,47 +175,51 @@ proptest! {
         adds in proptest::collection::vec(0u32..61, 1..4),
     ) {
         let reference = scalar_reference(Benchmark::TpcH);
-        let cost = SimBackend::new(Benchmark::TpcH.database(1.0, None));
-        let dyn_cost: &dyn CostBackend = &cost;
+        let sim = SimBackend::new(Benchmark::TpcH.database(1.0, None));
         let q = build_query(&reference, anchor, &preds);
         let w = Workload::from_queries([(q, 2)]);
+        assert_batch_delta_and_sessions("sim", &sim, &reference, &w, &adds);
 
-        let configs: Vec<IndexConfig> = adds
-            .iter()
-            .map(|&c| IndexConfig::from_indexes([Index::single(ColumnId(c % 61))]))
-            .collect();
-        let batch = dyn_cost.batch_workload_cost(&w, &configs).unwrap();
-        for (i, cfg) in configs.iter().enumerate() {
-            assert_bits("batch", reference.estimated_workload_cost(&w, cfg), batch[i]);
-        }
+        let rec = RecordingBackend::new(&sim);
+        assert_batch_delta_and_sessions("record", &rec, &reference, &w, &adds);
+        let replay = ReplayBackend::new(sim.catalog(), rec.tape());
+        assert_batch_delta_and_sessions("replay", &replay, &reference, &w, &adds);
 
-        let mut cfg = IndexConfig::empty();
-        let mut session = dyn_cost.session_begin(&w).unwrap();
-        assert_bits(
-            "session begin",
-            reference.estimated_workload_cost(&w, &cfg),
-            dyn_cost.session_total(&w, &session).unwrap(),
-        );
-        for &c in &adds {
-            let idx = Index::single(ColumnId(c % 61));
-            let delta = ConfigDelta::Add(idx.clone());
-            let after = delta.apply(&cfg);
-            let scalar = reference.estimated_workload_cost(&w, &after);
-            assert_bits("delta", scalar, dyn_cost.delta_workload_cost(&w, &cfg, &delta).unwrap());
-            if !cfg.indexes().contains(&idx) {
-                assert_bits(
-                    "session preview",
-                    scalar,
-                    dyn_cost.session_preview_add(&w, &session, &after, &idx).unwrap(),
-                );
-                assert_bits(
-                    "session add",
-                    scalar,
-                    dyn_cost.session_add(&w, &mut session, &after, &idx).unwrap(),
-                );
-            }
-            cfg = after;
-        }
+        // The simulator's sessions are its own: a replay session is not.
+        let foreign = replay.session_begin(&w).unwrap();
+        assert!(matches!(
+            sim.session_total(&w, &foreign),
+            Err(CostError::SessionMismatch { backend: "sim" })
+        ));
+    }
+}
+
+/// The empty workload costs the same bits on the simulator, a recording
+/// over it and a replay of the tape: estimated, as a session total and
+/// executed. Every composite sum starts from `-0.0`, as `Iterator::sum`
+/// does, so all of them are `-0.0`.
+#[test]
+fn empty_workload_costs_the_same_bits_on_every_backend() {
+    let sim = SimBackend::new(Benchmark::TpcH.database(1.0, Some((1, 2_000))));
+    assert!(sim.supports_execution());
+    let w = Workload::default();
+    let cfg = IndexConfig::empty();
+    let costs = |cost: &dyn CostBackend| -> [f64; 3] {
+        let session = cost.session_begin(&w).unwrap();
+        [
+            cost.workload_cost(&w, &cfg).unwrap(),
+            cost.session_total(&w, &session).unwrap(),
+            cost.executed_workload_cost(&w, &cfg).unwrap(),
+        ]
+    };
+    let direct = costs(&sim);
+    let rec = RecordingBackend::new(&sim);
+    let recorded = costs(&rec);
+    let replayed = costs(&ReplayBackend::new(sim.catalog(), rec.tape()));
+    for (i, what) in ["estimate", "session total", "executed"].iter().enumerate() {
+        assert_bits(&format!("sim {what}"), -0.0, direct[i]);
+        assert_bits(&format!("record {what}"), direct[i], recorded[i]);
+        assert_bits(&format!("replay {what}"), direct[i], replayed[i]);
     }
 }
 

@@ -107,7 +107,8 @@ proptest! {
             .aggregate(Aggregate::CountStar)
             .build(db.schema())
             .unwrap();
-        let sql = db.render_sql(&q);
+        let cat = db.catalog();
+        let sql = q.render_sql(cat.schema, |c| cat.column(c));
         prop_assert!(sql.starts_with("select"));
         prop_assert!(sql.ends_with(';'));
         prop_assert!(sql.contains("where"));

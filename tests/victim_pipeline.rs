@@ -115,18 +115,6 @@ impl CostBackend for Observing<'_> {
     ) -> CostResult<f64> {
         self.inner.session_add(w, session, cfg_after, idx)
     }
-    fn hypo_create(&self, idx: &Index) -> CostResult<()> {
-        self.inner.hypo_create(idx)
-    }
-    fn hypo_drop(&self, idx: &Index) -> CostResult<()> {
-        self.inner.hypo_drop(idx)
-    }
-    fn hypo_clear(&self) -> CostResult<()> {
-        self.inner.hypo_clear()
-    }
-    fn hypo_config(&self) -> CostResult<IndexConfig> {
-        self.inner.hypo_config()
-    }
     fn observe_training(&self, w: &Workload) -> CostResult<()> {
         self.seen.lock().unwrap().push(w.clone());
         self.inner.observe_training(w)

@@ -1,14 +1,16 @@
 //! Differential suite for the incremental what-if engine (proptest).
 //!
-//! The benefit matrix, `what_if_batch`, `what_if_delta` and the
-//! incremental eval sessions must be **bit-identical** (`f64::to_bits`)
-//! to a scalar full recompute through `estimated_workload_cost` — on
+//! The benefit matrix, batch and delta costs through a [`SimBackend`]
+//! and the incremental eval sessions must be **bit-identical**
+//! (`f64::to_bits`) to a scalar full recompute through
+//! `estimated_workload_cost` — on
 //! proptest-generated TPC-H/TPC-DS workloads, under arbitrary
 //! index-config edit sequences, and on both matrix-cold and
 //! matrix-warm paths. Any divergence, even in the last ulp, is a bug: advisors make
 //! strict `<` comparisons on these numbers, so "close enough" can flip
 //! a recommendation.
 
+use pipa::cost::{CostBackend, SimBackend};
 use pipa::sim::{
     Aggregate, ColumnId, ConfigDelta, Database, Index, IndexConfig, Predicate, Query, QueryBuilder,
     TableId, Workload,
@@ -239,7 +241,7 @@ fn assert_bits(label: &str, reference: f64, got: f64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `what_if_batch` / `matrix_workload_cost` ≡ scalar recompute, on
+    /// `batch_workload_cost` on the simulator ≡ scalar recompute, on
     /// the first (matrix-cold) call and again once every cell is warm.
     #[test]
     fn batch_matches_scalar_bitwise_cold_and_warm(
@@ -259,16 +261,18 @@ proptest! {
             .iter()
             .map(|c| scalar.estimated_workload_cost(&w, c))
             .collect();
-        let cold = db.what_if_batch(&w, &configs);
-        let warm = db.what_if_batch(&w, &configs);
+        let sim = SimBackend::new(db);
+        let cold = sim.batch_workload_cost(&w, &configs).unwrap();
+        let warm = sim.batch_workload_cost(&w, &configs).unwrap();
         for (i, r) in reference.iter().enumerate() {
             assert_bits("batch cold", *r, cold[i]);
             assert_bits("batch warm", *r, warm[i]);
         }
     }
 
-    /// `what_if_delta` over an arbitrary add/remove edit sequence ≡
-    /// scalar recompute of each edited configuration.
+    /// `delta_workload_cost` on the simulator over an arbitrary
+    /// add/remove edit sequence ≡ scalar recompute of each edited
+    /// configuration.
     #[test]
     fn delta_edit_sequences_match_scalar_bitwise(
         specs in arb_workload_specs(),
@@ -278,20 +282,21 @@ proptest! {
         ),
     ) {
         let scalar = scalar_reference(Benchmark::TpcH);
-        let db = tpch();
+        let sim = SimBackend::new(tpch());
+        let db = sim.database();
         let templates = Benchmark::TpcH.default_templates();
-        let w = build_workload(&db, &templates, &specs);
+        let w = build_workload(db, &templates, &specs);
 
         let mut cfg = IndexConfig::empty();
         for (add, cols) in &edits {
-            let idx = build_index(&db, cols);
+            let idx = build_index(db, cols);
             let delta = if *add {
                 ConfigDelta::Add(idx)
             } else {
                 ConfigDelta::Remove(idx)
             };
             let after = delta.apply(&cfg);
-            let incremental = db.what_if_delta(&w, &cfg, &delta);
+            let incremental = sim.delta_workload_cost(&w, &cfg, &delta).unwrap();
             let reference = scalar.estimated_workload_cost(&w, &after);
             assert_bits("delta", reference, incremental);
             cfg = after;
@@ -411,7 +416,8 @@ proptest! {
 fn all_templates_of_both_benchmarks_match_scalar() {
     for bench in [Benchmark::TpcH, Benchmark::TpcDs] {
         let scalar = scalar_reference(bench);
-        let db = bench.database(1.0, None);
+        let sim = SimBackend::new(bench.database(1.0, None));
+        let db = sim.database();
         let templates = bench.default_templates();
         let mut w = Workload::new();
         let mut rng = ChaCha8Rng::seed_from_u64(7);
@@ -456,7 +462,7 @@ fn all_templates_of_both_benchmarks_match_scalar() {
             .map(|c| scalar.estimated_workload_cost(&w, c))
             .collect();
         for pass in ["cold", "warm"] {
-            let got = db.what_if_batch(&w, &configs);
+            let got = sim.batch_workload_cost(&w, &configs).unwrap();
             for (i, r) in reference.iter().enumerate() {
                 assert_eq!(
                     r.to_bits(),
@@ -575,8 +581,9 @@ fn tpcds_session_edits_that_touch_no_cell_match_scalar() {
 #[test]
 fn tpcds_matrix_stores_only_applicable_access_cells() {
     let bench = Benchmark::TpcDs;
-    let db = bench.database(1.0, None);
-    let mut w = template_workload(bench, &db, 24, 9);
+    let sim = SimBackend::new(bench.database(1.0, None));
+    let db = sim.database();
+    let mut w = template_workload(bench, db, 24, 9);
     for c in (0..db.schema().num_columns() as u32).step_by(13) {
         let q = QueryBuilder::new()
             .filter(db.schema(), Predicate::le(ColumnId(c), 0.4))
@@ -594,7 +601,7 @@ fn tpcds_matrix_stores_only_applicable_access_cells() {
         .iter()
         .map(|i| IndexConfig::from_indexes([i.clone()]))
         .collect();
-    let _ = db.what_if_batch(&w, &configs);
+    let _ = sim.batch_workload_cost(&w, &configs).unwrap();
     let eval = db.whatif_eval_begin(&w);
     for (idx, cfg) in candidates.iter().zip(&configs) {
         let _ = db.whatif_eval_preview_add(&w, &eval, cfg, idx);
@@ -752,13 +759,14 @@ fn join_with_no_applicable_index_on_either_side_matches_empty_config() {
     assert_eq!(empty.to_bits(), with.to_bits());
 }
 
-/// Empty-config deltas: `what_if_delta` from the empty base and a
-/// no-op removal against the empty config both match the scalar
-/// recompute of the edited (or unchanged) configuration.
+/// Empty-config deltas: `delta_workload_cost` on the simulator from the
+/// empty base and a no-op removal against the empty config both match
+/// the scalar recompute of the edited (or unchanged) configuration.
 #[test]
 fn empty_config_deltas_match_scalar() {
     let scalar = scalar_reference(Benchmark::TpcH);
-    let db = tpch();
+    let sim = SimBackend::new(tpch());
+    let db = sim.database();
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     let templates = Benchmark::TpcH.default_templates();
     let mut w = Workload::new();
@@ -766,14 +774,14 @@ fn empty_config_deltas_match_scalar() {
         w.push(t.instantiate(db.schema(), &mut rng).unwrap(), 2);
     }
     let empty = IndexConfig::empty();
-    let idx = Index::single(col(&db, "l_orderkey"));
+    let idx = Index::single(col(db, "l_orderkey"));
 
     let add = ConfigDelta::Add(idx.clone());
     let reference = scalar.estimated_workload_cost(&w, &add.apply(&empty));
     assert_bits(
         "empty-base add",
         reference,
-        db.what_if_delta(&w, &empty, &add),
+        sim.delta_workload_cost(&w, &empty, &add).unwrap(),
     );
 
     // Removing an index the empty config doesn't hold is a no-op edit.
@@ -782,14 +790,15 @@ fn empty_config_deltas_match_scalar() {
     assert_bits(
         "empty-base no-op remove",
         unchanged,
-        db.what_if_delta(&w, &empty, &remove),
+        sim.delta_workload_cost(&w, &empty, &remove).unwrap(),
     );
 }
 
 /// Disabling the matrix must not change values — only the route taken.
 #[test]
 fn disabled_matrix_routes_to_identical_values() {
-    let db = tpch();
+    let sim = SimBackend::new(tpch());
+    let db = sim.database();
     let templates = Benchmark::TpcH.default_templates();
     let mut rng = ChaCha8Rng::seed_from_u64(11);
     let mut w = Workload::new();
@@ -800,11 +809,13 @@ fn disabled_matrix_routes_to_identical_values() {
     let enabled = db.estimated_workload_cost(&w, &cfg);
     db.set_whatif_matrix_enabled(false);
     let disabled = db.estimated_workload_cost(&w, &cfg);
-    let delta_disabled = db.what_if_delta(
-        &w,
-        &IndexConfig::empty(),
-        &ConfigDelta::Add(Index::single(ColumnId(5))),
-    );
+    let delta_disabled = sim
+        .delta_workload_cost(
+            &w,
+            &IndexConfig::empty(),
+            &ConfigDelta::Add(Index::single(ColumnId(5))),
+        )
+        .unwrap();
     db.set_whatif_matrix_enabled(true);
     assert_eq!(enabled.to_bits(), disabled.to_bits());
     assert_eq!(enabled.to_bits(), delta_disabled.to_bits());
