@@ -18,6 +18,22 @@
 //!   `trial_eps`;
 //! * the **bootstrap net**: a target network synced every `target_sync`
 //!   trajectories, or the online net itself.
+//!
+//! The learn step skips work whose result it already knows. A target
+//! network changes only when it is synced, so each stored transition
+//! keeps its bootstrap max with the target version it was computed
+//! under, and a sampled transition whose version is current reuses it.
+//! Only the others go through the batched target forward; row `r` of a
+//! batched product runs the same chain whatever the other rows are, so
+//! the reused and the recomputed maxima have the same bits. The online
+//! net changes every step, so a learner that bootstraps from it (no
+//! target network) memoizes nothing.
+//!
+//! When a `pipa-obs` recorder is installed, each `train`, `retrain` and
+//! `recommend` call reports the learn step's wall time per phase as one
+//! `timing` metric each: `qlearn_bootstrap` (sampling, the bootstrap
+//! target and the minibatch), `qlearn_forward`, `qlearn_backward` and
+//! `qlearn_adam`.
 
 #![cfg_attr(
     not(test),
@@ -30,10 +46,12 @@ use crate::features::config_bitmap;
 use pipa_cost::{CostBackend, CostResult};
 use pipa_nn::mlp::Activation;
 use pipa_nn::{Adam, Mlp, Optimizer, ParamStore, Tape, Tensor};
+use pipa_obs::Event;
 use pipa_sim::{ColumnId, IndexConfig, Workload};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
+use std::time::Instant;
 
 /// Replay buffer capacity; the oldest transition leaves first.
 const REPLAY_CAPACITY: usize = 4096;
@@ -82,6 +100,9 @@ struct Transition {
     /// Columns still open after the step.
     next_valid: Vec<usize>,
     done: bool,
+    /// The bootstrap max over `next_valid` at `next_state`, with the
+    /// target version it was computed under.
+    maxq: Option<(u64, f32)>,
 }
 
 impl Transition {
@@ -89,6 +110,14 @@ impl Transition {
     fn bootstraps(&self) -> bool {
         !(self.done || self.next_valid.is_empty())
     }
+}
+
+/// A target network and the number of syncs it has taken.
+struct Target {
+    net: ParamStore,
+    /// Bumped by every sync and never rewound: a transition's memoized
+    /// bootstrap max is current only while its version equals this one.
+    version: u64,
 }
 
 /// A Q-network with its replay buffer, RNG and last reward trace.
@@ -100,12 +129,18 @@ impl Transition {
 /// hold trial weights, and the next retrain or recommend bootstraps its
 /// first `target_sync` trajectories from them. Fixing it changes the
 /// DQN outcomes the benchmark digests pin.
+///
+/// The bootstrap memo keeps this behaviour exactly. The restored replay
+/// buffer brings back the maxima memoized before the trials, under the
+/// versions of that time; if the trials synced the target, the version
+/// has moved on and those maxima are recomputed from the trial weights
+/// the target now holds.
 pub(crate) struct QLearner {
     spec: QSpec,
     qnet: Mlp,
     store: ParamStore,
-    /// Target-network weights; `None` bootstraps from `store`.
-    target: Option<ParamStore>,
+    /// `None` bootstraps from `store`.
+    target: Option<Target>,
     replay: VecDeque<Transition>,
     rng: ChaCha8Rng,
     candidates: Vec<ColumnId>,
@@ -121,7 +156,10 @@ impl QLearner {
         let mut init = ChaCha8Rng::seed_from_u64(spec.init_seed);
         let qnet = Mlp::new(&mut store, "q", &spec.layers, Activation::Relu, &mut init);
         QLearner {
-            target: spec.target_sync.map(|_| store.clone()),
+            target: spec.target_sync.map(|_| Target {
+                net: store.clone(),
+                version: 0,
+            }),
             rng: ChaCha8Rng::seed_from_u64(spec.rng_seed),
             features: vec![0.0; spec.layers[0] - spec.layers[2]],
             spec,
@@ -260,6 +298,7 @@ impl QLearner {
         // One tape for the whole run: action selection and learn steps
         // recycle the same activation/gradient buffers.
         let mut tape = Tape::new();
+        let mut clock = PhaseClock::new();
 
         for traj in 0..n {
             let eps = eps(traj);
@@ -291,11 +330,12 @@ impl QLearner {
                     next_state,
                     next_valid,
                     done: env.done(&ep),
+                    maxq: None,
                 });
                 if self.replay.len() > REPLAY_CAPACITY {
                     self.replay.pop_front();
                 }
-                self.learn_step(&mut opt, &mut tape);
+                self.learn_step(&mut opt, &mut tape, &mut clock);
             }
             let ret = env.episode_return(&ep);
             returns.push(ret);
@@ -318,6 +358,7 @@ impl QLearner {
                 self.sync_target();
             }
         }
+        clock.emit();
         self.reward_trace = returns;
         let kept = if recent.is_empty() {
             best_snap
@@ -336,61 +377,23 @@ impl QLearner {
     /// ([`pipa_nn::Linear::forward_at`]). The inputs are finite, as the
     /// picked head requires: the state's features lie in [0, 1], and the
     /// rewards come from costs the environment checks.
-    fn learn_step(&mut self, opt: &mut Adam, tape: &mut Tape) {
+    fn learn_step(&mut self, opt: &mut Adam, tape: &mut Tape, clock: &mut PhaseClock) {
         let n = self.spec.batch_size;
         if self.replay.len() < n {
             return;
         }
+        clock.start();
         let (replay, rng) = (&self.replay, &mut self.rng);
-        let batch: Vec<&Transition> = (0..n)
-            .map(|_| &replay[rng.gen_range(0..replay.len())])
-            .collect();
-        let [width, _, outputs] = self.spec.layers;
-        // Every bootstrapping next state goes through ONE batched forward
-        // pass. Row r of a batched matmul runs the same per-element
-        // accumulation chain as a single-row forward, so the targets are
-        // bit-identical to one forward per transition.
-        let need: Vec<usize> = (0..n).filter(|&i| batch[i].bootstraps()).collect();
-        let mut maxq = vec![0.0f32; n];
-        if !need.is_empty() {
-            let mut next_rows = Vec::with_capacity(need.len() * width);
-            let mut open = vec![false; outputs];
-            for &i in &need {
-                next_rows.extend_from_slice(&batch[i].next_state);
-                for &c in &batch[i].next_valid {
-                    open[c] = true;
-                }
-            }
-            // The columns some next state has open, and `at[c]`, the
-            // position of column `c` among them.
-            let columns: Vec<usize> = (0..outputs).filter(|&c| open[c]).collect();
-            let mut at = vec![0; outputs];
-            for (j, &c) in columns.iter().enumerate() {
-                at[c] = j;
-            }
-            let bootstrap_net = self.target.as_ref().unwrap_or(&self.store);
-            let qv = self.qnet.infer_cols(
-                tape,
-                bootstrap_net,
-                Tensor::from_vec(need.len(), width, next_rows),
-                &columns,
-            );
-            let qn = tape.value(qv);
-            for (r, &i) in need.iter().enumerate() {
-                let row = qn.row_slice(r);
-                maxq[i] = batch[i]
-                    .next_valid
-                    .iter()
-                    .map(|&c| row[at[c]])
-                    .fold(f32::NEG_INFINITY, f32::max);
-            }
-        }
+        let batch: Vec<usize> = (0..n).map(|_| rng.gen_range(0..replay.len())).collect();
+        let maxq = self.bootstrap_maxima(&batch, tape);
+        let [width, _, _] = self.spec.layers;
         let mut rows = Vec::with_capacity(n * width);
         let mut actions = Vec::with_capacity(n);
         let mut targets = Vec::with_capacity(n);
-        for (r, t) in batch.iter().enumerate() {
+        for (r, (&i, &maxq)) in batch.iter().zip(&maxq).enumerate() {
+            let t = &self.replay[i];
             let y = if t.bootstraps() {
-                t.reward + self.spec.gamma * maxq[r]
+                t.reward + self.spec.gamma * maxq
             } else {
                 t.reward
             };
@@ -398,19 +401,90 @@ impl QLearner {
             actions.push(t.action);
             targets.push((r, 0, y));
         }
+        clock.lap(Phase::Bootstrap);
         self.store.zero_grads();
         tape.reset();
         let x = tape.constant(Tensor::from_vec(n, width, rows));
         let h = self.qnet.forward_hidden(tape, &self.store, x);
         let q = self.qnet.head().forward_at(tape, &self.store, h, &actions);
         let loss = tape.mse_selected(q, &targets);
+        clock.lap(Phase::Forward);
         tape.backward(loss, &mut self.store);
+        clock.lap(Phase::Backward);
         opt.step(&mut self.store);
+        clock.lap(Phase::Adam);
+    }
+
+    /// The bootstrap max of each sampled transition (`0.0` for those that
+    /// do not bootstrap). A memoized max under the current target version
+    /// is reused. Every other bootstrapping next state goes through ONE
+    /// batched forward pass, and the maxima it yields are memoized when
+    /// a target network computed them. Row `r` of a batched product runs
+    /// the same accumulation chain whatever the other rows are, and
+    /// column `j` of [`Mlp::infer_cols`] that of column `cols[j]` whatever
+    /// the other columns are, so every max has the bits of one full
+    /// forward per transition.
+    fn bootstrap_maxima(&mut self, batch: &[usize], tape: &mut Tape) -> Vec<f32> {
+        let [width, _, outputs] = self.spec.layers;
+        let version = self.target.as_ref().map(|t| t.version);
+        let mut maxq = vec![0.0f32; batch.len()];
+        let mut need = Vec::new();
+        for (r, &i) in batch.iter().enumerate() {
+            let t = &self.replay[i];
+            if !t.bootstraps() {
+                continue;
+            }
+            match t.maxq {
+                Some((v, q)) if Some(v) == version => maxq[r] = q,
+                _ => need.push(r),
+            }
+        }
+        if need.is_empty() {
+            return maxq;
+        }
+        let mut next_rows = Vec::with_capacity(need.len() * width);
+        let mut open = vec![false; outputs];
+        for &r in &need {
+            let t = &self.replay[batch[r]];
+            next_rows.extend_from_slice(&t.next_state);
+            for &c in &t.next_valid {
+                open[c] = true;
+            }
+        }
+        // The columns some next state has open, and `at[c]`, the
+        // position of column `c` among them.
+        let columns: Vec<usize> = (0..outputs).filter(|&c| open[c]).collect();
+        let mut at = vec![0; outputs];
+        for (j, &c) in columns.iter().enumerate() {
+            at[c] = j;
+        }
+        let bootstrap_net = self.target.as_ref().map_or(&self.store, |t| &t.net);
+        let qv = self.qnet.infer_cols(
+            tape,
+            bootstrap_net,
+            Tensor::from_vec(need.len(), width, next_rows),
+            &columns,
+        );
+        let qn = tape.value(qv);
+        for (row, &r) in need.iter().enumerate() {
+            let q = qn.row_slice(row);
+            let t = &mut self.replay[batch[r]];
+            maxq[r] = t
+                .next_valid
+                .iter()
+                .map(|&c| q[at[c]])
+                .fold(f32::NEG_INFINITY, f32::max);
+            if let Some(v) = version {
+                t.maxq = Some((v, maxq[r]));
+            }
+        }
+        maxq
     }
 
     fn sync_target(&mut self) {
         if let Some(target) = &mut self.target {
-            target.restore(&self.store.snapshot());
+            target.net.restore(&self.store.snapshot());
+            target.version += 1;
         }
     }
 
@@ -427,6 +501,63 @@ impl QLearner {
     }
 }
 
+/// The learn step's phases, in [`PhaseClock`]'s order.
+#[derive(Clone, Copy)]
+enum Phase {
+    Bootstrap,
+    Forward,
+    Backward,
+    Adam,
+}
+
+/// The `timing` metric name of each [`Phase`].
+const PHASE_NAMES: [&str; 4] = [
+    "qlearn_bootstrap",
+    "qlearn_forward",
+    "qlearn_backward",
+    "qlearn_adam",
+];
+
+/// Wall time per learn-step phase, summed over one call. It reads the
+/// clock only when a `pipa-obs` recorder was installed at its creation.
+struct PhaseClock {
+    /// The nanoseconds per phase, and when the current phase began;
+    /// `None` when nothing records.
+    armed: Option<([u64; 4], Instant)>,
+}
+
+impl PhaseClock {
+    fn new() -> Self {
+        PhaseClock {
+            armed: pipa_obs::is_recording().then(|| ([0; 4], Instant::now())),
+        }
+    }
+
+    /// Begin the first phase of a learn step.
+    fn start(&mut self) {
+        if let Some((_, mark)) = &mut self.armed {
+            *mark = Instant::now();
+        }
+    }
+
+    /// End `phase` and begin the next one.
+    fn lap(&mut self, phase: Phase) {
+        if let Some((nanos, mark)) = &mut self.armed {
+            let now = Instant::now();
+            nanos[phase as usize] += now.duration_since(*mark).as_nanos() as u64;
+            *mark = now;
+        }
+    }
+
+    /// One `timing` metric per phase.
+    fn emit(&self) {
+        let Some((nanos, _)) = self.armed else { return };
+        for (name, ns) in PHASE_NAMES.into_iter().zip(nanos) {
+            pipa_obs::metric(Event::new("timing").field("name", name).field("nanos", ns));
+        }
+    }
+}
+
 /// `slot`'s learner, built from `spec` on first use and rebuilt when the
 /// catalog's column count no longer matches the network.
 pub(crate) fn learner_for<'a>(
@@ -439,4 +570,47 @@ pub(crate) fn learner_for<'a>(
         *slot = None;
     }
     slot.get_or_insert_with(|| QLearner::new(spec()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{AdvisorSpec, BuildCtx, SpeedPreset};
+    use pipa_cost::SimBackend;
+    use pipa_obs::{record_cell, CellCtx};
+    use pipa_workload::generator::WorkloadGenerator;
+    use pipa_workload::Benchmark;
+
+    #[test]
+    fn a_recorded_call_reports_each_learn_step_phase_once() {
+        let cost = SimBackend::new(Benchmark::TpcH.database(1.0, None));
+        let gen = WorkloadGenerator::new(
+            Benchmark::TpcH.schema(),
+            Benchmark::TpcH.default_templates(),
+        );
+        let w = gen.normal(&mut ChaCha8Rng::seed_from_u64(1)).unwrap();
+        let mut dqn = AdvisorSpec::new("dqn")
+            .build_with(BuildCtx::new(SpeedPreset::Test, 1))
+            .unwrap();
+        let (trained, cell) = record_cell(true, CellCtx::new(1), || dqn.train(&cost, &w));
+        trained.unwrap();
+        for name in PHASE_NAMES {
+            let tag = format!("\"name\":\"{name}\"");
+            let timings = cell.metrics.iter().filter(|l| l.contains(&tag));
+            assert_eq!(timings.count(), 1, "{name} on the metrics channel");
+            assert!(
+                cell.trace.iter().all(|l| !l.contains(name)),
+                "{name} traced"
+            );
+        }
+
+        // Unrecorded, the clock is never read and nothing is emitted.
+        let mut clock = PhaseClock::new();
+        clock.start();
+        clock.lap(Phase::Bootstrap);
+        assert!(clock.armed.is_none());
+        let (trained, cell) = record_cell(false, CellCtx::new(1), || dqn.train(&cost, &w));
+        trained.unwrap();
+        assert!(cell.metrics.is_empty() && cell.trace.is_empty());
+    }
 }

@@ -149,7 +149,8 @@ impl PackedB {
 
     /// Pack a row-major `(n, k)` operand as its transpose (the B of
     /// `matmul_t`, whose rows are the output columns).
-    pub fn pack_transposed(bt: &Tensor) -> PackedB {
+    #[cfg(test)]
+    fn pack_transposed(bt: &Tensor) -> PackedB {
         let mut data = vec![0.0; bt.rows * bt.cols];
         pack_into(&bt.data, bt.cols, bt.rows, true, &mut data);
         PackedB {

@@ -23,6 +23,10 @@
 //! when comparing runs.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)
+)]
 
 pub mod kernels;
 pub mod layers;

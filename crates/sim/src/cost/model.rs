@@ -127,11 +127,6 @@ impl AnalyticalCostModel {
         Self::default()
     }
 
-    /// The cost constants in use.
-    pub fn params(&self) -> &CostParams {
-        &self.params
-    }
-
     /// Combined selectivity of a conjunctive predicate list (independence
     /// assumption).
     fn combined_selectivity(&self, cat: Catalog<'_>, preds: &[&Predicate]) -> f64 {
